@@ -182,19 +182,21 @@ def cmd_enneper_table(args, outdir, config):
     return _report(checks)
 
 
-def _weak_identity_worst(eps, level, region, seed):
-    """Max normalized weak-identity residual over 10 random bumps."""
+def weak_identity_worst(fld, region, seed):
+    """Max normalized weak-identity residual over 10 random bumps.
+
+    Returns (worst, form) with form the region-averaged potentials.
+    """
     from .divform import averaged_omega, weak_identity_residual
-    from .frames import _test_functions
+    from .frames import smooth_test_functions
     from .pde import gradient_l2
 
-    fld = _enneper_field(eps, level)
     form = averaged_omega(fld, region)
     worst = 0.0
-    for zeta in _test_functions(fld.mesh, 10, seed, True):
+    for zeta in smooth_test_functions(fld.mesh, 10, seed, True):
         r = abs(weak_identity_residual(fld, form, zeta))
         worst = max(worst, r / gradient_l2(zeta, fld.mesh))
-    return worst, form, fld
+    return worst, form
 
 
 def cmd_decompose(args, outdir, config):
@@ -204,17 +206,15 @@ def cmd_decompose(args, outdir, config):
 
     eps = args.eps[0]
     rng = np.random.default_rng(args.seed)
-    base = _enneper_field(eps, args.level)
-    report = admissible_region(base, level=args.sphere_level)
+    fld = _enneper_field(eps, args.level)
+    report = admissible_region(fld, level=args.sphere_level)
     checks = [
         Check("region_measure", report.measure, None, None,
               report.measure > 0.0),
     ]
-    worst, form, fld = _weak_identity_worst(
-        eps, args.level, report.region, args.seed
-    )
-    coarse, _, _ = _weak_identity_worst(
-        eps, args.level - 1, report.region, args.seed
+    worst, form = weak_identity_worst(fld, report.region, args.seed)
+    coarse, _ = weak_identity_worst(
+        _enneper_field(eps, args.level - 1), report.region, args.seed
     )
     from .fields import dirichlet_energy
 
@@ -371,7 +371,7 @@ def cmd_holography(args, outdir, config):
         resids.append(abs(rep.residual))
         refs.append(closed_form_table(eps).delta_norm)
         rows.append((eps, rep.mu, rep.raw_term, rep.residual,
-                     rep.omega_l2, rep.excluded_measure))
+                     rep.omega_l2))
     checks = []
     for eps, raw, dual, ref in zip(args.eps, raws, duals, refs):
         checks.append(_rel_check(f"raw_term_eps_{eps:g}", raw, ref, 0.05))
@@ -388,8 +388,7 @@ def cmd_holography(args, outdir, config):
               mono),
     ]
     with open(Path(outdir) / "holography.csv", "w") as fh:
-        fh.write("eps,mu,raw_term,corrected_residual,omega_l2,"
-                 "excluded_measure\n")
+        fh.write("eps,mu,raw_term,corrected_residual,omega_l2\n")
         for row in rows:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     _write_summary(outdir, "holography", config, checks,

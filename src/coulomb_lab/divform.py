@@ -1,15 +1,27 @@
-"""Rotated divergence-form machinery for the Jacobian density.
+"""Divergence-form machinery for the Jacobian density.
 
 For a target n' away from the poles, U(n') rotates n' to the north
 pole k.  With m = U(n') n, the kernel
 
     Gamma(n, n', xi) = (m1 (U xi)_2 - m2 (U xi)_1) / (1 - m3)
 
-is linear in xi and bounded by 2|xi| / |n - n'|.  Evaluating Gamma on
-the element derivatives of a field gives per-element potentials
-(omega_1, omega_2) whose curl reproduces the Jacobian density weakly;
-averaging over an admissible sphere region K gives square-integrable
-potentials with the 8 pi / meas(K) certificate.
+is linear in xi and bounded by 2|xi| / |n - n'|.  Its numerator is the
+third component of U n x U xi = U (n x xi), and the third row of U is
+n', so Gamma does not depend on the rotation (identity 1):
+
+    Gamma(n, n', xi) = n'.(n x xi) / (1 - n.n') = (n x xi).G,
+    G = n' / (1 - n.n'),
+
+which also holds at n' = +-k.  Evaluating Gamma on the element
+derivatives of a field gives per-element potentials (omega_1, omega_2)
+whose curl reproduces the Jacobian density weakly; averaging over an
+admissible sphere region K gives square-integrable potentials with the
+8 pi / meas(K) certificate.  Every potential in the package has the form
+Omega_i = (n x d_i n).G(n) and differs only in the field G: the point
+mass above (`omega`), its quadrature average over K
+(`averaged_omega`) or the gradient of K's logarithmic potential
+(`SphereRegion.potential_gradient`, used by the holography identity).
+`gradient_pairing` is the one place that forms this product.
 """
 
 from dataclasses import dataclass, field
@@ -19,10 +31,13 @@ from scipy.spatial import cKDTree
 
 from .fields import area_functional, phi
 from .mesh import integrate, nodal_to_element
-from .sphere import SphereRegion, sphere_quadrature, _make_region
+from .sphere import SphereRegion, make_region, sphere_quadrature
 
 FOUR_PI = 4.0 * np.pi
 POLE_TOL = 1e-12
+# Entries of each (elements x nodes) block in averaged_omega; bounds
+# its working memory to a few MB whatever the mesh and region size.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class PoleDegeneracyError(Exception):
@@ -35,6 +50,10 @@ class SingularElementError(Exception):
 
 class HypothesisViolationError(Exception):
     """Field violates the area margin needed for an admissible region."""
+
+
+class KernelBoundError(Exception):
+    """Averaged potential exceeds its quadrature kernel bound."""
 
 
 def rotation_matrix(nprime):
@@ -64,22 +83,33 @@ def rotation_matrices(nprimes):
     return U
 
 
+def gradient_pairing(grad, n, *xis):
+    """(n x xi).grad for each xi, broadcast over leading axes.
+
+    With grad = n' / (1 - n.n') this is Gamma(n, n', xi); with grad a
+    region average of that field it is the averaged potential.
+    """
+    return tuple(np.einsum("...j,...j->...", np.cross(n, xi), grad)
+                 for xi in xis)
+
+
 def gamma_many(n, nprime, xi):
-    """Vectorized Gamma over matching stacks of (n, n', xi)."""
+    """Vectorized Gamma over matching stacks of (n, n', xi).
+
+    Evaluates identity 1, Gamma = n'.(n x xi) / (1 - n.n'), which
+    equals the rotated formula for every rotation U(n').
+    """
     n = np.atleast_2d(np.asarray(n, dtype=float))
     nprime = np.atleast_2d(np.asarray(nprime, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    U = rotation_matrices(nprime)
-    m = np.einsum("kij,kj->ki", U, n)
-    u = np.einsum("kij,kj->ki", U, xi)
-    denom = 1.0 - m[:, 2]
+    denom = 1.0 - (n * nprime).sum(axis=1)
     if np.any(denom < 1e-14):
         raise ValueError("Gamma undefined at n = n'")
-    return (m[:, 0] * u[:, 1] - m[:, 1] * u[:, 0]) / denom
+    return gradient_pairing(nprime / denom[:, None], n, xi)[0]
 
 
 def gamma(n, nprime, xi):
-    """The kernel Gamma(n, n', xi); requires n != n' and n' off-pole."""
+    """The kernel Gamma(n, n', xi) = n'.(n x xi) / (1 - n.n'); n != n'."""
     return float(gamma_many(n, nprime, xi)[0])
 
 
@@ -91,10 +121,6 @@ def omega(fld, nprime, strict=True, singular_tol=1e-9):
     its value set to zero.
     """
     nprime = np.asarray(nprime, dtype=float)
-    U = rotation_matrices(nprime[None])[0]
-    m = fld.nbar @ U.T
-    u1 = fld.d1 @ U.T
-    u2 = fld.d2 @ U.T
     dist2 = ((fld.nbar - nprime) ** 2).sum(axis=1)
     singular = dist2 < singular_tol ** 2
     if strict and np.any(singular):
@@ -102,12 +128,10 @@ def omega(fld, nprime, strict=True, singular_tol=1e-9):
             f"element {int(np.flatnonzero(singular)[0])} has centroid "
             "value at n'"
         )
-    denom = 1.0 - m[:, 2]
-    denom[singular] = 1.0
-    w1 = (m[:, 0] * u1[:, 1] - m[:, 1] * u1[:, 0]) / denom
-    w2 = (m[:, 0] * u2[:, 1] - m[:, 1] * u2[:, 0]) / denom
-    w1[singular] = 0.0
-    w2[singular] = 0.0
+    # masked elements get G = n' / inf = 0
+    denom = np.where(singular, np.inf, 1.0 - fld.nbar @ nprime)
+    w1, w2 = gradient_pairing(nprime / denom[:, None], fld.nbar,
+                              fld.d1, fld.d2)
     return w1, w2, singular
 
 
@@ -149,7 +173,7 @@ def admissible_region(fld, n_samples=None, level=4, margin=0.05):
         raise HypothesisViolationError(
             "no admissible sphere region: field image too large"
         )
-    region = _make_region(quad, mask, None)
+    region = make_region(quad, mask, None)
     return AdmissibleRegionReport(
         region=region,
         sigma=float(dist[mask].min()),
@@ -174,37 +198,32 @@ class DivergenceForm:
 def averaged_omega(fld, region, min_margin=0.025):
     """Region-averaged potentials Omega_i with bound certificates.
 
-    Omega_i(T) = (1/meas K) sum_q w_q Gamma(nbar_T, s_q, d_i n_T).
-    Certifies elementwise both the quadrature bound
+    Omega_i(T) = (1/meas K) sum_q w_q Gamma(nbar_T, s_q, d_i n_T)
+    = (nbar_T x d_i n_T).G_T with G_T = (1/meas K) sum_q w_q s_q /
+    (1 - nbar_T.s_q).  Certifies elementwise both the quadrature bound
     (2/measK) (sum_q w_q/|nbar-s_q|) |d_i n| and the closed-form
     8 pi / meas(K) |d_i n|; `bound_slack` is the minimum slack of the
     latter over i = 1, 2 (positive means satisfied).
     """
     mesh = fld.mesh
     nt = mesh.triangle_count
-    acc1 = np.zeros(nt)
-    acc2 = np.zeros(nt)
+    mu = region.measure
+    nodes, w = region.nodes, region.weights
+    grad = np.zeros((nt, 3))
     kern1 = np.zeros(nt)
-    Us = rotation_matrices(region.nodes)
-    for q in range(region.nodes.shape[0]):
-        s = region.nodes[q]
-        w = region.weights[q]
-        dist = np.linalg.norm(fld.nbar - s, axis=1)
-        if dist.min() < min_margin:
+    rows = max(_BLOCK_ENTRIES // max(nodes.shape[0], 1), 1)
+    for lo in range(0, nt, rows):
+        block = slice(lo, lo + rows)
+        D = 1.0 - fld.nbar[block] @ nodes.T
+        # |nbar - s|^2 = 2 D for unit vectors
+        dist = np.sqrt(np.maximum(2.0 * D, 0.0))
+        if dist.min(initial=np.inf) < min_margin:
             raise SingularElementError(
                 "averaging region touches the field image"
             )
-        U = Us[q]
-        m = fld.nbar @ U.T
-        u1 = fld.d1 @ U.T
-        u2 = fld.d2 @ U.T
-        denom = 1.0 - m[:, 2]
-        acc1 += w * (m[:, 0] * u1[:, 1] - m[:, 1] * u1[:, 0]) / denom
-        acc2 += w * (m[:, 0] * u2[:, 1] - m[:, 1] * u2[:, 0]) / denom
-        kern1 += w / dist
-    mu = region.measure
-    om1 = acc1 / mu
-    om2 = acc2 / mu
+        grad[block] = (w / D) @ nodes / mu
+        kern1[block] = (w / dist).sum(axis=1)
+    om1, om2 = gradient_pairing(grad, fld.nbar, fld.d1, fld.d2)
     g1 = np.linalg.norm(fld.d1, axis=1)
     g2 = np.linalg.norm(fld.d2, axis=1)
     qbound1 = (2.0 / mu) * kern1 * g1
@@ -215,7 +234,7 @@ def averaged_omega(fld, region, min_margin=0.025):
     if np.any(np.abs(om1) > qbound1 + 1e-9) or np.any(
         np.abs(om2) > qbound2 + 1e-9
     ):
-        raise AssertionError("averaged potential violates its kernel bound")
+        raise KernelBoundError("averaged potential violates its kernel bound")
     delta = area_functional(fld).delta
     return DivergenceForm(
         omega1=om1,

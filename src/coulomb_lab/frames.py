@@ -14,8 +14,8 @@ import numpy as np
 
 from .fields import SphereField, area_functional, sample_field
 from .mesh import DiscMesh, element_gradient, integrate
-from .pde import (curl_load, flux_load, gradient_l2, solve_gauge_neumann,
-                  stiffness_matrix)
+from .pde import (curl_load, flux_load, gradient_l2, pinned_factor,
+                  solve_gauge_neumann, stiffness_matrix)
 
 PROJECTOR_STEP_LIMIT = 0.125  # max allowed ||P_new - P_old|| per step
 MIN_PROJECTION = 0.5
@@ -114,10 +114,8 @@ def recover_f(h, mesh):
     standard deviation of the pre-shift boundary values measures how
     far h is from an exact rotated gradient.
     """
-    from .pde import _pinned_factor
-
     b = curl_load(np.asarray(h, dtype=float), mesh)
-    idx, lu = _pinned_factor(mesh)
+    idx, lu = pinned_factor(mesh)
     f = np.zeros(mesh.node_count)
     f[idx] = lu.solve(b[idx])
     bvals = f[mesh.boundary_mask]
@@ -125,7 +123,7 @@ def recover_f(h, mesh):
     return RecoveredF(f=f, boundary_std=float(bvals.std()))
 
 
-def _test_functions(mesh, count, seed, boundary_zero):
+def smooth_test_functions(mesh, count, seed, boundary_zero):
     """Deterministic smooth nodal test functions (cubic times bump)."""
     rng = np.random.default_rng(seed)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -152,8 +150,8 @@ def coulomb_weak_residual(h, mesh, count=10, seed=7):
     """
     b = flux_load(h, mesh)
     worst = 0.0
-    zetas = _test_functions(mesh, count // 2, seed, True)
-    zetas += _test_functions(mesh, count - count // 2, seed + 1, False)
+    zetas = smooth_test_functions(mesh, count // 2, seed, True)
+    zetas += smooth_test_functions(mesh, count - count // 2, seed + 1, False)
     for z in zetas:
         gz = gradient_l2(z, mesh)
         worst = max(worst, abs(float(b @ z)) / gz)
@@ -294,7 +292,7 @@ def frame_residuals(frame, count=10, seed=11):
 
     b = element_load(rhs, mesh)
     worst = 0.0
-    for z in _test_functions(mesh, count, seed, True):
+    for z in smooth_test_functions(mesh, count, seed, True):
         gz = gradient_l2(z, mesh)
         worst = max(worst, abs(float((K @ f) @ z - b @ z)) / gz)
     ge = np.sqrt(

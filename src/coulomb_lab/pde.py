@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import element_gradient, integrate, nodal_to_element
+from .mesh import element_gradient, integrate
 
 _cache = weakref.WeakKeyDictionary()
 
@@ -64,7 +64,9 @@ def _dirichlet_factor(mesh):
     return entry["dirichlet"]
 
 
-def _pinned_factor(mesh):
+def pinned_factor(mesh):
+    """Cached (indices, LU) of the stiffness matrix with the centre node
+    pinned: the definite form of the Neumann system."""
     entry = _mesh_cache(mesh)
     if "pinned" not in entry:
         K = stiffness_matrix(mesh)
@@ -162,7 +164,7 @@ def solve_gauge_neumann(h, mesh):
     if not np.all(np.isfinite(h)):
         raise ValueError("h must be finite")
     b = -flux_load(h, mesh)
-    idx, lu = _pinned_factor(mesh)
+    idx, lu = pinned_factor(mesh)
     theta = np.zeros(mesh.node_count)
     theta[idx] = lu.solve(b[idx] - 0.0)
     w = lumped_mass(mesh)
@@ -198,10 +200,3 @@ def gradient_l2(values, mesh):
     """L2 norm of the P1 gradient of nodal data."""
     g = element_gradient(np.asarray(values, dtype=float), mesh)
     return float(np.sqrt(integrate((g ** 2).sum(axis=1), mesh)))
-
-
-def pair_phi_nodal(element_values, zeta, mesh):
-    """Integral of a per-element density against nodal zeta (centroid
-    average of zeta per element)."""
-    zbar = nodal_to_element(np.asarray(zeta, dtype=float), mesh)
-    return integrate(np.asarray(element_values, dtype=float) * zbar, mesh)

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .divform import rotation_matrices
+from .divform import gradient_pairing
 from .fields import phi
 from .mesh import TRI7_BARY, TRI7_WEIGHTS, element_gradient, integrate
-from .sphere import spherical_areas, subdivide_faces
 
 FOUR_PI = 4.0 * np.pi
 BARY_TOL = 1e-9
@@ -249,17 +248,6 @@ def coarea_check(fld, g, region, N=64, solver=None):
     )
 
 
-def _safe_nodes(nodes):
-    """Nudge quadrature nodes off the rotation-family poles."""
-    nodes = np.array(nodes, dtype=float)
-    lam = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
-    bad = lam < 1e-10
-    if np.any(bad):
-        nodes[bad, 0] += 1e-5
-        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
-    return nodes
-
-
 @dataclass(frozen=True, eq=False)
 class HolographyReport:
     raw_term: float
@@ -269,100 +257,6 @@ class HolographyReport:
     mu: float
     omega_l2: float
     ratio: float
-    excluded_measure: float
-
-
-def region_averaged_omega(fld, region, tol=1e-3, max_depth=12):
-    """(1/mu) integral over the region of omega_i(X, n'), per element.
-
-    Faces whose centroid lies within half a face-diameter of an
-    element's centroid value are integrated by recursive subdivision:
-    a child face enters the centroid rule for an element once the
-    element's value is farther than the child diameter, and the
-    innermost neighborhood is dropped only when its analytic bound
-    (|omega_i| <= 2 |d_i n| / dist, integrable) falls below `tol` of
-    that element's accumulated value; the dropped weight is recorded
-    per element.  Returns (omega1, omega2, excluded_per_element).
-    """
-    mesh = fld.mesh
-    nt = mesh.triangle_count
-    quad = region.quadrature
-    r_excl = 0.5 * quad.face_diameter
-    nodes = _safe_nodes(region.nodes)
-    Us = rotation_matrices(nodes)
-    acc1 = np.zeros(nt)
-    acc2 = np.zeros(nt)
-    excluded = np.zeros(nt)
-    pending = {}  # q -> element indices needing local refinement
-    for q in range(nodes.shape[0]):
-        s, w = nodes[q], region.weights[q]
-        diff = fld.nbar - s
-        dist2 = (diff ** 2).sum(axis=1)
-        far = dist2 > r_excl ** 2
-        U = Us[q]
-        m = fld.nbar @ U.T
-        u1 = fld.d1 @ U.T
-        u2 = fld.d2 @ U.T
-        denom = 1.0 - m[:, 2]
-        denom[~far] = 1.0
-        w1 = (m[:, 0] * u1[:, 1] - m[:, 1] * u1[:, 0]) / denom
-        w2 = (m[:, 0] * u2[:, 1] - m[:, 1] * u2[:, 0]) / denom
-        acc1 += np.where(far, w * w1, 0.0)
-        acc2 += np.where(far, w * w2, 0.0)
-        near = np.flatnonzero(~far)
-        if near.size:
-            pending[q] = near
-    if pending:
-        gmax = np.maximum(
-            np.linalg.norm(fld.d1, axis=1), np.linalg.norm(fld.d2, axis=1)
-        )
-        thresh = tol * np.maximum(
-            np.maximum(np.abs(acc1), np.abs(acc2)), 1e-12
-        )
-        for q, elems in pending.items():
-            scale = region.weights[q] / max(
-                quad.weights[region.indices[q]], 1e-300
-            )
-            stack = [(quad.faces[region.indices[q]], elems, 0)]
-            while stack:
-                face, idx, depth = stack.pop()
-                w_face = float(spherical_areas(face[None])[0]) * scale
-                diam = float(
-                    np.linalg.norm(face - face[[1, 2, 0]], axis=1).max()
-                )
-                c = face.mean(axis=0)
-                c = _safe_nodes((c / np.linalg.norm(c))[None])[0]
-                nb = fld.nbar[idx]
-                dist = np.linalg.norm(nb - c, axis=1)
-                far = dist > diam
-                if np.any(far):
-                    sel = idx[far]
-                    U = rotation_matrices(c[None])[0]
-                    m = fld.nbar[sel] @ U.T
-                    u1 = fld.d1[sel] @ U.T
-                    u2 = fld.d2[sel] @ U.T
-                    denom = 1.0 - m[:, 2]
-                    acc1[sel] += w_face * (
-                        m[:, 0] * u1[:, 1] - m[:, 1] * u1[:, 0]
-                    ) / denom
-                    acc2[sel] += w_face * (
-                        m[:, 0] * u2[:, 1] - m[:, 1] * u2[:, 0]
-                    ) / denom
-                near_idx = idx[~far]
-                if near_idx.size == 0:
-                    continue
-                # the face sits within 2 diam of the element value, so
-                # int 2 g / dist over it is below 2 g * 2 pi * (2 diam)
-                bound = 8.0 * np.pi * diam * gmax[near_idx]
-                done = (bound <= thresh[near_idx]) | (depth >= max_depth)
-                if np.any(done):
-                    excluded[near_idx[done]] += w_face
-                rest = near_idx[~done]
-                if rest.size:
-                    for child in subdivide_faces(face[None]):
-                        stack.append((child, rest, depth + 1))
-    mu = region.measure
-    return acc1 / mu, acc2 / mu, excluded
 
 
 def _straddles(region, images):
@@ -393,40 +287,16 @@ def _split(bary):
     return children.reshape(-1, 3, 3)
 
 
-def _closed_form_potentials(fld, region):
-    """Omega_i = grad Q(n_h).(n_h x d_i n_h) at rule points."""
-
-    def potentials(elems, n, r):
-        grad_q = region.potential_gradient(n.reshape(-1, 3))
-        grad_q = grad_q.reshape(n.shape) / r[..., None]
-        return tuple(
-            np.einsum("kpj,kpj->kp", grad_q, np.cross(n, d[elems, None]))
-            for d in (fld.d1, fld.d2)
-        )
-
-    return potentials
-
-
-def _element_potentials(om1, om2):
-    """Element-constant Omega_i, broadcast to the rule points."""
-
-    def potentials(elems, n, r):
-        shape = n.shape[:2]
-        return (np.broadcast_to(om1[elems, None], shape),
-                np.broadcast_to(om2[elems, None], shape))
-
-    return potentials
-
-
-def _rule_sums(fld, region, potentials, zv, gz, elems, bary):
+def _rule_sums(fld, region, zv, gz, elems, bary):
     """Element-rule averages over sub-triangles of the elements `elems`.
 
     `bary` (k, 3, 3) holds the element barycentrics of each
     sub-triangle's vertices.  At the rule points P is the P1
     interpolant, n_h = P/|P| and, with d_i the derivatives of P,
-    Phi(n_h) = n_h.(d1 x d2) / |P|^2.  Returns, per unit area, the rule
-    averages of Phi zeta, of 1_K(n_h) Phi zeta, of the pairing
-    Omega_2 d1 zeta - Omega_1 d2 zeta and of |Omega|^2.
+    Phi(n_h) = n_h.(d1 x d2) / |P|^2.  Since n_h x d_i n_h =
+    n_h x d_i / |P|, Omega_i = grad Q(n_h).(n_h x d_i) / |P|.  Returns,
+    per unit area, the rule averages of Phi zeta, of 1_K(n_h) Phi zeta,
+    of the pairing Omega_2 d1 zeta - Omega_1 d2 zeta and of |Omega|^2.
     """
     points = np.einsum("pv,kvi->kpi", TRI7_BARY, bary)
     P = np.einsum("kpi,kij->kpj", points,
@@ -438,7 +308,10 @@ def _rule_sums(fld, region, potentials, zv, gz, elems, bary):
         "kpi,ki->kp", points, zv[elems]
     )
     member = region.contains(n.reshape(-1, 3)).reshape(r.shape)
-    om1, om2 = potentials(elems, n, r)
+    grad_q = region.potential_gradient(n.reshape(-1, 3)).reshape(n.shape)
+    grad_q /= r[..., None]
+    om1, om2 = gradient_pairing(grad_q, n, fld.d1[elems, None],
+                                fld.d2[elems, None])
     pairing = om2 * gz[elems, 0, None] - om1 * gz[elems, 1, None]
     return tuple(
         v @ TRI7_WEIGHTS
@@ -446,7 +319,7 @@ def _rule_sums(fld, region, potentials, zv, gz, elems, bary):
     )
 
 
-def _split_integral(fld, region, potentials, zv, gz, elems, depth):
+def _split_integral(fld, region, zv, gz, elems, depth):
     """f- and potential-term integrals over elements met by the boundary.
 
     Sub-triangles whose image may meet the region boundary are split
@@ -456,9 +329,7 @@ def _split_integral(fld, region, potentials, zv, gz, elems, depth):
     """
 
     def integral(elems, bary):
-        _, f_d, pairing, _ = _rule_sums(
-            fld, region, potentials, zv, gz, elems, bary
-        )
+        _, f_d, pairing, _ = _rule_sums(fld, region, zv, gz, elems, bary)
         a = fld.mesh.areas[elems]
         return np.array([a @ f_d, a @ pairing])
 
@@ -497,41 +368,33 @@ def holography_identity(fld, region, zeta):
     the region boundary are split recursively SPLIT_DEPTH times, to
     resolve the indicator and the kink of Omega there.
 
-    For caps, the full sphere and their complements the potentials are
-    the closed forms, and |residual| <= HOLOGRAPHY_TOL.  Regions that
-    only have a predicate take element-constant potentials from
-    `region_averaged_omega` at the centroid values and the pointwise
-    indicator at the rule points; no accuracy is promised for them.
+    The region must have a closed-form potential and boundary: a cap,
+    the full sphere or a complement of either.  Then |residual| <=
+    HOLOGRAPHY_TOL.  Any other region raises ValueError.
     """
     mu = region.measure
     if mu <= 0:
         raise ValueError("region must have positive measure")
     if region.predicate is None:
         raise ValueError("region needs a membership predicate")
+    if not region.has_closed_form:
+        raise ValueError(
+            "holography_identity needs a cap, the full sphere or a "
+            "complement of either"
+        )
     mesh = fld.mesh
     zeta = np.asarray(zeta, dtype=float)
     zv = zeta[mesh.triangles]
     gz = element_gradient(zeta, mesh)
-    closed = region.has_closed_form
-    excluded = 0.0
-    if closed:
-        potentials = _closed_form_potentials(fld, region)
-    else:
-        om1, om2, excl = region_averaged_omega(fld, region)
-        potentials = _element_potentials(om1, om2)
-        excluded = float(excl.max(initial=0.0))
     raw = f_term = omega_term = omega_sq = 0.0
     straddling = []
     for lo in range(0, mesh.triangle_count, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, mesh.triangle_count))
         pz, f_d, pairing, om_sq = _rule_sums(
-            fld, region, potentials, zv, gz, elems,
+            fld, region, zv, gz, elems,
             np.broadcast_to(np.eye(3), (elems.size, 3, 3)),
         )
-        if closed:
-            straddles = _straddles(region, fld.values[mesh.triangles[elems]])
-        else:
-            straddles = np.zeros(elems.size, dtype=bool)
+        straddles = _straddles(region, fld.values[mesh.triangles[elems]])
         a = mesh.areas[elems]
         raw += float(a @ pz)
         f_term += float(a[~straddles] @ f_d[~straddles])
@@ -542,8 +405,7 @@ def holography_identity(fld, region, zeta):
     step = max(_CHUNK >> SPLIT_DEPTH, 1)
     for lo in range(0, straddling.size, step):
         f_part, omega_part = _split_integral(
-            fld, region, potentials, zv, gz, straddling[lo:lo + step],
-            SPLIT_DEPTH,
+            fld, region, zv, gz, straddling[lo:lo + step], SPLIT_DEPTH
         )
         f_term += f_part
         omega_term += omega_part
@@ -561,5 +423,4 @@ def holography_identity(fld, region, zeta):
         mu=mu,
         omega_l2=float(np.sqrt(omega_sq)),
         ratio=abs(residual) / denom if denom > 0 else float("nan"),
-        excluded_measure=excluded,
     )

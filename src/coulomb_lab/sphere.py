@@ -191,7 +191,12 @@ class SphereRegion:
         raise ValueError("region has no closed-form potential")
 
 
-def _make_region(quad, mask, predicate, exact_measure=None, **shape):
+def make_region(quad, mask, predicate, exact_measure=None, **shape):
+    """Region of the quadrature nodes selected by `mask`.
+
+    With `exact_measure` the weights are rescaled to sum to it;
+    `shape` holds the `kind` and its closed-form data.
+    """
     idx = np.flatnonzero(mask)
     w = quad.weights[idx].copy()
     empirical = float(w.sum())
@@ -215,7 +220,7 @@ def _make_region(quad, mask, predicate, exact_measure=None, **shape):
 
 def full_sphere(level):
     quad = sphere_quadrature(level)
-    return _make_region(
+    return make_region(
         quad,
         np.ones(quad.nodes.shape[0], dtype=bool),
         lambda p: np.ones(p.shape[0], dtype=bool),
@@ -236,7 +241,7 @@ def cap(center, rho, level=4):
         return p @ center >= cos_rho
 
     quad = sphere_quadrature(level)
-    return _make_region(
+    return make_region(
         quad,
         predicate(quad.nodes),
         predicate,
@@ -257,7 +262,7 @@ def complement_region(region):
     def predicate(p):
         return ~pred(p)
 
-    return _make_region(
+    return make_region(
         quad, mask, predicate if pred is not None else None,
         exact_measure=FOUR_PI - region.measure,
         kind="complement",
@@ -267,7 +272,7 @@ def complement_region(region):
 
 def region_from_predicate(predicate, level=4, exact_measure=None):
     quad = sphere_quadrature(level)
-    return _make_region(quad, predicate(quad.nodes), predicate, exact_measure)
+    return make_region(quad, predicate(quad.nodes), predicate, exact_measure)
 
 
 class SingularQuadratureError(Exception):

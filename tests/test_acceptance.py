@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from coulomb_lab.cli import _weak_identity_worst, main
+from coulomb_lab.cli import main, weak_identity_worst
 from coulomb_lab.divform import admissible_region, gamma_many, omega
 from coulomb_lab.fields import (dirichlet_energy, field_from_values, phi,
                                 sample_field)
@@ -100,8 +100,11 @@ def test_criterion_03_decomposition_pipeline():
     base = sample_field(enneper_gauss_closure(0.5), build_disc_mesh(6))
     report = admissible_region(base, level=4)
     grad_n = np.sqrt(dirichlet_energy(base))
-    worst, form, _ = _weak_identity_worst(0.5, 6, report.region, SEED)
-    coarse, _, _ = _weak_identity_worst(0.5, 5, report.region, SEED)
+    worst, form = weak_identity_worst(base, report.region, SEED)
+    coarse, _ = weak_identity_worst(
+        sample_field(enneper_gauss_closure(0.5), build_disc_mesh(5)),
+        report.region, SEED,
+    )
     cert = (8.0 * np.pi / report.measure) * grad_n
     omega_ok = max(form.l2_omega1, form.l2_omega2) <= cert
     ratio = coarse / worst

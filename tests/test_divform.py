@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from coulomb_lab.divform import (HypothesisViolationError,
+from coulomb_lab.divform import (HypothesisViolationError, KernelBoundError,
                                  PoleDegeneracyError, SingularElementError,
                                  admissible_region, averaged_omega, gamma,
                                  gamma_many, omega, rotation_matrices,
@@ -50,6 +54,34 @@ def test_rotation_pole_degenerate():
         rotation_matrix([0.0, 0.0, 1.0])
     with pytest.raises(PoleDegeneracyError):
         rotation_matrix([0.0, 0.0, -1.0])
+
+
+def _rotated_gamma(n, nprime, xi):
+    """Gamma by its definition: rotate n' to k, then the planar formula."""
+    U = rotation_matrix(nprime)
+    m, u = n @ U.T, xi @ U.T
+    return (m[..., 0] * u[..., 1] - m[..., 1] * u[..., 0]) / (1.0 - m[..., 2])
+
+
+# (z, azimuth) of a unit vector, off the poles
+_OFF_POLE = st.tuples(st.floats(-0.999, 0.999), st.floats(0.0, 2.0 * np.pi))
+
+
+def _unit(z, angle):
+    r = np.sqrt(1.0 - z * z)
+    return np.array([r * np.cos(angle), r * np.sin(angle), z])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=_OFF_POLE, nprime=_OFF_POLE,
+       xi=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_gamma_many_matches_rotated_formula(n, nprime, xi):
+    n, nprime, xi = _unit(*n), _unit(*nprime), np.array(xi)
+    sep = np.linalg.norm(n - nprime)
+    assume(sep >= 1e-3 and np.linalg.norm(xi) >= 1e-3)
+    g = gamma_many(n, nprime, xi)[0]
+    ref = _rotated_gamma(n, nprime, xi)
+    assert abs(g - ref) <= 1e-10 * 2.0 * np.linalg.norm(xi) / sep
 
 
 def test_gamma_linear_in_xi():
@@ -131,6 +163,25 @@ def test_averaged_omega_certificates(field):
         dirichlet_energy(field)
     )
     assert max(form.l2_omega1, form.l2_omega2) <= cert
+
+
+def test_averaged_omega_matches_rotated_sum():
+    fld = sample_field(enneper_gauss_closure(0.5), build_disc_mesh(4))
+    region = admissible_region(fld).region
+    form = averaged_omega(fld, region)
+    for om, d in ((form.omega1, fld.d1), (form.omega2, fld.d2)):
+        ref = sum(w * _rotated_gamma(fld.nbar, s, d)
+                  for s, w in zip(region.nodes, region.weights))
+        ref /= region.measure
+        assert np.abs(om - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_averaged_omega_kernel_bound(field):
+    # negative weights make the quadrature bound negative
+    region = admissible_region(field).region
+    flipped = dataclasses.replace(region, weights=-region.weights)
+    with pytest.raises(KernelBoundError):
+        averaged_omega(field, flipped)
 
 
 def test_weak_identity_residual(field):

@@ -7,9 +7,8 @@ from coulomb_lab.fields import sample_field
 from coulomb_lab.mesh import build_disc_mesh
 from coulomb_lab.preimage import (HOLOGRAPHY_TOL, PreimageSolver,
                                   coarea_check, holography_identity,
-                                  preimages, region_averaged_omega,
-                                  regular_filter)
-from coulomb_lab.sphere import cap, full_sphere
+                                  preimages, regular_filter)
+from coulomb_lab.sphere import cap, full_sphere, region_from_predicate
 from coulomb_lab.surfaces import (closed_form_table, enneper_gauss_closure,
                                   zeta_eps)
 
@@ -166,7 +165,6 @@ def test_holography_cap(field):
     table = closed_form_table(0.5)
     assert rep.raw_term == pytest.approx(table.delta_norm, rel=0.05)
     assert abs(rep.residual) <= HOLOGRAPHY_TOL
-    assert rep.excluded_measure <= 1e-3
     assert rep.omega_l2 > 0
     assert np.isfinite(rep.ratio)
 
@@ -178,11 +176,9 @@ def test_holography_needs_measure(field):
         holography_identity(field, zero, zeta_eps(0.5, field.mesh))
 
 
-def test_averaged_omega_shapes_and_exclusion(field):
-    region = cap(-K, np.pi / 4.0, level=2)
-    om1, om2, excl = region_averaged_omega(field, region)
-    nt = field.mesh.triangle_count
-    assert om1.shape == om2.shape == excl.shape == (nt,)
-    assert np.all(excl >= 0.0)
-    assert excl.max() <= 1e-3
-    assert np.isfinite(om1).all() and np.isfinite(om2).all()
+def test_holography_needs_closed_form(field):
+    # the same cap as test_holography_cap, known only by its predicate
+    cos_rho = np.cos(np.pi / 4.0)
+    region = region_from_predicate(lambda p: p @ -K >= cos_rho, level=3)
+    with pytest.raises(ValueError, match="cap, the full sphere"):
+        holography_identity(field, region, zeta_eps(0.5, field.mesh))
