@@ -3,30 +3,38 @@
 Each subcommand reproduces one of the package's headline checks and
 writes its artifacts (CSV tables plus a summary.json listing every
 check with its measured value, reference, tolerance and pass flag)
-into the output directory.  Exit status: 0 when all checks pass,
+into the output directory.  The summary is the single definition of
+each acceptance criterion: the acceptance tests run these subcommands
+and assert their checks by name.  Exit status: 0 when all checks pass,
 1 when a check fails, 2 on usage errors.
 
 Configuration comes from command-line flags, optionally seeded from a
-key=value file given with --config (flags override the file).  All
-randomness flows from a single seed recorded in summary.json, and a
-repeated run with the same configuration is byte-identical.
+key=value file given with --config (flags override the file).  A
+subcommand takes the keys of its `_DEFAULTS` entry plus seed and out,
+as flags and as config keys.  All randomness flows from a single seed
+recorded in summary.json, and a repeated run with the same
+configuration is byte-identical.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+import numpy as np
 
-
-def _apply_thread_cap():
-    cap = os.environ.get("COULOMB_LAB_THREADS")
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
+from .divform import (admissible_region, averaged_omega, export_divform,
+                      gamma_many, omega, weak_identity_residual)
+from .fields import dirichlet_energy, field_from_values, phi, sample_field
+from .frames import (coulomb_continuation, export_frame_log,
+                     frame_residuals, smooth_test_functions)
+from .mesh import build_disc_mesh, export_mesh, integrate
+from .pde import dual_norm, gradient_l2, solve_poisson_dirichlet
+from .preimage import HOLOGRAPHY_TOL, coarea_check, holography_identity
+from .sphere import cap, full_sphere
+from .surfaces import (closed_form_table, coincidence_radii,
+                       enneper_gauss_closure, enneper_psi_closure, lam,
+                       self_intersections, zeta_eps)
 
 
 class Check:
@@ -62,8 +70,6 @@ def _int_list(text):
 
 def _parse_cap(text):
     """Cap string `center,rho` with center one of k, -k, or `x:y:z`."""
-    import numpy as np
-
     head, rho = text.rsplit(",", 1)
     if head == "k":
         center = np.array([0.0, 0.0, 1.0])
@@ -88,7 +94,16 @@ def _load_config_file(path):
     return values
 
 
-def _write_summary(outdir, command, config, checks, info=None):
+def _write_csv(path, header, rows):
+    """One CSV line per row; numbers as %.17g, so the file round-trips."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}"
+                              for v in row) + "\n")
+
+
+def _write_summary(outdir, command, config, checks, info):
     payload = {
         "command": command,
         "config": config,
@@ -98,7 +113,7 @@ def _write_summary(outdir, command, config, checks, info=None):
     if info:
         payload["info"] = info
     text = json.dumps(payload, indent=2, sort_keys=True)
-    (Path(outdir) / "summary.json").write_text(text + "\n")
+    (outdir / "summary.json").write_text(text + "\n")
 
 
 def _report(checks):
@@ -110,22 +125,47 @@ def _report(checks):
 
 
 def _enneper_field(eps, level):
-    from . import build_disc_mesh, sample_field
-    from .surfaces import enneper_gauss_closure
+    return sample_field(enneper_gauss_closure(eps), build_disc_mesh(level))
 
-    mesh = build_disc_mesh(level)
-    return sample_field(enneper_gauss_closure(eps), mesh)
+
+def _closed_form_errors(fld, eps, table):
+    """Measured int|Phi|, Dirichlet energy and |grad f|^2, and their
+    relative errors against the closed forms in `table`."""
+    mesh = fld.mesh
+    abs_phi = integrate(np.abs(phi(fld)), mesh)
+    energy = dirichlet_energy(fld)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    f = np.log(lam(eps, x, y)) - np.log(1.0 + eps ** 2)
+    grad_f2 = gradient_l2(f, mesh) ** 2
+    errs = [
+        abs(abs_phi - table.int_abs_phi) / table.int_abs_phi,
+        abs(energy - table.int_grad_n2) / table.int_grad_n2,
+        abs(grad_f2 - table.grad_f2) / table.grad_f2,
+    ]
+    return abs_phi, energy, grad_f2, errs
+
+
+def _weak_identity_worst(fld, region, seed):
+    """Max normalized weak-identity residual over 10 random bumps.
+
+    Returns (worst, form) with form the region-averaged potentials.
+    """
+    form = averaged_omega(fld, region)
+    worst = 0.0
+    for zeta in smooth_test_functions(fld.mesh, 10, seed, True):
+        r = abs(weak_identity_residual(fld, form, zeta))
+        worst = max(worst, r / gradient_l2(zeta, fld.mesh))
+    return worst, form
 
 
 # ----------------------------------------------------------------- commands
+# Each command writes its artifacts into outdir and returns
+# (checks, info); `main` writes summary.json and reports the checks.
 
 
-def cmd_mesh_info(args, outdir, config):
-    from . import build_disc_mesh, export_mesh
-    import numpy as np
-
+def cmd_mesh_info(args, outdir):
     mesh = build_disc_mesh(args.level)
-    with open(Path(outdir) / "mesh.txt", "w") as fh:
+    with open(outdir / "mesh.txt", "w") as fh:
         export_mesh(mesh, fh)
     checks = [
         _rel_check("disc_area", mesh.area, np.pi, 0.01),
@@ -138,34 +178,17 @@ def cmd_mesh_info(args, outdir, config):
         "triangles": mesh.triangle_count,
         "h_max": mesh.h_max,
     }
-    _write_summary(outdir, "mesh-info", config, checks, info)
-    return _report(checks)
+    return checks, info
 
 
-def cmd_enneper_table(args, outdir, config):
-    import numpy as np
-    from . import build_disc_mesh, dirichlet_energy, phi
-    from .mesh import integrate
-    from .pde import gradient_l2
-    from .surfaces import closed_form_table, enneper_gauss_closure, lam
-    from . import sample_field
-
+def cmd_enneper_table(args, outdir):
     mesh = build_disc_mesh(args.level)
     checks = []
     rows = []
     for eps in args.eps:
         fld = sample_field(enneper_gauss_closure(eps), mesh)
         table = closed_form_table(eps)
-        abs_phi = integrate(np.abs(phi(fld)), mesh)
-        energy = dirichlet_energy(fld)
-        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        f = np.log(lam(eps, x, y)) - np.log(1.0 + eps ** 2)
-        grad_f2 = gradient_l2(f, mesh) ** 2
-        errs = [
-            abs(abs_phi - table.int_abs_phi) / table.int_abs_phi,
-            abs(energy - table.int_grad_n2) / table.int_grad_n2,
-            abs(grad_f2 - table.grad_f2) / table.grad_f2,
-        ]
+        abs_phi, energy, grad_f2, errs = _closed_form_errors(fld, eps, table)
         rows.append((eps, abs_phi, table.int_abs_phi, energy,
                      table.int_grad_n2, grad_f2, table.grad_f2, max(errs)))
         checks.append(Check(f"closed_forms_eps_{eps:g}", max(errs), 0.0,
@@ -173,37 +196,13 @@ def cmd_enneper_table(args, outdir, config):
         minimal = abs(2.0 * abs_phi - energy) / energy
         checks.append(Check(f"minimal_surface_eps_{eps:g}", minimal, 0.0,
                             0.01, minimal <= 0.01))
-    with open(Path(outdir) / "enneper_table.csv", "w") as fh:
-        fh.write("eps,int_abs_phi,ref_phi,int_grad_n2,ref_grad_n2,"
-                 "grad_f2,ref_grad_f2,rel_err_max\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    _write_summary(outdir, "enneper-table", config, checks)
-    return _report(checks)
+    _write_csv(outdir / "enneper_table.csv",
+               "eps,int_abs_phi,ref_phi,int_grad_n2,ref_grad_n2,"
+               "grad_f2,ref_grad_f2,rel_err_max", rows)
+    return checks, None
 
 
-def weak_identity_worst(fld, region, seed):
-    """Max normalized weak-identity residual over 10 random bumps.
-
-    Returns (worst, form) with form the region-averaged potentials.
-    """
-    from .divform import averaged_omega, weak_identity_residual
-    from .frames import smooth_test_functions
-    from .pde import gradient_l2
-
-    form = averaged_omega(fld, region)
-    worst = 0.0
-    for zeta in smooth_test_functions(fld.mesh, 10, seed, True):
-        r = abs(weak_identity_residual(fld, form, zeta))
-        worst = max(worst, r / gradient_l2(zeta, fld.mesh))
-    return worst, form
-
-
-def cmd_decompose(args, outdir, config):
-    import numpy as np
-    from .divform import (admissible_region, export_divform, gamma_many,
-                          omega)
-
+def cmd_decompose(args, outdir):
     eps = args.eps[0]
     rng = np.random.default_rng(args.seed)
     fld = _enneper_field(eps, args.level)
@@ -212,12 +211,10 @@ def cmd_decompose(args, outdir, config):
         Check("region_measure", report.measure, None, None,
               report.measure > 0.0),
     ]
-    worst, form = weak_identity_worst(fld, report.region, args.seed)
-    coarse, _ = weak_identity_worst(
+    worst, form = _weak_identity_worst(fld, report.region, args.seed)
+    coarse, _ = _weak_identity_worst(
         _enneper_field(eps, args.level - 1), report.region, args.seed
     )
-    from .fields import dirichlet_energy
-
     grad_n = np.sqrt(dirichlet_energy(fld))
     cert = (8.0 * np.pi / report.measure) * grad_n
     checks += [
@@ -238,9 +235,9 @@ def cmd_decompose(args, outdir, config):
     n = unit(100000)
     np_ = unit(100000)
     xi = rng.standard_normal((100000, 3))
-    lam = np_[:, 0] ** 2 + np_[:, 1] ** 2
+    off_axis = np_[:, 0] ** 2 + np_[:, 1] ** 2
     sep = np.linalg.norm(n - np_, axis=1)
-    ok = (lam > 1e-8) & (sep > 1e-6)
+    ok = (off_axis > 1e-8) & (sep > 1e-6)
     g = gamma_many(n[ok], np_[ok], xi[ok])
     bound = 2.0 * np.linalg.norm(xi[ok], axis=1) / sep[ok]
     violations = int(np.sum(np.abs(g) > bound + 1e-12))
@@ -259,20 +256,12 @@ def cmd_decompose(args, outdir, config):
         bad += int(np.sum(np.abs(w1) > b1 + 1e-12))
         bad += int(np.sum(np.abs(w2) > b2 + 1e-12))
     checks.append(Check("omega_bound_violations", bad, 0, None, bad == 0))
-    with open(Path(outdir) / "divform.csv", "w") as fh:
+    with open(outdir / "divform.csv", "w") as fh:
         export_divform(fld, form, fh)
-    _write_summary(outdir, "decompose", config, checks,
-                   info={"sigma": report.sigma, "delta": report.delta})
-    return _report(checks)
+    return checks, {"sigma": report.sigma, "delta": report.delta}
 
 
-def cmd_frame(args, outdir, config):
-    import numpy as np
-    from .frames import coulomb_continuation, export_frame_log, frame_residuals
-    from .pde import solve_poisson_dirichlet
-    from .fields import phi
-    from .surfaces import closed_form_table
-
+def cmd_frame(args, outdir):
     eps = args.eps[0]
     residuals = {}
     frame = None
@@ -281,7 +270,7 @@ def cmd_frame(args, outdir, config):
         frame = coulomb_continuation(fld, seed=args.seed)
         rep = frame_residuals(frame, seed=args.seed)
         residuals[level] = rep
-    with open(Path(outdir) / "frame_log.csv", "w") as fh:
+    with open(outdir / "frame_log.csv", "w") as fh:
         export_frame_log(frame, fh)
     final = residuals[args.level]
     table = closed_form_table(eps)
@@ -303,17 +292,11 @@ def cmd_frame(args, outdir, config):
               f_gap <= 0.02 * poisson.max_abs),
         _rel_check("f_max", final.f_max, abs(table.f_at_origin), 0.02),
     ]
-    _write_summary(outdir, "frame", config, checks,
-                   info={"boundary_std": frame.boundary_std,
-                         "steps": len(frame.log)})
-    return _report(checks)
+    return checks, {"boundary_std": frame.boundary_std,
+                    "steps": len(frame.log)}
 
 
-def cmd_coarea(args, outdir, config):
-    import numpy as np
-    from . import full_sphere
-    from .preimage import coarea_check
-
+def cmd_coarea(args, outdir):
     eps = args.eps[0]
     fld = _enneper_field(eps, args.level)
     region = full_sphere(args.sphere_level)
@@ -333,28 +316,16 @@ def cmd_coarea(args, outdir, config):
         Check("card1_fraction", card1, 1.0, None, card1 >= 0.95),
         Check("card0_outside_image", card0, 0, None, card0 == 0),
     ]
-    with open(Path(outdir) / "coarea.csv", "w") as fh:
-        fh.write("node,n1,n2,n3,card,signed_sum,accepted\n")
-        for q in range(region.nodes.shape[0]):
-            n1, n2, n3 = region.nodes[q]
-            fh.write(f"{q},{n1:.17g},{n2:.17g},{n3:.17g},"
-                     f"{rep.cards[q]},{rep.signed_sums[q]},"
-                     f"{int(rep.accepted[q])}\n")
-    _write_summary(outdir, "coarea", config, checks,
-                   info={"lhs": rep.lhs, "rhs": rep.rhs})
-    return _report(checks)
+    _write_csv(outdir / "coarea.csv", "node,n1,n2,n3,card,signed_sum,accepted",
+               zip(range(region.nodes.shape[0]), *region.nodes.T, rep.cards,
+                   rep.signed_sums, rep.accepted.astype(int)))
+    return checks, {"lhs": rep.lhs, "rhs": rep.rhs}
 
 
-def cmd_holography(args, outdir, config):
-    import numpy as np
-    from . import build_disc_mesh, cap, phi, sample_field
-    from .pde import dual_norm
-    from .preimage import HOLOGRAPHY_TOL, holography_identity
-    from .surfaces import closed_form_table, enneper_gauss_closure, zeta_eps
-
+def cmd_holography(args, outdir):
     center, rho = _parse_cap(args.cap)
     region = cap(center, rho, level=args.sphere_level)
-    levels = args.levels or [args.level] * len(args.eps)
+    levels = args.levels
     if len(levels) == 1:
         levels = levels * len(args.eps)
     if len(levels) != len(args.eps):
@@ -362,11 +333,9 @@ def cmd_holography(args, outdir, config):
     rows = []
     raws, resids, duals, refs = [], [], [], []
     for eps, level in zip(args.eps, levels):
-        mesh = build_disc_mesh(level)
-        fld = sample_field(enneper_gauss_closure(eps), mesh)
-        zeta = zeta_eps(eps, mesh)
-        rep = holography_identity(fld, region, zeta)
-        duals.append(dual_norm(phi(fld), mesh))
+        fld = _enneper_field(eps, level)
+        rep = holography_identity(fld, region, zeta_eps(eps, fld.mesh))
+        duals.append(dual_norm(phi(fld), fld.mesh))
         raws.append(abs(rep.raw_term))
         resids.append(abs(rep.residual))
         refs.append(closed_form_table(eps).delta_norm)
@@ -387,20 +356,12 @@ def cmd_holography(args, outdir, config):
         Check("residual_non_increasing", float(mono), 1.0, HOLOGRAPHY_TOL,
               mono),
     ]
-    with open(Path(outdir) / "holography.csv", "w") as fh:
-        fh.write("eps,mu,raw_term,corrected_residual,omega_l2\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    _write_summary(outdir, "holography", config, checks,
-                   info={"levels": levels})
-    return _report(checks)
+    _write_csv(outdir / "holography.csv",
+               "eps,mu,raw_term,corrected_residual,omega_l2", rows)
+    return checks, {"levels": levels}
 
 
-def cmd_self_intersect(args, outdir, config):
-    import numpy as np
-    from .surfaces import (coincidence_radii, enneper_psi_closure,
-                           self_intersections)
-
+def cmd_self_intersect(args, outdir):
     eps = args.eps[0]
     result = self_intersections(eps)
     psi = enneper_psi_closure(eps)
@@ -409,7 +370,7 @@ def cmd_self_intersect(args, outdir, config):
     for p in result.pairs:
         gap = float(np.linalg.norm(psi(*p.x_hat) - psi(*p.x_tilde)))
         worst = max(worst, gap)
-        rows.append((p.family, p.x_hat, p.x_tilde, p.radius, gap))
+        rows.append((p.family, *p.x_hat, *p.x_tilde, p.radius, gap))
     radii = coincidence_radii(eps)
     min_r2 = float((radii ** 2).min()) if radii.size else float("inf")
     floor = 3.0 * eps ** 2 - 1e-6
@@ -419,40 +380,22 @@ def cmd_self_intersect(args, outdir, config):
         Check("pair_gap_max", worst, 0.0, 1e-10, worst <= 1e-10),
         Check("sweep_min_radius_sq", min_r2, floor, None, min_r2 >= floor),
     ]
-    with open(Path(outdir) / "self_intersect.csv", "w") as fh:
-        fh.write("family,x_hat1,x_hat2,x_tilde1,x_tilde2,radius,gap\n")
-        for fam, xh, xt, r, gap in rows:
-            fh.write(f"{fam},{xh[0]:.17g},{xh[1]:.17g},"
-                     f"{xt[0]:.17g},{xt[1]:.17g},{r:.17g},{gap:.17g}\n")
-    _write_summary(outdir, "self-intersect", config, checks)
-    return _report(checks)
+    _write_csv(outdir / "self_intersect.csv",
+               "family,x_hat1,x_hat2,x_tilde1,x_tilde2,radius,gap", rows)
+    return checks, None
 
 
-def cmd_convergence(args, outdir, config):
-    import numpy as np
-    from . import (build_disc_mesh, dirichlet_energy, field_from_values,
-                   phi, sample_field)
-    from .mesh import integrate
-    from .pde import gradient_l2
-    from .surfaces import closed_form_table, enneper_gauss_closure, lam
-
+def cmd_convergence(args, outdir):
     eps = args.eps[0]
     table = closed_form_table(eps)
     rows = []
-    worst_by_level = []
+    fields = []
     for level in args.levels:
-        mesh = build_disc_mesh(level)
-        fld = sample_field(enneper_gauss_closure(eps), mesh)
-        e_phi = abs(integrate(np.abs(phi(fld)), mesh)
-                    - table.int_abs_phi) / table.int_abs_phi
-        e_en = abs(dirichlet_energy(fld)
-                   - table.int_grad_n2) / table.int_grad_n2
-        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        f = np.log(lam(eps, x, y)) - np.log(1.0 + eps ** 2)
-        e_f = abs(gradient_l2(f, mesh) ** 2
-                  - table.grad_f2) / table.grad_f2
-        rows.append((level, e_phi, e_en, e_f, max(e_phi, e_en, e_f)))
-        worst_by_level.append(max(e_phi, e_en, e_f))
+        fld = _enneper_field(eps, level)
+        *_, errs = _closed_form_errors(fld, eps, table)
+        rows.append((level, *errs, max(errs)))
+        fields.append(fld)
+    worst_by_level = [row[-1] for row in rows]
     decreasing = all(b < a for a, b in
                      zip(worst_by_level, worst_by_level[1:]))
     checks = [
@@ -461,26 +404,22 @@ def cmd_convergence(args, outdir, config):
     ]
     # orientation symmetry of the Jacobian density under O(3)
     rng = np.random.default_rng(args.seed)
-    mesh = build_disc_mesh(args.levels[len(args.levels) // 2])
-    fld = sample_field(enneper_gauss_closure(eps), mesh)
+    fld = fields[len(fields) // 2]
     base = phi(fld)
     worst_sym = 0.0
     for _ in range(5):
         q, _r = np.linalg.qr(rng.standard_normal((3, 3)))
         sign = float(np.linalg.det(q))
-        rotated = field_from_values(fld.values @ q.T, mesh)
+        rotated = field_from_values(fld.values @ q.T, fld.mesh)
         worst_sym = max(
             worst_sym, float(np.abs(phi(rotated) - sign * base).max())
         )
     checks.append(Check("rotation_symmetry_defect", worst_sym, 0.0,
                         1e-12, worst_sym <= 1e-12))
-    with open(Path(outdir) / "convergence.csv", "w") as fh:
-        fh.write("level,rel_err_phi,rel_err_energy,rel_err_gradf2,"
-                 "max_rel_err\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    _write_summary(outdir, "convergence", config, checks)
-    return _report(checks)
+    _write_csv(outdir / "convergence.csv",
+               "level,rel_err_phi,rel_err_energy,rel_err_gradf2,max_rel_err",
+               rows)
+    return checks, None
 
 
 _COMMANDS = {
@@ -494,6 +433,7 @@ _COMMANDS = {
     "convergence": cmd_convergence,
 }
 
+# The keys each command reads besides seed and out, with their defaults.
 _DEFAULTS = {
     "mesh-info": {"level": 5},
     "enneper-table": {"level": 6, "eps": [1.0, 0.5, 0.25]},
@@ -507,6 +447,18 @@ _DEFAULTS = {
     "convergence": {"eps": [0.5], "levels": [4, 5, 6]},
 }
 
+# Every key: how its value is parsed, and its help text.
+_KEYS = {
+    "level": (int, "mesh refinement level"),
+    "levels": (_int_list, "comma-separated refinement levels"),
+    "eps": (_float_list, "comma-separated parameter values"),
+    "sphere_level": (int, "sphere quadrature subdivision level"),
+    "filter_n": (int, "regular-value filter bound N"),
+    "cap": (str, "cap region `center,rho`"),
+    "seed": (int, "random seed (default 1234)"),
+    "out": (str, "output directory (default: current directory)"),
+}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -516,73 +468,45 @@ def _build_parser():
     )
     parser.add_argument("--config", help="key=value configuration file")
     sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
+    for name, defaults in _DEFAULTS.items():
         p = sub.add_parser(name)
-        p.add_argument("--level", type=int, help="mesh refinement level")
-        p.add_argument("--levels", type=_int_list,
-                       help="comma-separated refinement levels")
-        p.add_argument("--eps", type=_float_list,
-                       help="comma-separated parameter values")
-        p.add_argument("--sphere-level", type=int,
-                       help="sphere quadrature subdivision level")
-        p.add_argument("--filter-n", type=int,
-                       help="regular-value filter bound N")
-        p.add_argument("--cap", help="cap region `center,rho`")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int)
+        for key in (*defaults, "seed", "out"):
+            convert, text = _KEYS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=convert,
+                           help=text)
     return parser
 
 
-_CONVERT = {
-    "level": int, "levels": _int_list, "eps": _float_list,
-    "sphere_level": int, "filter_n": int, "cap": str, "out": str,
-    "seed": int,
-}
-
-
 def main(argv=None):
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    merged = {"seed": 1234}
-    merged.update(_DEFAULTS.get(args.command, {}))
+    opts = {"seed": 1234, "out": ".", **_DEFAULTS[args.command]}
     if args.config:
         try:
-            raw = _load_config_file(args.config)
+            for key, val in _load_config_file(args.config).items():
+                if key not in opts:
+                    raise ValueError(f"unknown config key {key!r} for "
+                                     f"{args.command}")
+                opts[key] = _KEYS[key][0](val)
         except (OSError, ValueError) as exc:
             print(f"coulomb-lab: bad config: {exc}", file=sys.stderr)
             return 2
-        for key, val in raw.items():
-            if key not in _CONVERT:
-                print(f"coulomb-lab: unknown config key {key!r}",
-                      file=sys.stderr)
-                return 2
-            merged[key] = _CONVERT[key](val)
-    for key in _CONVERT:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    for key, val in merged.items():
-        setattr(args, key, val)
-    for key in ("level", "levels", "eps", "sphere_level", "filter_n",
-                "cap"):
-        if not hasattr(args, key):
-            setattr(args, key, None)
-    outdir = Path(args.out)
+    for key in opts:
+        if getattr(args, key) is not None:
+            opts[key] = getattr(args, key)
+    outdir = Path(opts.pop("out"))
     outdir.mkdir(parents=True, exist_ok=True)
-    config = {
-        k: v for k, v in sorted(merged.items())
-        if k != "out" and v is not None
-    }
-    config["seed"] = args.seed
     try:
-        return _COMMANDS[args.command](args, outdir, config)
+        checks, info = _COMMANDS[args.command](argparse.Namespace(**opts),
+                                               outdir)
     except ValueError as exc:
         print(f"coulomb-lab: {exc}", file=sys.stderr)
         return 2
+    _write_summary(outdir, args.command, opts, checks, info)
+    return _report(checks)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ from .mesh import element_gradient
 FD_STEP = 1e-5
 
 
+class ClosureCheckError(Exception):
+    """A closed-form self-intersection pair fails its check under Psi_eps."""
+
+
 def lam(eps, x, y):
     return eps ** 2 + x ** 2 + y ** 2
 
@@ -435,7 +439,7 @@ def self_intersections(eps, representative_radius=None):
             psi(*p.x_hat) - psi(*p.x_tilde)
         )
         if gap > 1e-10:
-            raise AssertionError(
+            raise ClosureCheckError(
                 f"family {p.family} pair fails closure check: gap {gap:g}"
             )
     return SelfIntersections(pairs=tuple(pairs))

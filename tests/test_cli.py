@@ -48,33 +48,12 @@ def test_convergence(tmp_path):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_self_intersect(tmp_path):
-    code, out, summary = run(tmp_path, "self-intersect", "--eps", "0.4")
-    assert code == 0
-    rows = (out / "self_intersect.csv").read_text().splitlines()
-    assert len(rows) == 5
-    assert all(c["pass"] for c in summary["checks"])
-
-
 def test_summary_structure(tmp_path):
     _, _, summary = run(tmp_path, "mesh-info", "--level", "2")
     assert set(summary) == {"command", "config", "checks", "pass", "info"}
     for c in summary["checks"]:
         assert set(c) == {"name", "value", "reference", "tol", "pass"}
     assert summary["config"]["seed"] == 1234
-
-
-def test_determinism(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["convergence", "--levels", "2,3", "--out",
-                     str(out)]) == 0
-        outs.append(out)
-    for fname in ("convergence.csv", "summary.json"):
-        assert (outs[0] / fname).read_bytes() == (
-            outs[1] / fname
-        ).read_bytes()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -94,6 +73,20 @@ def test_unknown_config_key(tmp_path):
     cfg.write_text("granularity = 3\n")
     assert main(["--config", str(cfg), "mesh-info",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_flag_the_command_does_not_read(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh-info", "--eps", "0.5", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+def test_config_key_the_command_does_not_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("filter_n = 8\n")
+    assert main(["--config", str(cfg), "frame",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_config_line(tmp_path):

@@ -3,9 +3,11 @@ import pytest
 
 from coulomb_lab.fields import phi
 from coulomb_lab.mesh import build_disc_mesh
+from coulomb_lab import surfaces
 from coulomb_lab.pde import gradient_l2
-from coulomb_lab.surfaces import (closed_form_table, coincidence_radii,
-                                  conformal_check, custom_immersion, enneper,
+from coulomb_lab.surfaces import (ClosureCheckError, closed_form_table,
+                                  coincidence_radii, conformal_check,
+                                  custom_immersion, enneper,
                                   enneper_psi_closure,
                                   enneper_tangents_closure, fundamental_forms,
                                   gauss_map, intersection_sweep,
@@ -172,6 +174,18 @@ def test_self_intersections_outside_domain():
     res = self_intersections(0.7)
     assert res.pairs == ()
     assert res.reason != ""
+
+
+def test_self_intersections_closure_check(monkeypatch):
+    exact = surfaces.enneper_psi_closure
+
+    def perturbed(eps):
+        psi = exact(eps)
+        return lambda x, y: psi(x, y) + np.array([1e-6 * x, 0.0, 0.0])
+
+    monkeypatch.setattr(surfaces, "enneper_psi_closure", perturbed)
+    with pytest.raises(ClosureCheckError, match="closure check"):
+        self_intersections(0.3)
 
 
 def test_representative_radius_guard():
