@@ -30,7 +30,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .fields import area_functional, phi
-from .mesh import integrate, nodal_to_element
+from .mesh import integrate
+from .pde import element_load, flux_load
 from .sphere import SphereRegion, make_region, sphere_quadrature
 
 FOUR_PI = 4.0 * np.pi
@@ -249,6 +250,13 @@ def averaged_omega(fld, region, min_margin=0.025):
     )
 
 
+def weak_identity_load(fld, form):
+    """Load vector of the weak identity: b . zeta is the integral of
+    Phi zeta minus the integral of Omega_2 d1(zeta) - Omega_1 d2(zeta)."""
+    flux = np.stack([form.omega2, -form.omega1], axis=1)
+    return element_load(phi(fld), fld.mesh) - flux_load(flux, fld.mesh)
+
+
 def weak_identity_residual(fld, form, zeta):
     """Residual of the weak identity against a test function.
 
@@ -256,25 +264,7 @@ def weak_identity_residual(fld, form, zeta):
     Omega_2 d1(zeta) - Omega_1 d2(zeta); zeta must vanish on the
     boundary.
     """
-    from .mesh import element_gradient
-
     zeta = np.asarray(zeta, dtype=float)
-    mesh = fld.mesh
-    if np.abs(zeta[mesh.boundary_mask]).max(initial=0.0) > 1e-12:
+    if np.abs(zeta[fld.mesh.boundary_mask]).max(initial=0.0) > 1e-12:
         raise ValueError("test function must vanish on the boundary")
-    zbar = nodal_to_element(zeta, mesh)
-    lhs = integrate(phi(fld) * zbar, mesh)
-    gz = element_gradient(zeta, mesh)
-    rhs = integrate(form.omega2 * gz[:, 0] - form.omega1 * gz[:, 1], mesh)
-    return lhs - rhs
-
-
-def export_divform(fld, form, stream):
-    """CSV of per-element (phi, omega1, omega2, bound slack)."""
-    stream.write("element,phi,omega1,omega2,bound_slack\n")
-    ph = phi(fld)
-    for t in range(fld.mesh.triangle_count):
-        stream.write(
-            f"{t},{ph[t]:.17g},{form.omega1[t]:.17g},"
-            f"{form.omega2[t]:.17g},{form.bound_slack[t]:.17g}\n"
-        )
+    return float(weak_identity_load(fld, form) @ zeta)

@@ -14,8 +14,9 @@ import numpy as np
 
 from .fields import SphereField, area_functional, sample_field
 from .mesh import DiscMesh, element_gradient, integrate
-from .pde import (curl_load, flux_load, gradient_l2, pinned_factor,
-                  solve_gauge_neumann, stiffness_matrix)
+from .pde import (curl_load, element_load, flux_load, gradient_l2,
+                  pinned_factor, smooth_test_functions, solve_gauge_neumann,
+                  stiffness_matrix, weak_residual)
 
 PROJECTOR_STEP_LIMIT = 0.125  # max allowed ||P_new - P_old|| per step
 MIN_PROJECTION = 0.5
@@ -23,7 +24,8 @@ MIN_STEP = 1e-4
 
 
 class StepTooLargeError(Exception):
-    """Frame projection collapsed; the continuation step must shrink."""
+    """The field moved too far or the frame projection collapsed; the
+    continuation step must shrink."""
 
 
 class ContinuationError(Exception):
@@ -44,8 +46,11 @@ class Frame:
     log: tuple = ()
 
 
-def _project_pair(e1, e2, n_values):
-    """Project a frame onto new tangent planes and re-orthonormalize."""
+def project_frame(prev, n_new):
+    """Project a frame (e1, e2) onto the tangent planes of a field and
+    re-orthonormalize."""
+    e1, e2 = (np.asarray(e, dtype=float) for e in prev)
+    n_values = n_new.values
     dot1 = np.einsum("ni,ni->n", n_values, e1)
     dot2 = np.einsum("ni,ni->n", n_values, e2)
     b1 = e1 - dot1[:, None] * n_values
@@ -67,16 +72,6 @@ def _project_pair(e1, e2, n_values):
     if orient.min() <= 0:
         raise StepTooLargeError("frame orientation flipped during projection")
     return e1s, e2s
-
-
-def project_frame(prev, n_new):
-    """Project a previous frame (Frame or (e1, e2) pair) onto a field."""
-    if isinstance(prev, Frame):
-        e1, e2 = prev.e1, prev.e2
-    else:
-        e1, e2 = prev
-    return _project_pair(np.asarray(e1, float), np.asarray(e2, float),
-                         n_new.values)
 
 
 def gauge_rotate(e1, e2, theta):
@@ -123,39 +118,13 @@ def recover_f(h, mesh):
     return RecoveredF(f=f, boundary_std=float(bvals.std()))
 
 
-def smooth_test_functions(mesh, count, seed, boundary_zero):
-    """Deterministic smooth nodal test functions (cubic times bump)."""
-    rng = np.random.default_rng(seed)
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    basis = np.stack(
-        [np.ones_like(x), x, y, x * y, x ** 2 - y ** 2,
-         x ** 3, y ** 3, np.sin(2 * x) * np.cos(2 * y)],
-        axis=1,
-    )
-    out = []
-    for _ in range(count):
-        z = basis @ rng.standard_normal(basis.shape[1])
-        if boundary_zero:
-            z = z * (1.0 - x ** 2 - y ** 2)
-            z[mesh.boundary_mask] = 0.0
-        out.append(z)
-    return out
-
-
-def coulomb_weak_residual(h, mesh, count=10, seed=7):
+def coulomb_weak_residual(h, mesh, tests):
     """max over test functions of |integral h . grad zeta| / |grad zeta|.
 
-    Test functions include non-vanishing boundary values, so this
-    probes the natural boundary condition too.
+    Half of the test functions take non-vanishing boundary values, so
+    this probes the natural boundary condition too.
     """
-    b = flux_load(h, mesh)
-    worst = 0.0
-    zetas = smooth_test_functions(mesh, count // 2, seed, True)
-    zetas += smooth_test_functions(mesh, count - count // 2, seed + 1, False)
-    for z in zetas:
-        gz = gradient_l2(z, mesh)
-        worst = max(worst, abs(float(b @ z)) / gz)
-    return worst
+    return weak_residual(flux_load(h, mesh), tests, boundary_zero=False)
 
 
 def _orth_defect(e1, e2, n_values):
@@ -197,10 +166,10 @@ def coulomb_continuation(fld, n_steps=16, seed=7):
     e1 = np.tile(e1, (mesh.node_count, 1))
     e2 = np.tile(e2, (mesh.node_count, 1))
 
+    tests = smooth_test_functions(mesh, seed)
     base = 1.0 / n_steps
     lam, step = 0.0, base
     log = []
-    k = 0
     while lam < 1.0 - 1e-15:
         target = min(lam + step, 1.0)
         new = at_lambda(target)
@@ -208,13 +177,10 @@ def coulomb_continuation(fld, n_steps=16, seed=7):
         change = np.linalg.norm(
             np.cross(cur.values, new.values), axis=1
         ).max()
-        if dots.min() <= 0 or change > PROJECTOR_STEP_LIMIT:
-            step *= 0.5
-            if step < MIN_STEP:
-                raise ContinuationError("continuation step underflow")
-            continue
         try:
-            e1s, e2s = _project_pair(e1, e2, new.values)
+            if dots.min() <= 0 or change > PROJECTOR_STEP_LIMIT:
+                raise StepTooLargeError("field moved too far in one step")
+            e1s, e2s = project_frame((e1, e2), new)
         except StepTooLargeError:
             step *= 0.5
             if step < MIN_STEP:
@@ -224,7 +190,6 @@ def coulomb_continuation(fld, n_steps=16, seed=7):
         theta = solve_gauge_neumann(h, mesh)
         e1, e2 = gauge_rotate(e1s, e2s, theta)
         cur, lam = new, target
-        k += 1
         h = frame_h(e1, e2, mesh)
         rec = recover_f(h, mesh)
         od, _ = _orth_defect(e1, e2, cur.values)
@@ -233,16 +198,12 @@ def coulomb_continuation(fld, n_steps=16, seed=7):
                 "lambda": lam,
                 "step": step,
                 "orth_defect": od,
-                "coulomb_residual": coulomb_weak_residual(
-                    h, mesh, seed=seed
-                ),
+                "coulomb_residual": coulomb_weak_residual(h, mesh, tests),
                 "f_max": float(np.abs(rec.f).max()),
                 "grad_f_norm": gradient_l2(rec.f, mesh),
             }
         )
         step = base
-    h = frame_h(e1, e2, mesh)
-    rec = recover_f(h, mesh)
     for arr in (e1, e2, rec.f):
         arr.setflags(write=False)
     return Frame(e1=e1, e2=e2, field_n=cur, f=rec.f,
@@ -263,7 +224,7 @@ class FrameReport:
     delta: float
 
 
-def frame_residuals(frame, count=10, seed=11):
+def frame_residuals(frame, seed=11):
     """Pointwise defects and PDE residuals of a frame."""
     mesh = frame.field_n.mesh
     e1, e2, f = frame.e1, frame.e2, frame.f
@@ -287,14 +248,8 @@ def frame_residuals(frame, count=10, seed=11):
         np.einsum("ti,ti->t", g1[:, 0], g2[:, 1])
         - np.einsum("ti,ti->t", g1[:, 1], g2[:, 0])
     )
-    K = stiffness_matrix(mesh)
-    from .pde import element_load
-
-    b = element_load(rhs, mesh)
-    worst = 0.0
-    for z in smooth_test_functions(mesh, count, seed, True):
-        gz = gradient_l2(z, mesh)
-        worst = max(worst, abs(float((K @ f) @ z - b @ z)) / gz)
+    tests = smooth_test_functions(mesh, seed)
+    poisson_load = stiffness_matrix(mesh) @ f - element_load(rhs, mesh)
     ge = np.sqrt(
         integrate((g1 ** 2).sum(axis=(1, 2)), mesh)
     ) + np.sqrt(integrate((g2 ** 2).sum(axis=(1, 2)), mesh))
@@ -302,23 +257,13 @@ def frame_residuals(frame, count=10, seed=11):
         orth_defect=od,
         tangency_defect=td,
         orientation_min=orient,
-        coulomb_residual=coulomb_weak_residual(h, mesh, seed=seed),
+        coulomb_residual=coulomb_weak_residual(h, mesh, tests),
         grad_residual_l2=grad_res,
-        weak_poisson_residual=worst,
+        weak_poisson_residual=weak_residual(poisson_load, tests,
+                                            boundary_zero=True),
         grad_e_norm=float(ge),
         grad_f_norm=gradient_l2(f, mesh),
         f_max=float(np.abs(f).max()),
         delta=area_functional(frame.field_n).delta,
     )
 
-
-def export_frame_log(frame, stream):
-    """CSV per-lambda log with the documented header."""
-    stream.write("lambda,step,orth_defect,coulomb_residual,f_max,"
-                 "grad_f_norm\n")
-    for row in frame.log:
-        stream.write(
-            f"{row['lambda']:.17g},{row['step']:.17g},"
-            f"{row['orth_defect']:.17g},{row['coulomb_residual']:.17g},"
-            f"{row['f_max']:.17g},{row['grad_f_norm']:.17g}\n"
-        )

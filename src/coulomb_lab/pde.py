@@ -3,6 +3,8 @@
 Stiffness matrices are assembled once per mesh and the sparse direct
 factorizations (Dirichlet restriction, pinned Neumann system) are
 cached on the mesh, keyed weakly so meshes can be garbage collected.
+A weak identity is checked as its load vector b: `weak_residual` takes
+max |b . zeta| / |grad zeta| over one block of smooth test functions.
 """
 
 import weakref
@@ -15,6 +17,8 @@ import scipy.sparse.linalg as spla
 from .mesh import element_gradient, integrate
 
 _cache = weakref.WeakKeyDictionary()
+# Test functions per weak-residual check (see `weak_residual`).
+TEST_FUNCTIONS = 10
 
 
 def _mesh_cache(mesh):
@@ -200,3 +204,52 @@ def gradient_l2(values, mesh):
     """L2 norm of the P1 gradient of nodal data."""
     g = element_gradient(np.asarray(values, dtype=float), mesh)
     return float(np.sqrt(integrate((g ** 2).sum(axis=1), mesh)))
+
+
+@dataclass(frozen=True, eq=False)
+class SmoothTestFunctions:
+    """Nodal test functions zeta, one per column of `values`.
+
+    The first TEST_FUNCTIONS // 2 columns take free boundary values;
+    the last TEST_FUNCTIONS vanish on the boundary.
+    """
+    values: np.ndarray
+    grad_norms: np.ndarray  # |grad zeta| of each column
+
+
+def smooth_test_functions(mesh, seed):
+    """Deterministic smooth test functions (cubic times bump).
+
+    The TEST_FUNCTIONS functions that vanish on the boundary draw their
+    coefficients from `seed`, the free ones from seed + 1.
+    """
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    basis = np.stack(
+        [np.ones_like(x), x, y, x * y, x ** 2 - y ** 2,
+         x ** 3, y ** 3, np.sin(2 * x) * np.cos(2 * y)],
+        axis=1,
+    )
+
+    def block(count, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        return basis @ rng.standard_normal((count, basis.shape[1])).T
+
+    vanishing = block(TEST_FUNCTIONS, seed) * (1.0 - x ** 2 - y ** 2)[:, None]
+    vanishing[mesh.boundary_mask] = 0.0
+    z = np.hstack([block(TEST_FUNCTIONS // 2, seed + 1), vanishing])
+    # |grad zeta|^2 = zeta^T K zeta for P1 functions
+    grad2 = np.einsum("nk,nk->k", z, stiffness_matrix(mesh) @ z)
+    return SmoothTestFunctions(values=z, grad_norms=np.sqrt(grad2))
+
+
+def weak_residual(load, tests, boundary_zero):
+    """max |load . zeta| / |grad zeta| over TEST_FUNCTIONS test functions.
+
+    The functional zeta -> load . zeta is a weak identity's residual.
+    With `boundary_zero` the functions vanish on the boundary; without,
+    half of them do not, which probes a natural boundary condition too.
+    """
+    ratios = np.abs(load @ tests.values) / tests.grad_norms
+    half = TEST_FUNCTIONS // 2
+    return float(ratios[half:].max() if boundary_zero
+                 else ratios[:TEST_FUNCTIONS].max())

@@ -4,12 +4,11 @@ Each criterion is defined once, by the `coulomb-lab` subcommand that
 checks it: a test runs that subcommand at its defaults (seed 1234),
 reads the summary.json it writes, and asserts that every check the
 criterion owns is present and passes.  Each test prints a single
-`criterion N: PASS/FAIL` line to the original stdout; pytest's default
-fd capture still holds it, so `pytest -s` shows the verdicts.
+`criterion N: PASS/FAIL` line; `tests/conftest.py` repeats the captured
+lines at the end of the run, so every run shows the verdicts.
 """
 
 import json
-import sys
 import time
 
 import pytest
@@ -33,8 +32,7 @@ def _failed(checks, names):
 def _verdict(num, failed, detail):
     """Print criterion `num`'s verdict; fail the test if `failed`."""
     status = "FAIL" if failed else "PASS"
-    print(f"criterion {num:2d}: {status} - {detail}",
-          file=sys.__stdout__, flush=True)
+    print(f"criterion {num:2d}: {status} - {detail}")
     assert not failed, f"failed: {failed}"
 
 

@@ -9,10 +9,14 @@ from coulomb_lab.divform import (HypothesisViolationError, KernelBoundError,
                                  PoleDegeneracyError, SingularElementError,
                                  admissible_region, averaged_omega, gamma,
                                  gamma_many, omega, rotation_matrices,
-                                 rotation_matrix, weak_identity_residual)
-from coulomb_lab.fields import dirichlet_energy, field_from_values, sample_field
-from coulomb_lab.mesh import build_disc_mesh
-from coulomb_lab.pde import gradient_l2
+                                 rotation_matrix, weak_identity_load,
+                                 weak_identity_residual)
+from coulomb_lab.fields import (dirichlet_energy, field_from_values, phi,
+                                sample_field)
+from coulomb_lab.mesh import (build_disc_mesh, element_gradient, integrate,
+                              nodal_to_element)
+from coulomb_lab.pde import (TEST_FUNCTIONS, gradient_l2,
+                             smooth_test_functions)
 from coulomb_lab.surfaces import enneper_gauss_closure
 
 FOUR_PI = 4.0 * np.pi
@@ -196,6 +200,23 @@ def test_weak_identity_residual(field):
         zeta[mesh.boundary_mask] = 0.0
         r = abs(weak_identity_residual(field, form, zeta))
         assert r <= 0.01 * gradient_l2(zeta, mesh)
+
+
+def test_weak_identity_residual_is_its_load(field):
+    mesh = field.mesh
+    form = averaged_omega(field, admissible_region(field).region)
+    load = weak_identity_load(field, form)
+    tests = smooth_test_functions(mesh, 3)
+    for zeta in tests.values[:, -TEST_FUNCTIONS:].T:
+        # int Phi zeta - int (Omega_2 d1 zeta - Omega_1 d2 zeta)
+        gz = element_gradient(zeta, mesh)
+        lhs = integrate(phi(field) * nodal_to_element(zeta, mesh), mesh)
+        rhs = integrate(form.omega2 * gz[:, 0] - form.omega1 * gz[:, 1],
+                        mesh)
+        r = weak_identity_residual(field, form, zeta)
+        assert r == float(load @ zeta)
+        assert r == pytest.approx(lhs - rhs,
+                                  abs=1e-12 * (abs(lhs) + abs(rhs)))
 
 
 def test_weak_identity_refines():

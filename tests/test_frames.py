@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coulomb_lab import frames
 from coulomb_lab.frames import (ContinuationError, Frame,
                                 FrameHypothesisError, StepTooLargeError,
                                 coulomb_continuation, frame_h,
@@ -8,6 +9,7 @@ from coulomb_lab.frames import (ContinuationError, Frame,
                                 project_frame, recover_f)
 from coulomb_lab.fields import sample_field
 from coulomb_lab.mesh import build_disc_mesh, element_gradient
+from coulomb_lab.pde import smooth_test_functions
 from coulomb_lab.surfaces import closed_form_table, enneper_gauss_closure
 
 
@@ -128,3 +130,19 @@ def test_continuation_needs_area_margin():
     fld = sample_field(double_wrap, mesh)
     with pytest.raises(FrameHypothesisError):
         coulomb_continuation(fld)
+
+
+def test_test_functions_built_once_per_call(monkeypatch):
+    seeds = []
+
+    def counted(mesh, seed):
+        seeds.append(seed)
+        return smooth_test_functions(mesh, seed)
+
+    monkeypatch.setattr(frames, "smooth_test_functions", counted)
+    fld = sample_field(enneper_gauss_closure(0.5), build_disc_mesh(3))
+    frame = coulomb_continuation(fld, seed=5)
+    assert len(frame.log) >= 16
+    assert seeds == [5]
+    frame_residuals(frame, seed=6)
+    assert seeds == [5, 6]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
-from coulomb_lab.pde import (dual_norm, element_load, gradient_l2,
-                             lumped_mass, solve_gauge_neumann,
-                             solve_poisson_dirichlet, stiffness_matrix,
+from coulomb_lab.pde import (TEST_FUNCTIONS, dual_norm, element_load,
+                             gradient_l2, lumped_mass, smooth_test_functions,
+                             solve_gauge_neumann, solve_poisson_dirichlet,
+                             stiffness_matrix, weak_residual,
                              wente_diagnostic)
 
 FOUR_PI = 4.0 * np.pi
@@ -110,3 +113,46 @@ def test_galerkin_orthogonality(mesh):
     z = rng.standard_normal(mesh.node_count)
     z[mesh.boundary_mask] = 0.0
     assert float((K @ sol.f) @ z) == pytest.approx(float(b @ z), abs=1e-10)
+
+
+def _reference_test_functions(mesh, seed, boundary_zero):
+    """One check's test functions, built one at a time: TEST_FUNCTIONS
+    that vanish on the boundary, or half of those and half free ones."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    basis = np.stack(
+        [np.ones_like(x), x, y, x * y, x ** 2 - y ** 2,
+         x ** 3, y ** 3, np.sin(2 * x) * np.cos(2 * y)],
+        axis=1,
+    )
+
+    def draw(count, rng_seed, vanish):
+        rng = np.random.default_rng(rng_seed)
+        out = []
+        for _ in range(count):
+            z = basis @ rng.standard_normal(basis.shape[1])
+            if vanish:
+                z = z * (1.0 - x ** 2 - y ** 2)
+                z[mesh.boundary_mask] = 0.0
+            out.append(z)
+        return out
+
+    if boundary_zero:
+        return draw(TEST_FUNCTIONS, seed, True)
+    half = TEST_FUNCTIONS // 2
+    return draw(half, seed, True) + draw(half, seed + 1, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), load_seed=st.integers(0, 2 ** 31),
+       boundary_zero=st.booleans())
+def test_weak_residual_matches_reference_loop(mesh, seed, load_seed,
+                                              boundary_zero):
+    load = np.random.default_rng(load_seed).standard_normal(mesh.node_count)
+    expected = max(
+        abs(float(load @ z)) / gradient_l2(z, mesh)
+        for z in _reference_test_functions(mesh, seed, boundary_zero)
+    )
+    tests = smooth_test_functions(mesh, seed)
+    assert weak_residual(load, tests, boundary_zero) == pytest.approx(
+        expected, rel=1e-12
+    )
