@@ -2,25 +2,21 @@
 for sphere-valued fields on the unit disc."""
 
 from .mesh import (DiscMesh, build_disc_mesh, element_gradient,
-                   export_mesh, integrate, integrate_nodal,
-                   nodal_to_element)
+                   export_mesh, integrate)
 from .sphere import (SphereQuadrature, SphereRegion, cap,
-                     complement_region, full_sphere, integrate_sphere,
+                     complement_region, full_sphere,
                      region_from_predicate, sphere_quadrature)
 from .fields import (AreaResult, SphereField, area_functional,
-                     dirichlet_energy, export_field, field_from_values,
-                     phi, sample_field)
+                     dirichlet_energy, field_from_values, phi,
+                     sample_field)
 from .pde import (PoissonSolution, dual_norm, solve_gauge_neumann,
-                  solve_poisson_dirichlet, wente_diagnostic)
+                  solve_poisson_dirichlet)
 from .divform import (DivergenceForm, admissible_region, averaged_omega,
-                      gamma, omega, rotation_matrix,
-                      weak_identity_residual)
+                      omega, rotation_matrix)
 from .frames import (Frame, coulomb_continuation, frame_residuals,
                      gauge_rotate, project_frame, recover_f)
 from .preimage import (PreimageCensus, PreimageSolver, coarea_check,
                        holography_identity, preimages, regular_filter)
-from .surfaces import (Immersion, closed_form_table, conformal_check,
-                       enneper, fundamental_forms, gauss_map,
-                       self_intersections, stereographic, zeta_eps)
+from .surfaces import closed_form_table, self_intersections, zeta_eps
 
 __version__ = "0.1.0"

@@ -295,7 +295,8 @@ def cmd_frame(args, outdir):
         _rel_check("f_max", final.f_max, abs(table.f_at_origin), 0.02),
     ]
     return checks, {"boundary_std": frame.boundary_std,
-                    "steps": len(frame.log)}
+                    "steps": len(frame.log),
+                    "weak_poisson_residual": final.weak_poisson_residual}
 
 
 def cmd_coarea(args, outdir):

@@ -109,11 +109,6 @@ def gamma_many(n, nprime, xi):
     return gradient_pairing(nprime / denom[:, None], n, xi)[0]
 
 
-def gamma(n, nprime, xi):
-    """The kernel Gamma(n, n', xi) = n'.(n x xi) / (1 - n.n'); n != n'."""
-    return float(gamma_many(n, nprime, xi)[0])
-
-
 def omega(fld, nprime, strict=True, singular_tol=1e-9):
     """Per-element potentials omega_i = Gamma(nbar, n', d_i n).
 
@@ -256,15 +251,3 @@ def weak_identity_load(fld, form):
     flux = np.stack([form.omega2, -form.omega1], axis=1)
     return element_load(phi(fld), fld.mesh) - flux_load(flux, fld.mesh)
 
-
-def weak_identity_residual(fld, form, zeta):
-    """Residual of the weak identity against a test function.
-
-    Returns integral of Phi zeta minus integral of
-    Omega_2 d1(zeta) - Omega_1 d2(zeta); zeta must vanish on the
-    boundary.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    if np.abs(zeta[fld.mesh.boundary_mask]).max(initial=0.0) > 1e-12:
-        raise ValueError("test function must vanish on the boundary")
-    return float(weak_identity_load(fld, form) @ zeta)

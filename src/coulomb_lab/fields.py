@@ -95,13 +95,3 @@ def area_functional(fld):
     value = integrate(dens, fld.mesh)
     return AreaResult(value=value, delta=FOUR_PI - value)
 
-
-def export_field(fld, stream):
-    """CSV export with header `node,x,y,n1,n2,n3`."""
-    stream.write("node,x,y,n1,n2,n3\n")
-    for i, ((x, y), (n1, n2, n3)) in enumerate(
-        zip(fld.mesh.nodes, fld.values)
-    ):
-        stream.write(
-            f"{i},{x:.17g},{y:.17g},{n1:.17g},{n2:.17g},{n3:.17g}\n"
-        )

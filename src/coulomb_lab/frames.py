@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SphereField, area_functional, sample_field
-from .mesh import DiscMesh, element_gradient, integrate
+from .mesh import element_gradient, integrate
 from .pde import (curl_load, element_load, flux_load, gradient_l2,
                   pinned_factor, smooth_test_functions, solve_gauge_neumann,
                   stiffness_matrix, weak_residual)
@@ -217,9 +217,7 @@ class FrameReport:
     orientation_min: float
     coulomb_residual: float
     grad_residual_l2: tuple      # L2 residuals of d1 f = -h2, d2 f = h1
-    weak_poisson_residual: float
-    grad_e_norm: float
-    grad_f_norm: float
+    weak_poisson_residual: float  # weak form of -Laplace f = {e1, e2}
     f_max: float
     delta: float
 
@@ -250,9 +248,6 @@ def frame_residuals(frame, seed=11):
     )
     tests = smooth_test_functions(mesh, seed)
     poisson_load = stiffness_matrix(mesh) @ f - element_load(rhs, mesh)
-    ge = np.sqrt(
-        integrate((g1 ** 2).sum(axis=(1, 2)), mesh)
-    ) + np.sqrt(integrate((g2 ** 2).sum(axis=(1, 2)), mesh))
     return FrameReport(
         orth_defect=od,
         tangency_defect=td,
@@ -261,8 +256,6 @@ def frame_residuals(frame, seed=11):
         grad_residual_l2=grad_res,
         weak_poisson_residual=weak_residual(poisson_load, tests,
                                             boundary_zero=True),
-        grad_e_norm=float(ge),
-        grad_f_norm=gradient_l2(f, mesh),
         f_max=float(np.abs(f).max()),
         delta=area_functional(frame.field_n).delta,
     )

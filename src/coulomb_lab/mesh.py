@@ -68,10 +68,6 @@ class DiscMesh:
         return self.triangles.shape[0]
 
     @property
-    def boundary_nodes(self):
-        return np.flatnonzero(self.boundary_mask)
-
-    @property
     def interior_nodes(self):
         return np.flatnonzero(~self.boundary_mask)
 
@@ -197,19 +193,6 @@ def integrate(element_values, mesh):
     if element_values.shape[0] != mesh.triangle_count:
         raise ValueError("element array length does not match mesh")
     return float(np.tensordot(element_values, mesh.areas, axes=(0, 0)))
-
-
-def nodal_to_element(values, mesh):
-    """Average nodal values over each triangle's vertices."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != mesh.node_count:
-        raise ValueError("nodal array length does not match mesh")
-    return values[mesh.triangles].mean(axis=1)
-
-
-def integrate_nodal(values, mesh):
-    """Integrate the P1 interpolant of nodal data (exact for P1)."""
-    return integrate(nodal_to_element(values, mesh), mesh)
 
 
 def export_mesh(mesh, stream):

@@ -176,30 +176,6 @@ def solve_gauge_neumann(h, mesh):
     return theta
 
 
-@dataclass(frozen=True)
-class WenteReport:
-    ratio: float          # nan when not applicable
-    applicable: bool
-    f_max: float
-    grad_a: float
-    grad_b: float
-
-
-def wente_diagnostic(a, b, mesh):
-    """Ratio |f|_inf / (|grad a| |grad b|) for -Laplace(f) = {a, b}."""
-    ga = element_gradient(np.asarray(a, dtype=float), mesh)
-    gb = element_gradient(np.asarray(b, dtype=float), mesh)
-    rhs = ga[:, 0] * gb[:, 1] - ga[:, 1] * gb[:, 0]
-    sol = solve_poisson_dirichlet(rhs, mesh)
-    na = np.sqrt(integrate((ga ** 2).sum(axis=1), mesh))
-    nb = np.sqrt(integrate((gb ** 2).sum(axis=1), mesh))
-    if na * nb < 1e-14:
-        return WenteReport(ratio=float("nan"), applicable=False,
-                           f_max=sol.max_abs, grad_a=na, grad_b=nb)
-    return WenteReport(ratio=sol.max_abs / (na * nb), applicable=True,
-                       f_max=sol.max_abs, grad_a=na, grad_b=nb)
-
-
 def gradient_l2(values, mesh):
     """L2 norm of the P1 gradient of nodal data."""
     g = element_gradient(np.asarray(values, dtype=float), mesh)

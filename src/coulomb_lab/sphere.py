@@ -274,74 +274,3 @@ def region_from_predicate(predicate, level=4, exact_measure=None):
     quad = sphere_quadrature(level)
     return make_region(quad, predicate(quad.nodes), predicate, exact_measure)
 
-
-class SingularQuadratureError(Exception):
-    """Non-finite integrand value at a node without singularity handling."""
-
-
-def _eval(f, points):
-    vals = np.asarray(f(points), dtype=float)
-    if vals.shape != (points.shape[0],):
-        raise ValueError("integrand must map (k,3) points to (k,) values")
-    return vals
-
-
-def integrate_sphere(f, region, singularity=None, tol=1e-4, max_depth=12):
-    """Quadrature over a region; `f` maps an (k,3) array to (k,) values.
-
-    With `singularity` set to a point on S2, faces whose centroid lies
-    within two face-diameters of it are subdivided recursively until
-    each face's contribution bound drops below `tol` of the running
-    total (integrable 1/|s-x| type kernels).  Returns (value,
-    error_indicator) where the indicator collects dropped-face bounds.
-    """
-    quad = region.quadrature
-    scale = region.weights.sum() / max(region.empirical_measure, 1e-300)
-    if singularity is None:
-        vals = _eval(f, region.nodes)
-        if not np.all(np.isfinite(vals)):
-            raise SingularQuadratureError(
-                "non-finite integrand; declare the singularity"
-            )
-        return float(np.dot(vals, region.weights)), 0.0
-
-    x0 = np.asarray(singularity, dtype=float)
-    x0 = x0 / np.linalg.norm(x0)
-    near = (
-        np.linalg.norm(region.nodes - x0, axis=1)
-        < 2.0 * quad.face_diameter
-    )
-    vals_far = _eval(f, region.nodes[~near])
-    if not np.all(np.isfinite(vals_far)):
-        raise SingularQuadratureError("non-finite integrand away from the "
-                                      "declared singularity")
-    total = float(np.dot(vals_far, region.weights[~near]))
-    dropped = 0.0
-
-    # stack of (faces, depth); refine near-singular faces adaptively
-    stack = [(quad.faces[region.indices[near]], 0)]
-    while stack:
-        faces, depth = stack.pop()
-        if faces.shape[0] == 0:
-            continue
-        w = spherical_areas(faces) * scale
-        c = _normalize_rows(faces.mean(axis=1))
-        vals = _eval(f, c)
-        contrib = np.where(np.isfinite(vals), w * vals, np.inf)
-        small = np.isfinite(contrib) & (
-            np.abs(contrib) <= tol * max(abs(total), 1.0)
-        )
-        total += float(contrib[small].sum())
-        rest = ~small
-        if not np.any(rest):
-            continue
-        if depth >= max_depth:
-            # tiny faces hugging the singularity: drop, record a bound
-            finite = rest & np.isfinite(contrib)
-            total += float(contrib[finite].sum())
-            dropped += float(np.abs(contrib[finite]).sum()) + float(
-                w[rest & ~np.isfinite(contrib)].sum()
-            )
-            continue
-        stack.append((subdivide_faces(faces[rest]), depth + 1))
-    return total, dropped

@@ -1,11 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 from coulomb_lab.fields import (SamplingError, area_functional,
-                                dirichlet_energy, export_field,
-                                field_from_values, phi, sample_field)
+                                dirichlet_energy, field_from_values, phi,
+                                sample_field)
 from coulomb_lab.mesh import build_disc_mesh, integrate
 from coulomb_lab.surfaces import closed_form_table, enneper_gauss_closure
 
@@ -100,18 +98,6 @@ def test_reflection_antisymmetry(field, mesh):
     flipped[:, 2] = -flipped[:, 2]
     reflected = field_from_values(flipped, mesh)
     assert np.abs(phi(reflected) + phi(field)).max() < 1e-12
-
-
-def test_export_field_header(mesh):
-    fld = sample_field(lambda x, y: (np.zeros_like(x), np.zeros_like(x),
-                                     np.ones_like(x)), mesh)
-    buf = io.StringIO()
-    export_field(fld, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "node,x,y,n1,n2,n3"
-    assert len(lines) == 1 + mesh.node_count
-    row = lines[1].split(",")
-    assert row[0] == "0" and float(row[5]) == 1.0
 
 
 def test_resampling_matches_closure(field, mesh):

@@ -5,8 +5,7 @@ import pytest
 
 from coulomb_lab.mesh import (MAX_REFINEMENT_LEVEL, MeshResourceError,
                               build_disc_mesh, element_gradient,
-                              export_mesh, integrate, integrate_nodal,
-                              nodal_to_element)
+                              export_mesh, integrate)
 
 
 @pytest.fixture(scope="module")
@@ -77,16 +76,9 @@ def test_integrate_quadratic():
     mesh = build_disc_mesh(5)
     # integral of |X|^2 over the unit disc is pi/2
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    val = integrate_nodal(x ** 2 + y ** 2, mesh)
+    v = x ** 2 + y ** 2
+    val = integrate(v[mesh.triangles].mean(axis=1), mesh)
     assert val == pytest.approx(np.pi / 2, rel=1e-3)
-
-
-def test_nodal_to_element_constant(mesh3):
-    vals = np.full(mesh3.node_count, 2.5)
-    assert np.allclose(nodal_to_element(vals, mesh3), 2.5)
-    assert integrate(nodal_to_element(vals, mesh3), mesh3) == pytest.approx(
-        2.5 * mesh3.area
-    )
 
 
 def test_shape_mismatch_raises(mesh3):

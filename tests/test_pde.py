@@ -7,10 +7,7 @@ from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
 from coulomb_lab.pde import (TEST_FUNCTIONS, dual_norm, element_load,
                              gradient_l2, lumped_mass, smooth_test_functions,
                              solve_gauge_neumann, solve_poisson_dirichlet,
-                             stiffness_matrix, weak_residual,
-                             wente_diagnostic)
-
-FOUR_PI = 4.0 * np.pi
+                             stiffness_matrix, weak_residual)
 
 
 @pytest.fixture(scope="module")
@@ -78,22 +75,6 @@ def test_gauge_neumann_ignores_divergence_free(mesh):
     hy = mesh.centroids[:, 0]
     theta = solve_gauge_neumann(np.stack([hx, hy], axis=1), mesh)
     assert np.abs(theta).max() < 1e-10
-
-
-def test_wente_ratio(mesh):
-    # a = x, b = y gives {a, b} = 1: the Poisson solution of rhs 1
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    rep = wente_diagnostic(x, y, mesh)
-    assert rep.applicable
-    # |f|_inf = 1/4, |grad a| |grad b| = pi -> ratio = 1/(4 pi)
-    assert rep.ratio == pytest.approx(1.0 / FOUR_PI, rel=1e-3)
-
-
-def test_wente_constant_not_applicable(mesh):
-    rep = wente_diagnostic(np.ones(mesh.node_count),
-                           np.ones(mesh.node_count), mesh)
-    assert not rep.applicable
-    assert np.isnan(rep.ratio)
 
 
 def test_nonfinite_rhs_rejected(mesh):

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coulomb_lab.sphere import (SingularQuadratureError, cap,
-                                complement_region, full_sphere,
-                                integrate_sphere, region_from_predicate,
-                                sphere_quadrature, spherical_areas,
-                                subdivide_faces)
+from coulomb_lab.sphere import (cap, complement_region, full_sphere,
+                                region_from_predicate, sphere_quadrature,
+                                spherical_areas, subdivide_faces)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -43,10 +41,9 @@ def test_face_diameter_shrinks():
 
 
 def test_smooth_integrand_accuracy():
-    region = full_sphere(3)
+    quad = sphere_quadrature(3)
     # integral of (s3)^2 over S2 is 4 pi / 3
-    val, err = integrate_sphere(lambda p: p[:, 2] ** 2, region)
-    assert err == 0.0
+    val = quad.weights @ quad.nodes[:, 2] ** 2
     assert val == pytest.approx(FOUR_PI / 3.0, rel=1e-3)
 
 
@@ -90,34 +87,6 @@ def test_region_from_predicate():
     assert np.all(region.nodes[:, 2] > 0)
 
 
-def test_singular_kernel_integral():
-    # integral over S2 of 1/|s - x0| equals 4 pi for x0 on the sphere
-    x0 = np.array([0.0, 0.0, 1.0])
-    region = full_sphere(4)
-
-    def kernel(p):
-        d = np.linalg.norm(p - x0, axis=1)
-        return 1.0 / d
-
-    val, dropped = integrate_sphere(kernel, region, singularity=x0)
-    assert val + dropped >= val
-    assert val == pytest.approx(FOUR_PI, rel=2e-3)
-
-
-def test_singularity_must_be_declared():
-    x0 = np.array([0.0, 0.0, 1.0])
-    # place the singularity exactly on a quadrature node
-    region = full_sphere(2)
-    node = region.nodes[0]
-
-    def kernel(p):
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.linalg.norm(p - node, axis=1)
-
-    with pytest.raises(SingularQuadratureError):
-        integrate_sphere(kernel, region)
-
-
 _DIRECTIONS = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi))
 
 
@@ -131,9 +100,10 @@ def _unit(z, angle):
        kind=st.sampled_from(["cap", "sphere", "complement"]))
 def test_potential_gradient_matches_quadrature(n, center, rho, kind):
     # grad Q(n) is the tangential part of (1/mu) int_K s / (1 - n.s) ds;
-    # compare the closed forms with quadrature away from the boundary;
-    # there the centroid rule's error, mostly from the quantized cap
-    # edge, measures below 0.7% of 1 + |grad Q| at sphere level 7
+    # compare the closed forms with the level-7 centroid rule away from
+    # the boundary.  For e orthogonal to n the integrand integrates to 0
+    # over S2, so when n lies in K the rule sums -int over K^c instead,
+    # which stays 0.2 away from the singularity at s = n
     n = _unit(*n)
     base = cap(_unit(*center), rho, level=7)
     region = {"cap": base, "sphere": full_sphere(7),
@@ -142,15 +112,15 @@ def test_potential_gradient_matches_quadrature(n, center, rho, kind):
     assume(abs(dist) >= 0.2)
     grad = region.potential_gradient(n)[0]
     assert abs(grad @ n) <= 1e-12
+    part, sign = (complement_region(region), -1.0) if dist < 0 \
+        else (region, 1.0)
     a = np.zeros(3)
     a[int(np.argmin(np.abs(n)))] = 1.0
     t1 = np.cross(n, a)
     t1 /= np.linalg.norm(t1)
     for e in (t1, np.cross(n, t1)):
-        val, _ = integrate_sphere(
-            lambda s, e=e: (s @ e) / (1.0 - s @ n), region,
-            singularity=n if dist < 0 else None,
-        )
+        val = sign * part.weights @ ((part.nodes @ e)
+                                     / (1.0 - part.nodes @ n))
         assert abs(grad @ e - val / region.measure) <= 0.02 * (
             1.0 + np.linalg.norm(grad)
         )

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from coulomb_lab.fields import phi
 from coulomb_lab.mesh import build_disc_mesh
 from coulomb_lab import surfaces
 from coulomb_lab.pde import gradient_l2
 from coulomb_lab.surfaces import (ClosureCheckError, closed_form_table,
-                                  coincidence_radii, conformal_check,
-                                  custom_immersion, enneper,
-                                  enneper_psi_closure,
-                                  enneper_tangents_closure, fundamental_forms,
-                                  gauss_map, intersection_sweep,
-                                  refine_intersection, self_intersections,
-                                  stereographic, zeta_eps)
+                                  coincidence_radii, enneper_gauss_closure,
+                                  enneper_psi_closure, refine_intersection,
+                                  self_intersections, zeta_eps)
 
 
 @pytest.fixture(scope="module")
@@ -51,101 +46,43 @@ def test_polar_radius_identity():
         assert np.abs(lhs - rhs).max() < 1e-14
 
 
-def test_tangents_conformal():
-    rng = np.random.default_rng(1)
-    tang = enneper_tangents_closure(0.4)
-    x, y = rng.uniform(-1, 1, size=(2, 100))
-    a, b = tang(x, y)
-    ll = 0.16 + x ** 2 + y ** 2
-    assert np.abs((a * b).sum(axis=-1)).max() < 1e-13
-    assert np.abs((a * a).sum(axis=-1) - ll ** 2).max() < 1e-12
-    assert np.abs((b * b).sum(axis=-1) - ll ** 2).max() < 1e-12
+def _disc_points(seed, count=200):
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.uniform(0.0, 1.0, count))
+    t = rng.uniform(0.0, 2.0 * np.pi, count)
+    return r * np.cos(t), r * np.sin(t)
 
 
-def test_conformal_check_enneper(mesh):
-    rep = conformal_check(enneper(0.5, mesh))
-    assert rep.max_defect_EG < 1e-12
-    assert rep.max_defect_F < 1e-12
-    assert rep.f_reference_max_err < 1e-12
-    assert rep.f_boundary_max < 1e-12
+def test_gauss_closure_is_normal_of_psi():
+    # the Gauss map every experiment samples, c / |c|, is the unit
+    # normal of the immersion Psi_eps: compare it with the normal of
+    # central-difference tangents, which must be conformal
+    x, y = _disc_points(5)
+    h = 1e-5
+    for eps in (0.2, 0.5, 1.0):
+        psi = enneper_psi_closure(eps)
+        a = (psi(x + h, y) - psi(x - h, y)) / (2.0 * h)
+        b = (psi(x, y + h) - psi(x, y - h)) / (2.0 * h)
+        aa = (a * a).sum(axis=1)
+        assert np.abs((b * b).sum(axis=1) - aa).max() <= 1e-8 * aa.max()
+        assert np.abs((a * b).sum(axis=1)).max() <= 1e-8 * aa.max()
+        normal = np.cross(a, b)
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        c = enneper_gauss_closure(eps)(x, y)
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        assert np.abs(normal - c).max() <= 1e-8
 
 
-@pytest.mark.parametrize("sign", [+1, -1])
-def test_conformal_check_stereographic(mesh, sign):
-    rep = conformal_check(stereographic(0.5, sign, mesh))
-    assert rep.max_defect_EG < 1e-12
-    assert rep.max_defect_F < 1e-12
-    assert rep.f_reference_max_err < 1e-12
-
-
-def test_custom_immersion_not_conformal(mesh):
-    imm = custom_immersion(
-        lambda x, y: np.stack([2.0 * x, y, 0.0 * x], axis=-1), mesh
-    )
-    rep = conformal_check(imm)
-    assert rep.max_defect_EG == pytest.approx(0.75)
-    assert rep.max_defect_F < 1e-12
-    assert np.isnan(rep.f_reference_max_err)
-
-
-def test_enneper_is_minimal(mesh):
-    forms = fundamental_forms(enneper(0.5, mesh))
-    assert not forms.degenerate.any()
-    assert np.abs(forms.H).max() < 1e-12
-    assert forms.K.max() < 0.0
-
-
-def test_stereographic_unit_curvatures(mesh):
-    # the image is the unit sphere: |H| = 1 and K = 1 everywhere
-    forms = fundamental_forms(stereographic(0.5, +1, mesh))
-    assert np.abs(np.abs(forms.H) - 1.0).max() < 1e-5
-    assert np.abs(forms.K - 1.0).max() < 1e-5
-    assert np.abs(forms.A2 - 2.0).max() < 1e-4
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda m: enneper(0.5, m),
-        lambda m: stereographic(0.5, +1, m),
-        lambda m: stereographic(0.5, -1, m),
-    ],
-)
-def test_orientation_sign_matches_phi(mesh, make):
-    imm = make(mesh)
-    forms = fundamental_forms(imm)
-    fld = gauss_map(imm)
-    predicted = imm.orientation_sign * forms.K * np.exp(2.0 * forms.f)
-    ph = phi(fld)
-    scale = np.abs(ph).max()
-    assert np.abs(ph - predicted).max() < 0.05 * scale
-
-
-def test_degenerate_immersion_masked(mesh):
-    imm = custom_immersion(
-        lambda x, y: np.stack([x, x, 0.0 * x], axis=-1), mesh
-    )
-    forms = fundamental_forms(imm)
-    assert forms.degenerate.all()
-
-
-def test_gauss_map_needs_family(mesh):
-    imm = custom_immersion(
-        lambda x, y: np.stack([x, y, 0.0 * x], axis=-1), mesh
-    )
-    with pytest.raises(ValueError):
-        gauss_map(imm)
-
-
-def test_family_guards(mesh):
-    with pytest.raises(ValueError):
-        enneper(0.0, mesh)
-    with pytest.raises(ValueError):
-        enneper(1.5, mesh)
-    with pytest.raises(ValueError):
-        stereographic(0.5, 2, mesh)
-    with pytest.raises(ValueError):
-        stereographic(-0.1, 1, mesh)
+def test_enneper_is_minimal():
+    # in conformal coordinates a minimal immersion is harmonic; Psi_eps
+    # is cubic, so the 5-point Laplacian is exact up to rounding
+    x, y = _disc_points(6)
+    h = 1e-3
+    for eps in (0.2, 0.5, 1.0):
+        psi = enneper_psi_closure(eps)
+        lap = (psi(x + h, y) + psi(x - h, y) + psi(x, y + h)
+               + psi(x, y - h) - 4.0 * psi(x, y)) / h ** 2
+        assert np.abs(lap).max() <= 1e-8
 
 
 def test_zeta_eps_normalized(mesh):
@@ -191,16 +128,6 @@ def test_self_intersections_closure_check(monkeypatch):
 def test_representative_radius_guard():
     with pytest.raises(ValueError):
         self_intersections(0.3, representative_radius=0.1)
-
-
-def test_intersection_sweep_profile():
-    eps = 0.5
-    r0 = np.sqrt(3.0) * eps
-    radii, gaps = intersection_sweep(eps)
-    band = (radii > 0.3) & (radii < r0 - 0.05)
-    above = radii > r0 + 0.02
-    assert gaps[band].min() > 1e-3
-    assert gaps[above].min() < 1e-2
 
 
 def test_coincidence_radii_threshold():
