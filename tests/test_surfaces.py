@@ -6,7 +6,8 @@ from coulomb_lab import surfaces
 from coulomb_lab.pde import gradient_l2
 from coulomb_lab.surfaces import (ClosureCheckError, closed_form_table,
                                   coincidence_radii, enneper_gauss_closure,
-                                  enneper_psi_closure, refine_intersection,
+                                  enneper_psi_closure, lam,
+                                  refine_intersection,
                                   self_intersections, zeta_eps)
 
 
@@ -53,16 +54,51 @@ def _disc_points(seed, count=200):
     return r * np.cos(t), r * np.sin(t)
 
 
+def _fd_tangents(psi, x, y, h=1e-5):
+    # Psi_eps is cubic, so central differences are exact up to h^2 / 6
+    # times a bounded third derivative, plus rounding
+    a = (psi(x + h, y) - psi(x - h, y)) / (2.0 * h)
+    b = (psi(x, y + h) - psi(x, y - h)) / (2.0 * h)
+    return a, b
+
+
+def test_tangents_conformal():
+    # |Psi_x| = |Psi_y| = lambda / (1 + eps^2) and Psi_x . Psi_y = 0
+    rng = np.random.default_rng(1)
+    eps = 0.4
+    x, y = rng.uniform(-1, 1, size=(2, 100))
+    a, b = _fd_tangents(enneper_psi_closure(eps), x, y)
+    ll = lam(eps, x, y) / (1.0 + eps ** 2)
+    assert np.abs((a * b).sum(axis=-1)).max() < 1e-9
+    assert np.abs((a * a).sum(axis=-1) - ll ** 2).max() < 1e-9
+    assert np.abs((b * b).sum(axis=-1) - ll ** 2).max() < 1e-9
+
+
+def test_conformal_check_enneper(mesh):
+    # on the mesh centroids: E = G, F = 0, and the log conformal factor
+    # f = log|Psi_x| = log(lambda) - log(1 + eps^2), which is 0 on |X| = 1
+    eps = 0.5
+    cx, cy = mesh.centroids[:, 0], mesh.centroids[:, 1]
+    a, b = _fd_tangents(enneper_psi_closure(eps), cx, cy)
+    E, F, G = ((a * a).sum(axis=1), (a * b).sum(axis=1),
+               (b * b).sum(axis=1))
+    assert (np.abs(E - G) / E).max() < 1e-8
+    assert (np.abs(F) / E).max() < 1e-8
+    f_ref = np.log(lam(eps, cx, cy)) - np.log(1.0 + eps ** 2)
+    assert np.abs(0.5 * np.log(E) - f_ref).max() < 1e-8
+    bx = mesh.nodes[mesh.boundary_mask]
+    f_bdry = np.log(lam(eps, bx[:, 0], bx[:, 1])) - np.log(1.0 + eps ** 2)
+    assert np.abs(f_bdry).max() < 1e-12
+
+
 def test_gauss_closure_is_normal_of_psi():
     # the Gauss map every experiment samples, c / |c|, is the unit
     # normal of the immersion Psi_eps: compare it with the normal of
     # central-difference tangents, which must be conformal
     x, y = _disc_points(5)
-    h = 1e-5
     for eps in (0.2, 0.5, 1.0):
         psi = enneper_psi_closure(eps)
-        a = (psi(x + h, y) - psi(x - h, y)) / (2.0 * h)
-        b = (psi(x, y + h) - psi(x, y - h)) / (2.0 * h)
+        a, b = _fd_tangents(psi, x, y)
         aa = (a * a).sum(axis=1)
         assert np.abs((b * b).sum(axis=1) - aa).max() <= 1e-8 * aa.max()
         assert np.abs((a * b).sum(axis=1)).max() <= 1e-8 * aa.max()
