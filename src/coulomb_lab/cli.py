@@ -322,7 +322,8 @@ def cmd_coarea(args, outdir):
     _write_csv(outdir / "coarea.csv", "node,n1,n2,n3,card,signed_sum,accepted",
                zip(range(region.nodes.shape[0]), *region.nodes.T, rep.cards,
                    rep.signed_sums, rep.accepted.astype(int)))
-    return checks, {"lhs": rep.lhs, "rhs": rep.rhs}
+    return checks, {"lhs": rep.lhs, "rhs": rep.rhs,
+                    "rejections": rep.rejections}
 
 
 def cmd_holography(args, outdir):

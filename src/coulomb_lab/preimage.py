@@ -23,16 +23,24 @@ BARY_TOL = 1e-9
 HOLOGRAPHY_TOL = 1e-4
 # Recursive splits of elements whose image straddles the region boundary.
 SPLIT_DEPTH = 10
-# Elements per vectorized batch (bounds the working memory).
+# Elements per vectorized batch (bounds the working memory) of
+# holography_identity and of coarea_check's lhs.
 _CHUNK = 1 << 16
+_COAREA_CHUNK = 1 << 12
+# The reasons regular_filter gives, in the order it tests them.
+FILTER_REASONS = ("pole", "degenerate", "zero_jacobian", "count",
+                  "boundary", "separation", "integral")
 
 
 def _tangent_basis(nprime):
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(nprime)))] = 1.0
-    t1 = np.cross(a, nprime)
+    """Unit t1 = e_i x n' / |e_i x n'|, for the axis e_i least aligned
+    with n', and t2 = n' x t1, written out as np.cross computes them."""
+    x, y, z = nprime.tolist()
+    i = min(range(3), key=lambda k: abs((x, y, z)[k]))
+    t1 = np.array(((0.0, -z, y), (z, 0.0, -x), (-y, x, 0.0))[i])
     t1 /= np.linalg.norm(t1)
-    return t1, np.cross(nprime, t1)
+    a, b, c = t1.tolist()
+    return t1, np.array([y * c - z * b, z * a - x * c, x * b - y * a])
 
 
 @dataclass(frozen=True)
@@ -66,13 +74,14 @@ class PreimageSolver:
         ).max(axis=1)
         self.max_radius = float(self.radius.max())
         self.tree = cKDTree(fld.nbar)
+        self.area = fld.mesh.area
 
     def candidates(self, nprime):
         idx = self.tree.query_ball_point(
             np.asarray(nprime, dtype=float),
             2.0 * self.max_radius + 1e-9,
         )
-        idx = np.asarray(sorted(idx), dtype=np.int64)
+        idx = np.sort(np.asarray(idx, dtype=np.int64))
         if idx.size == 0:
             return idx
         d = np.linalg.norm(self.fld.nbar[idx] - nprime, axis=1)
@@ -86,6 +95,30 @@ class PreimageSolver:
         d = np.linalg.norm(self.fld.nbar - nprime, axis=1)
         d = np.maximum(d, 1e-300)
         return float((self.fld.mesh.areas / d).sum())
+
+    def kernel_integral_exceeds(self, nprime, N):
+        """Whether kernel_integral(nprime) > N, decided from a bound.
+
+        With r = 2 area / N, the elements with |nbar - n'| > r add less
+        than their area over r, so at most N / 2 in all.  The exact sum
+        over the near elements (those within r, from the centroid tree)
+        plus (area - near area) / r bounds the integral from above;
+        when the bound, widened by 1e-12 against rounding, is at most
+        N, the answer is no.  Otherwise the exact sum decides; so it
+        does at once when r >= 2, where every element is near and the
+        bound is the exact sum.
+        """
+        r = 2.0 * self.area / N
+        if r < 2.0:
+            near = np.asarray(self.tree.query_ball_point(nprime, r),
+                              dtype=np.int64)
+            d = np.linalg.norm(self.fld.nbar[near] - nprime, axis=1)
+            a = self.fld.mesh.areas[near]
+            bound = float((a / np.maximum(d, 1e-300)).sum()) \
+                + (self.area - float(a.sum())) / r
+            if bound * (1.0 + 1e-12) <= N:
+                return False
+        return self.kernel_integral(nprime) > N
 
 
 def preimages(fld, nprime, solver=None):
@@ -122,22 +155,22 @@ def preimages(fld, nprime, solver=None):
         amin = alpha.min(axis=1)
         # closed-element solutions; edge/vertex hits are duplicated by
         # the neighbouring elements and deduplicated below
-        inside = ray_ok & (amin > -BARY_TOL)
+        inside = np.flatnonzero(ray_ok & (amin > -BARY_TOL))
         tri_pts = fld.mesh.nodes[fld.mesh.triangles[cand[idx]]]
         pts = np.einsum("ki,kij->kj", alpha, tri_pts)
-        for k in np.flatnonzero(inside):
-            e = int(cand[idx[k]])
-            if any(
-                np.linalg.norm(h.point - pts[k]) < 1e-9 for h in hits
-            ):
-                continue
-            sign = int(np.sign(solver.phi[e]))
-            if sign == 0:
-                degenerate.append(e)
-            hits.append(
-                Hit(point=pts[k], sign=sign, element=e, bary=alpha[k])
-            )
-    hits.sort(key=lambda hh: hh.element)
+        # Copies of one edge or vertex point agree to rounding and
+        # distinct hits lie about a mesh width apart, so keeping each
+        # solution with no earlier one within 1e-9 keeps the first copy.
+        found = pts[inside]
+        close = np.linalg.norm(found[:, None] - found[None], axis=2) < 1e-9
+        inside = inside[~np.triu(close, 1).any(axis=0)]
+        elems = cand[idx[inside]]
+        signs = np.sign(solver.phi[elems]).astype(int)
+        degenerate.extend(elems[signs == 0].tolist())
+        # cand is sorted, so the hits come in element order
+        hits = [Hit(point=p, sign=int(sg), element=int(e), bary=b)
+                for p, sg, e, b in zip(pts[inside], signs, elems,
+                                       alpha[inside])]
     return PreimageCensus(
         target=nprime,
         hits=tuple(hits),
@@ -157,8 +190,14 @@ def regular_filter(fld, nprime, N=64, solver=None):
 
     Rejects targets near the poles, with degenerate or zero-sign hits,
     with more than N hits, with hits too close to the boundary or to
-    each other (within one mesh width), or with a large discrete
-    kernel integral of dX / |nbar - n'|.
+    each other (within one mesh width), or with a discrete kernel
+    integral of dX / |nbar - n'| above N; the reasons are named in
+    FILTER_REASONS.  The integral test is decided by
+    `PreimageSolver.kernel_integral_exceeds`: the exact sum over the
+    elements within r = 2 area / N of n' plus (far area) / r bounds
+    the integral, and only a target whose bound exceeds N pays for
+    the exact sum over every element.  Either way the decision is the
+    exact one.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -186,7 +225,7 @@ def regular_filter(fld, nprime, N=64, solver=None):
         np.fill_diagonal(dd, np.inf)
         if dd.min() < h_mesh:
             reasons.append("separation")
-    if solver.kernel_integral(nprime) > N:
+    if solver.kernel_integral_exceeds(nprime, N):
         reasons.append("integral")
     return FilterResult(
         accepted=not reasons, reasons=tuple(reasons), census=census
@@ -203,32 +242,44 @@ class CoareaReport:
     cards: np.ndarray = field(repr=False, default=None)
     accepted: np.ndarray = field(repr=False, default=None)
     signed_sums: np.ndarray = field(repr=False, default=None)
+    # How many quadrature nodes the filter rejected for each reason of
+    # FILTER_REASONS (a node may have several).
+    rejections: dict = field(repr=False, default=None)
 
 
 def coarea_check(fld, g, region, N=64, solver=None):
     """Both sides of the coarea identity over a sphere region.
 
-    lhs integrates g |Phi| over elements whose centroid value lies in
-    the region; rhs sums, over accepted quadrature nodes, the hit-wise
-    total of g.  Nodes failing the regular filter contribute to the
-    reported excluded measure instead.
+    g is constant on each element.  lhs integrates g |Phi(n_h)| 1_K(n_h)
+    for n_h = P/|P|, the map whose preimages the census counts, with
+    the rule and boundary splitting of holography_identity; so the
+    region must be a cap, the full sphere or a complement of either.
+    rhs sums, over accepted quadrature nodes, the hit-wise total of g.
+    Nodes failing the regular filter contribute to the reported
+    excluded measure instead, and their reasons to `rejections`.
     """
     g = np.asarray(g, dtype=float)
     if solver is None:
         solver = PreimageSolver(fld)
-    if region.predicate is None:
-        raise ValueError("region needs a membership predicate")
-    inside = region.contains(fld.nbar)
-    lhs = integrate(np.where(inside, g * np.abs(solver.phi), 0.0), fld.mesh)
+    _require_closed_form(region, "coarea_check")
+
+    def weighted(elems, points, n, r, phi_h, member):
+        return (np.where(member, g[elems, None] * np.abs(phi_h), 0.0),)
+
+    _, (lhs,) = _integrate_nh(fld, region, weighted, _COAREA_CHUNK)
+    lhs = float(lhs)
     rhs = 0.0
     excluded = 0.0
     cards = np.zeros(region.nodes.shape[0], dtype=int)
     accepted = np.zeros(region.nodes.shape[0], dtype=bool)
     signed = np.zeros(region.nodes.shape[0], dtype=int)
+    rejections = dict.fromkeys(FILTER_REASONS, 0)
     for q in range(region.nodes.shape[0]):
         res = regular_filter(fld, region.nodes[q], N=N, solver=solver)
         cards[q] = res.census.card
         signed[q] = sum(h.sign for h in res.census.hits)
+        for reason in res.reasons:
+            rejections[reason] += 1
         if res.accepted:
             accepted[q] = True
             rhs += region.weights[q] * sum(
@@ -245,6 +296,7 @@ def coarea_check(fld, g, region, N=64, solver=None):
         cards=cards,
         accepted=accepted,
         signed_sums=signed,
+        rejections=rejections,
     )
 
 
@@ -287,16 +339,16 @@ def _split(bary):
     return children.reshape(-1, 3, 3)
 
 
-def _rule_sums(fld, region, zv, gz, elems, bary):
-    """Element-rule averages over sub-triangles of the elements `elems`.
+def _rule_sums(fld, region, integrand, elems, bary):
+    """Element-rule averages of an integrand over sub-triangles.
 
-    `bary` (k, 3, 3) holds the element barycentrics of each
-    sub-triangle's vertices.  At the rule points P is the P1
-    interpolant, n_h = P/|P| and, with d_i the derivatives of P,
-    Phi(n_h) = n_h.(d1 x d2) / |P|^2.  Since n_h x d_i n_h =
-    n_h x d_i / |P|, Omega_i = grad Q(n_h).(n_h x d_i) / |P|.  Returns,
-    per unit area, the rule averages of Phi zeta, of 1_K(n_h) Phi zeta,
-    of the pairing Omega_2 d1 zeta - Omega_1 d2 zeta and of |Omega|^2.
+    `bary` (k, 3, 3) holds the element barycentrics of the vertices of
+    sub-triangles of the elements `elems`.  At the rule points P is the
+    P1 interpolant, n_h = P/|P| and, with d_i the derivatives of P,
+    Phi(n_h) = n_h.(d1 x d2) / |P|^2.  `integrand(elems, points, n, r,
+    phi_h, member)` gets, per rule point, the barycentrics, n_h, |P|,
+    Phi(n_h) and 1_K(n_h), and returns a tuple of (k, 7) values;
+    returns their rule averages per unit area.
     """
     points = np.einsum("pv,kvi->kpi", TRI7_BARY, bary)
     P = np.einsum("kpi,kij->kpj", points,
@@ -304,39 +356,31 @@ def _rule_sums(fld, region, zv, gz, elems, bary):
     r = np.linalg.norm(P, axis=2)
     n = P / r[..., None]
     cross = np.cross(fld.d1[elems], fld.d2[elems])
-    pz = np.einsum("kpj,kj->kp", n, cross) / r ** 2 * np.einsum(
-        "kpi,ki->kp", points, zv[elems]
-    )
+    phi_h = np.einsum("kpj,kj->kp", n, cross) / r ** 2
     member = region.contains(n.reshape(-1, 3)).reshape(r.shape)
-    grad_q = region.potential_gradient(n.reshape(-1, 3)).reshape(n.shape)
-    grad_q /= r[..., None]
-    om1, om2 = gradient_pairing(grad_q, n, fld.d1[elems, None],
-                                fld.d2[elems, None])
-    pairing = om2 * gz[elems, 0, None] - om1 * gz[elems, 1, None]
-    return tuple(
-        v @ TRI7_WEIGHTS
-        for v in (pz, np.where(member, pz, 0.0), pairing, om1 ** 2 + om2 ** 2)
-    )
+    return tuple(v @ TRI7_WEIGHTS
+                 for v in integrand(elems, points, n, r, phi_h, member))
 
 
-def _split_integral(fld, region, zv, gz, elems, depth):
-    """f- and potential-term integrals over elements met by the boundary.
+def _split_integral(fld, region, integrand, elems):
+    """Integrals of the integrand over elements met by the boundary.
 
     Sub-triangles whose image may meet the region boundary are split
-    `depth` times; the others take the element rule whole, and the
+    SPLIT_DEPTH times; the others take the element rule whole, and the
     leaves use the pointwise indicator.  Splitting resolves both the
-    indicator and the kink of Omega across the boundary preimage.
+    indicator and any kink of the integrand across the boundary
+    preimage.
     """
 
     def integral(elems, bary):
-        _, f_d, pairing, _ = _rule_sums(fld, region, zv, gz, elems, bary)
         a = fld.mesh.areas[elems]
-        return np.array([a @ f_d, a @ pairing])
+        return np.array([a @ v for v in
+                         _rule_sums(fld, region, integrand, elems, bary)])
 
     bary = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
-    sums = np.zeros(2)
+    sums = 0.0
     frac = 1.0
-    for _ in range(depth):
+    for _ in range(SPLIT_DEPTH):
         bary = _split(bary)
         elems = np.repeat(elems, 4)
         frac *= 0.25
@@ -347,6 +391,45 @@ def _split_integral(fld, region, zv, gz, elems, depth):
         sums += frac * integral(elems[~straddles], bary[~straddles])
         bary, elems = bary[straddles], elems[straddles]
     return sums + frac * integral(elems, bary)
+
+
+def _integrate_nh(fld, region, integrand, chunk):
+    """Disc integrals of the integrand's values, for n_h: (whole, split).
+
+    `whole` applies the element rule to every element.  `split` does so
+    where the element's image stays on one side of the region boundary
+    and integrates the other elements with `_split_integral`, which
+    resolves 1_K(n_h).  Elements go `chunk` at a time, and those met by
+    the boundary chunk >> SPLIT_DEPTH at a time, to bound the memory.
+    """
+    mesh = fld.mesh
+    whole = split = 0.0
+    straddling = []
+    for lo in range(0, mesh.triangle_count, chunk):
+        elems = np.arange(lo, min(lo + chunk, mesh.triangle_count))
+        sums = _rule_sums(fld, region, integrand, elems,
+                          np.broadcast_to(np.eye(3), (elems.size, 3, 3)))
+        straddles = _straddles(region, fld.values[mesh.triangles[elems]])
+        a = mesh.areas[elems]
+        whole += np.array([a @ v for v in sums])
+        split += np.array([a[~straddles] @ v[~straddles] for v in sums])
+        straddling.append(elems[straddles])
+    straddling = np.concatenate(straddling)
+    step = max(chunk >> SPLIT_DEPTH, 1)
+    for lo in range(0, straddling.size, step):
+        split += _split_integral(fld, region, integrand,
+                                 straddling[lo:lo + step])
+    return whole, split
+
+
+def _require_closed_form(region, what):
+    if region.predicate is None:
+        raise ValueError("region needs a membership predicate")
+    if not region.has_closed_form:
+        raise ValueError(
+            f"{what} needs a cap, the full sphere or a complement of "
+            "either"
+        )
 
 
 def holography_identity(fld, region, zeta):
@@ -375,40 +458,27 @@ def holography_identity(fld, region, zeta):
     mu = region.measure
     if mu <= 0:
         raise ValueError("region must have positive measure")
-    if region.predicate is None:
-        raise ValueError("region needs a membership predicate")
-    if not region.has_closed_form:
-        raise ValueError(
-            "holography_identity needs a cap, the full sphere or a "
-            "complement of either"
-        )
+    _require_closed_form(region, "holography_identity")
     mesh = fld.mesh
     zeta = np.asarray(zeta, dtype=float)
     zv = zeta[mesh.triangles]
     gz = element_gradient(zeta, mesh)
-    raw = f_term = omega_term = omega_sq = 0.0
-    straddling = []
-    for lo in range(0, mesh.triangle_count, _CHUNK):
-        elems = np.arange(lo, min(lo + _CHUNK, mesh.triangle_count))
-        pz, f_d, pairing, om_sq = _rule_sums(
-            fld, region, zv, gz, elems,
-            np.broadcast_to(np.eye(3), (elems.size, 3, 3)),
-        )
-        straddles = _straddles(region, fld.values[mesh.triangles[elems]])
-        a = mesh.areas[elems]
-        raw += float(a @ pz)
-        f_term += float(a[~straddles] @ f_d[~straddles])
-        omega_term += float(a[~straddles] @ pairing[~straddles])
-        omega_sq += float(a @ om_sq)
-        straddling.append(elems[straddles])
-    straddling = np.concatenate(straddling)
-    step = max(_CHUNK >> SPLIT_DEPTH, 1)
-    for lo in range(0, straddling.size, step):
-        f_part, omega_part = _split_integral(
-            fld, region, zv, gz, straddling[lo:lo + step], SPLIT_DEPTH
-        )
-        f_term += f_part
-        omega_term += omega_part
+
+    def terms(elems, points, n, r, phi_h, member):
+        # Phi zeta, its part over K, the pairing Omega_2 d1 zeta -
+        # Omega_1 d2 zeta and |Omega|^2.  Since n_h x d_i n_h =
+        # n_h x d_i / |P|, Omega_i = grad Q(n_h).(n_h x d_i) / |P|.
+        pz = phi_h * np.einsum("kpi,ki->kp", points, zv[elems])
+        grad_q = region.potential_gradient(n.reshape(-1, 3)).reshape(n.shape)
+        grad_q /= r[..., None]
+        om1, om2 = gradient_pairing(grad_q, n, fld.d1[elems, None],
+                                    fld.d2[elems, None])
+        pairing = om2 * gz[elems, 0, None] - om1 * gz[elems, 1, None]
+        return pz, np.where(member, pz, 0.0), pairing, om1 ** 2 + om2 ** 2
+
+    whole, split = _integrate_nh(fld, region, terms, _CHUNK)
+    raw, omega_sq = float(whole[0]), float(whole[3])
+    f_term, omega_term = float(split[1]), float(split[2])
     f_term *= FOUR_PI / mu
     residual = raw - f_term - omega_term
     dens = (fld.d1 ** 2).sum(axis=1) + (fld.d2 ** 2).sum(axis=1)

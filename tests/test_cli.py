@@ -48,6 +48,18 @@ def test_convergence(tmp_path):
     assert errs[0] > errs[1] > errs[2]
 
 
+def test_coarea_reports_rejections(tmp_path):
+    _, out, summary = run(tmp_path, "coarea", "--level", "4",
+                          "--sphere-level", "2")
+    counts = summary["info"]["rejections"]
+    assert set(counts) == {"pole", "degenerate", "zero_jacobian", "count",
+                           "boundary", "separation", "integral"}
+    rows = (out / "coarea.csv").read_text().splitlines()[1:]
+    rejected = sum(row.endswith(",0") for row in rows)
+    assert rejected > 0
+    assert max(counts.values()) <= rejected <= sum(counts.values())
+
+
 def test_summary_structure(tmp_path):
     _, _, summary = run(tmp_path, "mesh-info", "--level", "2")
     assert set(summary) == {"command", "config", "checks", "pass", "info"}

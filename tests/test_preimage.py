@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulomb_lab.fields import sample_field
 from coulomb_lab.mesh import build_disc_mesh
-from coulomb_lab.preimage import (HOLOGRAPHY_TOL, PreimageSolver,
-                                  coarea_check, holography_identity,
-                                  preimages, regular_filter)
+from coulomb_lab.preimage import (FILTER_REASONS, HOLOGRAPHY_TOL,
+                                  PreimageSolver, coarea_check,
+                                  holography_identity, preimages,
+                                  regular_filter)
 from coulomb_lab.sphere import cap, full_sphere, region_from_predicate
 from coulomb_lab.surfaces import (closed_form_table, enneper_gauss_closure,
                                   zeta_eps)
@@ -129,6 +132,48 @@ def test_coarea_full_sphere(field, solver):
     inside = rep.cards > 0
     assert rep.accepted[inside].mean() > 0.9
     assert np.all(rep.signed_sums[rep.accepted & inside] == -1)
+    # every rejected node has at least one reason, and no reason
+    # counts more nodes than were rejected
+    assert tuple(rep.rejections) == FILTER_REASONS
+    rejected = int((~rep.accepted).sum())
+    assert max(rep.rejections.values()) <= rejected
+    assert sum(rep.rejections.values()) >= rejected
+
+
+def test_coarea_cap_counts_preimages_of_nh():
+    # lhs integrates |Phi(n_h)| over the preimage under n_h, the map the
+    # census counts; deciding membership by element centroid instead
+    # gave lhs = 1.777 against rhs = 1.840 (-3.5%) here.  The cap lies
+    # inside the image, so both sides also equal its measure.
+    fld = sample_field(enneper_gauss_closure(0.5), build_disc_mesh(5))
+    region = cap(-K, np.pi / 4.0, level=4)
+    rep = coarea_check(fld, np.ones(fld.mesh.triangle_count), region)
+    assert abs(rep.gap) <= 0.02 * rep.lhs
+    assert rep.lhs == pytest.approx(region.measure, rel=0.02)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       N=st.integers(2, 8))
+def test_kernel_bound_decides_exactly(solver, v, N):
+    # kernel integrals of this field lie in 2.3-5.1, so both answers
+    # occur for N in 2..8
+    n = np.asarray(v) / np.linalg.norm(v)
+    assert solver.kernel_integral_exceeds(n, N) == (
+        solver.kernel_integral(n) > N)
+
+
+def test_filter_decides_integral_from_bound(field, solver, monkeypatch):
+    # at N = 64 the near/far bound decides every target, without the
+    # sum over all elements
+    def exact(self, nprime):
+        raise AssertionError("kernel_integral called")
+
+    monkeypatch.setattr(PreimageSolver, "kernel_integral", exact)
+    for q in full_sphere(2).nodes:
+        res = regular_filter(field, q, N=64, solver=solver)
+        assert "integral" not in res.reasons
 
 
 def test_coarea_zero_weight(field, solver):
