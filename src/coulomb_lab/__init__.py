@@ -16,7 +16,7 @@ from .divform import (DivergenceForm, admissible_region, averaged_omega,
 from .frames import (Frame, coulomb_continuation, frame_residuals,
                      gauge_rotate, project_frame, recover_f)
 from .preimage import (PreimageCensus, PreimageSolver, coarea_check,
-                       holography_identity, preimages, regular_filter)
+                       holography_identity, regular_filter)
 from .surfaces import closed_form_table, self_intersections, zeta_eps
 
 __version__ = "0.1.0"

@@ -77,7 +77,11 @@ def _parse_cap(text):
         center = np.array([0.0, 0.0, -1.0])
     else:
         center = np.array([float(t) for t in head.split(":")])
-        center = center / np.linalg.norm(center)
+        norm = np.linalg.norm(center)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise ValueError(f"cap centre {head!r} is not a finite "
+                             "nonzero vector")
+        center = center / norm
     return center, float(rho)
 
 
@@ -205,16 +209,16 @@ def cmd_decompose(args, outdir):
     rng = np.random.default_rng(args.seed)
     fld = _enneper_field(eps, args.level)
     report = admissible_region(fld, level=args.sphere_level)
+    measure = report.region.measure
     checks = [
-        Check("region_measure", report.measure, None, None,
-              report.measure > 0.0),
+        Check("region_measure", measure, None, None, measure > 0.0),
     ]
     worst, form = _weak_identity_worst(fld, report.region, args.seed)
     coarse, _ = _weak_identity_worst(
         _enneper_field(eps, args.level - 1), report.region, args.seed
     )
     grad_n = np.sqrt(dirichlet_energy(fld))
-    cert = (8.0 * np.pi / report.measure) * grad_n
+    cert = (8.0 * np.pi / measure) * grad_n
     checks += [
         Check("omega_l2_certificate",
               max(form.l2_omega1, form.l2_omega2), cert, None,
@@ -247,7 +251,7 @@ def cmd_decompose(args, outdir):
     ]
     bad = 0
     for t in targets:
-        w1, w2, _ = omega(fld, t)
+        w1, w2 = omega(fld, t)
         dist = np.linalg.norm(fld.nbar - t, axis=1)
         b1 = 2.0 * np.linalg.norm(fld.d1, axis=1) / dist
         b2 = 2.0 * np.linalg.norm(fld.d2, axis=1) / dist
@@ -295,6 +299,7 @@ def cmd_frame(args, outdir):
         _rel_check("f_max", final.f_max, abs(table.f_at_origin), 0.02),
     ]
     return checks, {"boundary_std": frame.boundary_std,
+                    "delta": final.delta,
                     "steps": len(frame.log),
                     "weak_poisson_residual": final.weak_poisson_residual}
 

@@ -36,6 +36,12 @@ from .sphere import SphereRegion, make_region, sphere_quadrature
 
 FOUR_PI = 4.0 * np.pi
 POLE_TOL = 1e-12
+# omega raises when a centroid value lies this close to its target.
+SINGULAR_TOL = 1e-9
+# Chord distance an admissible node keeps from the image and the poles.
+MARGIN = 0.05
+# Chord distance averaged_omega's region must keep from the image.
+MIN_MARGIN = 0.025
 # Entries of each (elements x nodes) block in averaged_omega; bounds
 # its working memory to a few MB whatever the mesh and region size.
 _BLOCK_ENTRIES = 1 << 16
@@ -109,71 +115,57 @@ def gamma_many(n, nprime, xi):
     return gradient_pairing(nprime / denom[:, None], n, xi)[0]
 
 
-def omega(fld, nprime, strict=True, singular_tol=1e-9):
-    """Per-element potentials omega_i = Gamma(nbar, n', d_i n).
-
-    Returns (omega1, omega2, singular_mask).  In strict mode a
-    coincidence nbar = n' raises; otherwise the element is masked and
-    its value set to zero.
-    """
+def omega(fld, nprime):
+    """Per-element potentials (omega1, omega2), omega_i = Gamma(nbar,
+    n', d_i n).  A centroid value within SINGULAR_TOL of n' raises."""
     nprime = np.asarray(nprime, dtype=float)
     dist2 = ((fld.nbar - nprime) ** 2).sum(axis=1)
-    singular = dist2 < singular_tol ** 2
-    if strict and np.any(singular):
+    singular = np.flatnonzero(dist2 < SINGULAR_TOL ** 2)
+    if singular.size:
         raise SingularElementError(
-            f"element {int(np.flatnonzero(singular)[0])} has centroid "
-            "value at n'"
+            f"element {int(singular[0])} has centroid value at n'"
         )
-    # masked elements get G = n' / inf = 0
-    denom = np.where(singular, np.inf, 1.0 - fld.nbar @ nprime)
-    w1, w2 = gradient_pairing(nprime / denom[:, None], fld.nbar,
-                              fld.d1, fld.d2)
-    return w1, w2, singular
+    denom = 1.0 - fld.nbar @ nprime
+    return gradient_pairing(nprime / denom[:, None], fld.nbar,
+                            fld.d1, fld.d2)
 
 
 @dataclass(frozen=True)
 class AdmissibleRegionReport:
     region: SphereRegion
     sigma: float          # achieved minimum distance to image and poles
-    measure: float
     delta: float
 
 
-def admissible_region(fld, n_samples=None, level=4, margin=0.05):
-    """Sphere-quadrature nodes at distance > margin from the image.
+def admissible_region(fld, level):
+    """Sphere-quadrature nodes at distance > MARGIN from the image.
 
-    The image is approximated by element-centroid values (optionally
-    subsampled to n_samples); nodes within `margin` (chord distance)
-    of any sample or of +-k are discarded.  Requires a positive area
-    margin delta = 4 pi - area, and reports the achieved sigma.
+    The image is approximated by the element-centroid values; nodes
+    within MARGIN (chord distance) of any of them or of +-k are
+    discarded.  Requires a positive area margin delta = 4 pi - area,
+    and reports the achieved sigma.
     """
     area = area_functional(fld)
     if area.delta <= 0:
         raise HypothesisViolationError(
             f"area functional {area.value:.6f} >= 4 pi; no margin"
         )
-    samples = fld.nbar
-    if n_samples is not None and samples.shape[0] > n_samples:
-        step = samples.shape[0] // n_samples
-        samples = samples[::step]
     quad = sphere_quadrature(level)
-    tree = cKDTree(samples)
+    tree = cKDTree(fld.nbar)
     dist, _ = tree.query(quad.nodes, k=1)
     pole = np.minimum(
         np.linalg.norm(quad.nodes - np.array([0.0, 0.0, 1.0]), axis=1),
         np.linalg.norm(quad.nodes + np.array([0.0, 0.0, 1.0]), axis=1),
     )
     dist = np.minimum(dist, pole)
-    mask = dist > margin
+    mask = dist > MARGIN
     if not np.any(mask):
         raise HypothesisViolationError(
             "no admissible sphere region: field image too large"
         )
-    region = make_region(quad, mask, None)
     return AdmissibleRegionReport(
-        region=region,
+        region=make_region(quad, mask, None),
         sigma=float(dist[mask].min()),
-        measure=region.measure,
         delta=area.delta,
     )
 
@@ -182,24 +174,22 @@ def admissible_region(fld, n_samples=None, level=4, margin=0.05):
 class DivergenceForm:
     omega1: np.ndarray = field(repr=False)
     omega2: np.ndarray = field(repr=False)
-    region_measure: float = 0.0
-    delta: float = 0.0
-    l2_omega1: float = 0.0
-    l2_omega2: float = 0.0
-    bound_slack: np.ndarray = field(repr=False, default=None)
-    kernel_bound1: np.ndarray = field(repr=False, default=None)
-    kernel_bound2: np.ndarray = field(repr=False, default=None)
+    l2_omega1: float
+    l2_omega2: float
+    bound_slack: np.ndarray = field(repr=False)
 
 
-def averaged_omega(fld, region, min_margin=0.025):
+def averaged_omega(fld, region):
     """Region-averaged potentials Omega_i with bound certificates.
 
     Omega_i(T) = (1/meas K) sum_q w_q Gamma(nbar_T, s_q, d_i n_T)
     = (nbar_T x d_i n_T).G_T with G_T = (1/meas K) sum_q w_q s_q /
-    (1 - nbar_T.s_q).  Certifies elementwise both the quadrature bound
-    (2/measK) (sum_q w_q/|nbar-s_q|) |d_i n| and the closed-form
-    8 pi / meas(K) |d_i n|; `bound_slack` is the minimum slack of the
-    latter over i = 1, 2 (positive means satisfied).
+    (1 - nbar_T.s_q).  Raises when a region node lies within
+    MIN_MARGIN of a centroid value, and KernelBoundError when an
+    element breaks the quadrature bound (2/measK) (sum_q w_q/|nbar-s_q|)
+    |d_i n|.  `bound_slack` is the minimum over i = 1, 2 of the slack
+    of the closed-form bound 8 pi / meas(K) |d_i n| (positive means
+    satisfied).
     """
     mesh = fld.mesh
     nt = mesh.triangle_count
@@ -213,7 +203,7 @@ def averaged_omega(fld, region, min_margin=0.025):
         D = 1.0 - fld.nbar[block] @ nodes.T
         # |nbar - s|^2 = 2 D for unit vectors
         dist = np.sqrt(np.maximum(2.0 * D, 0.0))
-        if dist.min(initial=np.inf) < min_margin:
+        if dist.min(initial=np.inf) < MIN_MARGIN:
             raise SingularElementError(
                 "averaging region touches the field image"
             )
@@ -231,17 +221,12 @@ def averaged_omega(fld, region, min_margin=0.025):
         np.abs(om2) > qbound2 + 1e-9
     ):
         raise KernelBoundError("averaged potential violates its kernel bound")
-    delta = area_functional(fld).delta
     return DivergenceForm(
         omega1=om1,
         omega2=om2,
-        region_measure=mu,
-        delta=delta,
         l2_omega1=float(np.sqrt(integrate(om1 ** 2, mesh))),
         l2_omega2=float(np.sqrt(integrate(om2 ** 2, mesh))),
         bound_slack=slack,
-        kernel_bound1=qbound1,
-        kernel_bound2=qbound2,
     )
 
 

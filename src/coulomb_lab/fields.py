@@ -10,7 +10,7 @@ from .mesh import DiscMesh, element_gradient, integrate
 FOUR_PI = 4.0 * np.pi
 
 
-class SamplingError(Exception):
+class SamplingError(ValueError):
     """Closure returned a (near-)zero vector at some node."""
 
 

@@ -13,14 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SphereField, area_functional, sample_field
-from .mesh import element_gradient, integrate
+from .mesh import element_gradient
 from .pde import (curl_load, element_load, flux_load, gradient_l2,
-                  pinned_factor, smooth_test_functions, solve_gauge_neumann,
+                  smooth_test_functions, solve_gauge_neumann, solve_pinned,
                   stiffness_matrix, weak_residual)
 
 PROJECTOR_STEP_LIMIT = 0.125  # max allowed ||P_new - P_old|| per step
 MIN_PROJECTION = 0.5
 MIN_STEP = 1e-4
+# Continuation steps from lambda = 0 to 1 before any halving.
+CONTINUATION_STEPS = 16
 
 
 class StepTooLargeError(Exception):
@@ -109,10 +111,7 @@ def recover_f(h, mesh):
     standard deviation of the pre-shift boundary values measures how
     far h is from an exact rotated gradient.
     """
-    b = curl_load(np.asarray(h, dtype=float), mesh)
-    idx, lu = pinned_factor(mesh)
-    f = np.zeros(mesh.node_count)
-    f[idx] = lu.solve(b[idx])
+    f = solve_pinned(curl_load(h, mesh), mesh)
     bvals = f[mesh.boundary_mask]
     f = f - bvals.mean()
     return RecoveredF(f=f, boundary_std=float(bvals.std()))
@@ -136,7 +135,7 @@ def _orth_defect(e1, e2, n_values):
     return float(d.max()), float(t.max())
 
 
-def coulomb_continuation(fld, n_steps=16, seed=7):
+def coulomb_continuation(fld, seed):
     """Coulomb frame at lambda = 1 via adaptive dilation continuation."""
     if fld.closure is None:
         raise ValueError(
@@ -152,7 +151,7 @@ def coulomb_continuation(fld, n_steps=16, seed=7):
 
     def at_lambda(lam):
         return sample_field(
-            lambda x, y, _l=lam: closure(_l * x, _l * y), mesh
+            lambda x, y: closure(lam * x, lam * y), mesh
         )
 
     cur = at_lambda(0.0)
@@ -167,7 +166,7 @@ def coulomb_continuation(fld, n_steps=16, seed=7):
     e2 = np.tile(e2, (mesh.node_count, 1))
 
     tests = smooth_test_functions(mesh, seed)
-    base = 1.0 / n_steps
+    base = 1.0 / CONTINUATION_STEPS
     lam, step = 0.0, base
     log = []
     while lam < 1.0 - 1e-15:
@@ -214,32 +213,18 @@ def coulomb_continuation(fld, n_steps=16, seed=7):
 class FrameReport:
     orth_defect: float
     tangency_defect: float
-    orientation_min: float
     coulomb_residual: float
-    grad_residual_l2: tuple      # L2 residuals of d1 f = -h2, d2 f = h1
     weak_poisson_residual: float  # weak form of -Laplace f = {e1, e2}
     f_max: float
-    delta: float
+    delta: float                  # 4 pi - area, the paper's margin
 
 
-def frame_residuals(frame, seed=11):
+def frame_residuals(frame, seed):
     """Pointwise defects and PDE residuals of a frame."""
     mesh = frame.field_n.mesh
     e1, e2, f = frame.e1, frame.e2, frame.f
     od, td = _orth_defect(e1, e2, frame.field_n.values)
-    orient = float(
-        np.einsum(
-            "ni,ni->n", frame.field_n.values, np.cross(e1, e2)
-        ).min()
-    )
     h = frame_h(e1, e2, mesh)
-    gf = element_gradient(f, mesh)
-    r1 = gf[:, 0] + h[:, 1]
-    r2 = gf[:, 1] - h[:, 0]
-    grad_res = (
-        float(np.sqrt(integrate(r1 ** 2, mesh))),
-        float(np.sqrt(integrate(r2 ** 2, mesh))),
-    )
     g1 = element_gradient(e1, mesh)
     g2 = element_gradient(e2, mesh)
     rhs = (
@@ -251,9 +236,7 @@ def frame_residuals(frame, seed=11):
     return FrameReport(
         orth_defect=od,
         tangency_defect=td,
-        orientation_min=orient,
         coulomb_residual=coulomb_weak_residual(h, mesh, tests),
-        grad_residual_l2=grad_res,
         weak_poisson_residual=weak_residual(poisson_load, tests,
                                             boundary_zero=True),
         f_max=float(np.abs(f).max()),

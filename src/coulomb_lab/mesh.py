@@ -32,7 +32,7 @@ def _radon_rule():
 TRI7_BARY, TRI7_WEIGHTS = _radon_rule()
 
 
-class MeshResourceError(Exception):
+class MeshResourceError(ValueError):
     """Requested refinement level exceeds the configured guard."""
 
 
@@ -43,7 +43,6 @@ class DiscMesh:
     nodes          : (nn, 2) coordinates
     triangles      : (nt, 3) node indices, positively oriented
     boundary_mask  : (nn,) True where |X| = 1
-    refinement_level : level used to build the mesh
     areas, centroids, grad_x, grad_y : per-element P1 data; grad_x[t, i]
         is the coefficient of vertex i in d/dx of the linear interpolant
         on triangle t (similarly grad_y).
@@ -52,7 +51,6 @@ class DiscMesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_mask: np.ndarray
-    refinement_level: int
     areas: np.ndarray = field(repr=False, default=None)
     centroids: np.ndarray = field(repr=False, default=None)
     grad_x: np.ndarray = field(repr=False, default=None)
@@ -163,7 +161,6 @@ def build_disc_mesh(refinement_level):
         nodes=nodes,
         triangles=triangles,
         boundary_mask=boundary_mask,
-        refinement_level=refinement_level,
         areas=areas,
         centroids=centroids,
         grad_x=grad_x,

@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 
 from .divform import gradient_pairing
 from .fields import phi
-from .mesh import TRI7_BARY, TRI7_WEIGHTS, element_gradient, integrate
+from .mesh import TRI7_BARY, TRI7_WEIGHTS, element_gradient
 
 FOUR_PI = 4.0 * np.pi
 BARY_TOL = 1e-9
@@ -48,12 +48,10 @@ class Hit:
     point: np.ndarray
     sign: int
     element: int
-    bary: np.ndarray
 
 
 @dataclass(frozen=True)
 class PreimageCensus:
-    target: np.ndarray
     hits: tuple
     degenerate_elements: tuple
 
@@ -88,7 +86,60 @@ class PreimageSolver:
         return idx[d <= 2.0 * self.radius[idx] + 1e-9]
 
     def census(self, nprime):
-        return preimages(self.fld, nprime, solver=self)
+        """Census of {X : n(X) = n'} for the element-affine interpolant."""
+        fld = self.fld
+        nprime = np.asarray(nprime, dtype=float)
+        nprime = nprime / np.linalg.norm(nprime)
+        cand = self.candidates(nprime)
+        if cand.size == 0:
+            return PreimageCensus(hits=(), degenerate_elements=())
+        hits, degenerate = [], []
+        t1, t2 = _tangent_basis(nprime)
+        verts = fld.values[fld.mesh.triangles[cand]]  # (m, 3, 3)
+        A = np.empty((cand.size, 3, 3))
+        A[:, 0] = verts @ t1
+        A[:, 1] = verts @ t2
+        A[:, 2] = 1.0
+        rhs = np.array([0.0, 0.0, 1.0])
+        dets = np.linalg.det(A)
+        solvable = np.abs(dets) > 1e-12
+        degenerate_mask = ~solvable & (
+            np.linalg.norm(fld.nbar[cand] - nprime, axis=1)
+            <= 2.0 * self.radius[cand] + 1e-9
+        )
+        degenerate.extend(int(e) for e in cand[degenerate_mask])
+        idx = np.flatnonzero(solvable)
+        if idx.size:
+            alpha = np.linalg.solve(
+                A[idx],
+                np.broadcast_to(rhs[:, None], (idx.size, 3, 1)).copy()
+            )[..., 0]
+            m = np.einsum("ki,kij->kj", alpha, verts[idx])
+            ray_ok = m @ nprime > 0.0
+            amin = alpha.min(axis=1)
+            # closed-element solutions; edge/vertex hits are duplicated
+            # by the neighbouring elements and deduplicated below
+            inside = np.flatnonzero(ray_ok & (amin > -BARY_TOL))
+            tri_pts = fld.mesh.nodes[fld.mesh.triangles[cand[idx]]]
+            pts = np.einsum("ki,kij->kj", alpha, tri_pts)
+            # Copies of one edge or vertex point agree to rounding and
+            # distinct hits lie about a mesh width apart, so keeping
+            # each solution with no earlier one within 1e-9 keeps the
+            # first copy.
+            found = pts[inside]
+            close = np.linalg.norm(found[:, None] - found[None],
+                                   axis=2) < 1e-9
+            inside = inside[~np.triu(close, 1).any(axis=0)]
+            elems = cand[idx[inside]]
+            signs = np.sign(self.phi[elems]).astype(int)
+            degenerate.extend(elems[signs == 0].tolist())
+            # cand is sorted, so the hits come in element order
+            hits = [Hit(point=p, sign=int(sg), element=int(e))
+                    for p, sg, e in zip(pts[inside], signs, elems)]
+        return PreimageCensus(
+            hits=tuple(hits),
+            degenerate_elements=tuple(sorted(set(degenerate))),
+        )
 
     def kernel_integral(self, nprime):
         """Discrete integral of dX / |nbar(X) - n'| over the disc."""
@@ -121,63 +172,6 @@ class PreimageSolver:
         return self.kernel_integral(nprime) > N
 
 
-def preimages(fld, nprime, solver=None):
-    """Census of {X : n(X) = n'} for the element-affine interpolant."""
-    nprime = np.asarray(nprime, dtype=float)
-    nprime = nprime / np.linalg.norm(nprime)
-    if solver is None:
-        solver = PreimageSolver(fld)
-    cand = solver.candidates(nprime)
-    hits, degenerate = [], []
-    if cand.size == 0:
-        return PreimageCensus(target=nprime, hits=(), degenerate_elements=())
-    t1, t2 = _tangent_basis(nprime)
-    verts = fld.values[fld.mesh.triangles[cand]]  # (m, 3, 3)
-    A = np.empty((cand.size, 3, 3))
-    A[:, 0] = verts @ t1
-    A[:, 1] = verts @ t2
-    A[:, 2] = 1.0
-    rhs = np.array([0.0, 0.0, 1.0])
-    dets = np.linalg.det(A)
-    solvable = np.abs(dets) > 1e-12
-    degenerate_mask = ~solvable & (
-        np.linalg.norm(fld.nbar[cand] - nprime, axis=1)
-        <= 2.0 * solver.radius[cand] + 1e-9
-    )
-    degenerate.extend(int(e) for e in cand[degenerate_mask])
-    idx = np.flatnonzero(solvable)
-    if idx.size:
-        alpha = np.linalg.solve(
-            A[idx], np.broadcast_to(rhs[:, None], (idx.size, 3, 1)).copy()
-        )[..., 0]
-        m = np.einsum("ki,kij->kj", alpha, verts[idx])
-        ray_ok = m @ nprime > 0.0
-        amin = alpha.min(axis=1)
-        # closed-element solutions; edge/vertex hits are duplicated by
-        # the neighbouring elements and deduplicated below
-        inside = np.flatnonzero(ray_ok & (amin > -BARY_TOL))
-        tri_pts = fld.mesh.nodes[fld.mesh.triangles[cand[idx]]]
-        pts = np.einsum("ki,kij->kj", alpha, tri_pts)
-        # Copies of one edge or vertex point agree to rounding and
-        # distinct hits lie about a mesh width apart, so keeping each
-        # solution with no earlier one within 1e-9 keeps the first copy.
-        found = pts[inside]
-        close = np.linalg.norm(found[:, None] - found[None], axis=2) < 1e-9
-        inside = inside[~np.triu(close, 1).any(axis=0)]
-        elems = cand[idx[inside]]
-        signs = np.sign(solver.phi[elems]).astype(int)
-        degenerate.extend(elems[signs == 0].tolist())
-        # cand is sorted, so the hits come in element order
-        hits = [Hit(point=p, sign=int(sg), element=int(e), bary=b)
-                for p, sg, e, b in zip(pts[inside], signs, elems,
-                                       alpha[inside])]
-    return PreimageCensus(
-        target=nprime,
-        hits=tuple(hits),
-        degenerate_elements=tuple(sorted(set(degenerate))),
-    )
-
-
 @dataclass(frozen=True)
 class FilterResult:
     accepted: bool
@@ -185,8 +179,8 @@ class FilterResult:
     census: PreimageCensus
 
 
-def regular_filter(fld, nprime, N=64, solver=None):
-    """Regular-value test for a target direction.
+def regular_filter(solver, nprime, N):
+    """Regular-value test of a target direction for `solver`'s field.
 
     Rejects targets near the poles, with degenerate or zero-sign hits,
     with more than N hits, with hits too close to the boundary or to
@@ -203,8 +197,6 @@ def regular_filter(fld, nprime, N=64, solver=None):
         raise ValueError("N must be at least 2")
     nprime = np.asarray(nprime, dtype=float)
     nprime = nprime / np.linalg.norm(nprime)
-    if solver is None:
-        solver = PreimageSolver(fld)
     reasons = []
     k = np.array([0.0, 0.0, 1.0])
     if min(np.linalg.norm(nprime - k), np.linalg.norm(nprime + k)) < 1.0 / N:
@@ -216,7 +208,7 @@ def regular_filter(fld, nprime, N=64, solver=None):
         reasons.append("zero_jacobian")
     if census.card > N:
         reasons.append("count")
-    h_mesh = fld.mesh.h_max
+    h_mesh = solver.fld.mesh.h_max
     pts = np.array([h.point for h in census.hits]).reshape(-1, 2)
     if pts.size and np.linalg.norm(pts, axis=1).max() > 1.0 - h_mesh:
         reasons.append("boundary")
@@ -238,16 +230,15 @@ class CoareaReport:
     rhs: float
     gap: float
     excluded_measure: float
-    region_measure: float
-    cards: np.ndarray = field(repr=False, default=None)
-    accepted: np.ndarray = field(repr=False, default=None)
-    signed_sums: np.ndarray = field(repr=False, default=None)
+    cards: np.ndarray = field(repr=False)
+    accepted: np.ndarray = field(repr=False)
+    signed_sums: np.ndarray = field(repr=False)
     # How many quadrature nodes the filter rejected for each reason of
     # FILTER_REASONS (a node may have several).
-    rejections: dict = field(repr=False, default=None)
+    rejections: dict = field(repr=False)
 
 
-def coarea_check(fld, g, region, N=64, solver=None):
+def coarea_check(fld, g, region, N):
     """Both sides of the coarea identity over a sphere region.
 
     g is constant on each element.  lhs integrates g |Phi(n_h)| 1_K(n_h)
@@ -259,8 +250,6 @@ def coarea_check(fld, g, region, N=64, solver=None):
     excluded measure instead, and their reasons to `rejections`.
     """
     g = np.asarray(g, dtype=float)
-    if solver is None:
-        solver = PreimageSolver(fld)
     _require_closed_form(region, "coarea_check")
 
     def weighted(elems, points, n, r, phi_h, member):
@@ -274,8 +263,9 @@ def coarea_check(fld, g, region, N=64, solver=None):
     accepted = np.zeros(region.nodes.shape[0], dtype=bool)
     signed = np.zeros(region.nodes.shape[0], dtype=int)
     rejections = dict.fromkeys(FILTER_REASONS, 0)
+    solver = PreimageSolver(fld)
     for q in range(region.nodes.shape[0]):
-        res = regular_filter(fld, region.nodes[q], N=N, solver=solver)
+        res = regular_filter(solver, region.nodes[q], N)
         cards[q] = res.census.card
         signed[q] = sum(h.sign for h in res.census.hits)
         for reason in res.reasons:
@@ -292,7 +282,6 @@ def coarea_check(fld, g, region, N=64, solver=None):
         rhs=rhs,
         gap=lhs - rhs,
         excluded_measure=excluded,
-        region_measure=region.measure,
         cards=cards,
         accepted=accepted,
         signed_sums=signed,
@@ -308,7 +297,6 @@ class HolographyReport:
     residual: float
     mu: float
     omega_l2: float
-    ratio: float
 
 
 def _straddles(region, images):
@@ -437,7 +425,7 @@ def holography_identity(fld, region, zeta):
 
     The terms are evaluated for the Lipschitz map n_h = P/|P|, where P
     is the P1 interpolant of the nodal values (the map whose preimages
-    `preimages` solves for).  For n_h and the P1 test function zeta,
+    `PreimageSolver.census` solves for).  For n_h and the P1 test function zeta,
     vanishing on the boundary,
 
         int Phi zeta = (4 pi / mu) int_{n_h in K} Phi zeta
@@ -480,17 +468,11 @@ def holography_identity(fld, region, zeta):
     raw, omega_sq = float(whole[0]), float(whole[3])
     f_term, omega_term = float(split[1]), float(split[2])
     f_term *= FOUR_PI / mu
-    residual = raw - f_term - omega_term
-    dens = (fld.d1 ** 2).sum(axis=1) + (fld.d2 ** 2).sum(axis=1)
-    grad_n = np.sqrt(integrate(dens, mesh))
-    gz_norm = np.sqrt(integrate((gz ** 2).sum(axis=1), mesh))
-    denom = grad_n * gz_norm / np.sqrt(mu)
     return HolographyReport(
         raw_term=raw,
         f_term=f_term,
         omega_term=omega_term,
-        residual=residual,
+        residual=raw - f_term - omega_term,
         mu=mu,
         omega_l2=float(np.sqrt(omega_sq)),
-        ratio=abs(residual) / denom if denom > 0 else float("nan"),
     )

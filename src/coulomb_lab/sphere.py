@@ -70,7 +70,6 @@ def spherical_areas(faces):
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:
-    level: int
     faces: np.ndarray = field(repr=False)  # (nf, 3, 3)
     nodes: np.ndarray = field(repr=False)  # (nf, 3) face centroids
     weights: np.ndarray = field(repr=False)  # (nf,) spherical areas
@@ -95,7 +94,6 @@ def sphere_quadrature(level):
     weights = spherical_areas(faces)
     d = np.linalg.norm(faces - faces[:, [1, 2, 0]], axis=2)
     quad = SphereQuadrature(
-        level=level,
         faces=faces,
         nodes=nodes,
         weights=weights,
@@ -229,7 +227,7 @@ def full_sphere(level):
     )
 
 
-def cap(center, rho, level=4):
+def cap(center, rho, level):
     """Geodesic cap {s : angle(s, center) <= rho} with exact measure."""
     if not 0.0 < rho < np.pi:
         raise ValueError("cap radius must lie strictly between 0 and pi")

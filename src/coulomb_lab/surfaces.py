@@ -10,6 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The coincidence sweep: N_RADII circles, N_ANGLES seeds on each, pairs
+# closer than MIN_SEPARATION * r rejected, and a refined gap of at most
+# GAP_TOL counted as an intersection.
+N_RADII = 120
+N_ANGLES = 720
+MIN_SEPARATION = 0.1
+GAP_TOL = 1e-10
+
 
 class ClosureCheckError(Exception):
     """A closed-form self-intersection pair fails its check under Psi_eps."""
@@ -101,15 +109,15 @@ class SelfIntersections:
     reason: str = ""
 
 
-def self_intersections(eps, representative_radius=None):
+def self_intersections(eps):
     """Closed-form self-intersection pairs of the Enneper immersion.
 
     All solutions share |X_hat| = |X_tilde| = r with r^2 >= 3 eps^2.
     The four families: axis pairs at r = sqrt(3) eps (phi = 3pi/2 vs
     pi/2, and pi vs 0), plus the reflection curves phi -> -phi with
     sin^2 phi = (3/4)(1 + eps^2/r^2) and phi -> pi - phi with
-    cos^2 phi = (3/4)(1 + eps^2/r^2), sampled at a representative
-    radius.  Every returned pair is verified under Psi_eps to 1e-10.
+    cos^2 phi = (3/4)(1 + eps^2/r^2), sampled at the representative
+    radius r = (sqrt(3) eps + 1) / 2, at least sqrt(3) eps.  Every returned pair is verified under Psi_eps to 1e-10.
     """
     r0 = np.sqrt(3.0) * eps
     if r0 > 1.0:
@@ -130,11 +138,7 @@ def self_intersections(eps, representative_radius=None):
             radius=r0,
         ),
     ]
-    r = representative_radius
-    if r is None:
-        r = min(1.0, 0.5 * (r0 + 1.0))
-    if r < r0 - 1e-12:
-        raise ValueError("representative radius below sqrt(3) eps")
+    r = 0.5 * (r0 + 1.0)
     s2 = 0.75 * (1.0 + eps ** 2 / r ** 2)
     if s2 <= 1.0 + 1e-12:
         s = np.sqrt(min(s2, 1.0))
@@ -168,20 +172,20 @@ def self_intersections(eps, representative_radius=None):
     return SelfIntersections(pairs=tuple(pairs))
 
 
-def _best_circle_pair(psi, r, n_angles, min_separation):
+def _best_circle_pair(psi, r):
     """Best-separated angle pair minimizing |Psi gap| on one circle."""
-    ang = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    ang = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
     ca, sa = np.cos(ang), np.sin(ang)
     pts = psi(r * ca, r * sa)  # (n_angles, 3)
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     xy = np.stack([r * ca, r * sa], axis=1)
     sep2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
-    d2[sep2 < (min_separation * r) ** 2] = np.inf
+    d2[sep2 < (MIN_SEPARATION * r) ** 2] = np.inf
     i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
     return float(np.sqrt(d2[i, j])), ang[i], ang[j]
 
 
-def refine_intersection(eps, r, phi_hat, phi_tilde, min_separation=0.1):
+def refine_intersection(eps, r, phi_hat, phi_tilde):
     """Locally minimize the pair gap over angles at fixed radius.
 
     Returns the converged gap, or None when the optimizer collapses
@@ -203,13 +207,12 @@ def refine_intersection(eps, r, phi_hat, phi_tilde, min_separation=0.1):
         np.cos(sol.x[0]) - np.cos(sol.x[1]),
         np.sin(sol.x[0]) - np.sin(sol.x[1]),
     )
-    if sep < min_separation * r:
+    if sep < MIN_SEPARATION * r:
         return None
     return float(np.linalg.norm(res(sol.x)))
 
 
-def coincidence_radii(eps, gap_tol=1e-10, n_radii=120, n_angles=720,
-                      min_separation=0.1):
+def coincidence_radii(eps):
     """Radii whose circles carry a genuine intersection pair.
 
     The coarse per-circle minimum is only a seed: the gap decays
@@ -217,14 +220,14 @@ def coincidence_radii(eps, gap_tol=1e-10, n_radii=120, n_angles=720,
     each candidate pair is refined by local least squares at fixed
     radius and accepted only when the converged gap is at solver
     precision (circles slightly below the critical radius bottom out
-    around 4e-7 per 1e-6 of r^2, well above the default tolerance).
+    around 4e-7 per 1e-6 of r^2, well above GAP_TOL).
     """
     psi = enneper_psi_closure(eps)
-    radii = np.linspace(1.0 / n_radii, 1.0, n_radii)
+    radii = np.linspace(1.0 / N_RADII, 1.0, N_RADII)
     hits = []
     for r in radii:
-        _, a, b = _best_circle_pair(psi, r, n_angles, min_separation)
-        gap = refine_intersection(eps, r, a, b, min_separation)
-        if gap is not None and gap <= gap_tol:
+        _, a, b = _best_circle_pair(psi, r)
+        gap = refine_intersection(eps, r, a, b)
+        if gap is not None and gap <= GAP_TOL:
             hits.append(r)
     return np.array(hits)

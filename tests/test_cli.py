@@ -119,6 +119,19 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh-info", "--level", "11"],            # over the mesh guard
+    ["enneper-table", "--eps", "0", "--level", "2"],  # zero Gauss vector
+    ["holography", "--cap=0:0:0,0.5", "--eps", "0.3", "--levels", "2",
+     "--sphere-level", "2"],                   # cap centre of length 0
+])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert err.startswith("coulomb-lab: ") and err.count("\n") == 1
+
+
 def test_parse_cap():
     center, rho = _parse_cap("-k,0.5")
     assert np.allclose(center, [0.0, 0.0, -1.0]) and rho == 0.5

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulomb_lab.fields import (SamplingError, area_functional,
                                 dirichlet_energy, field_from_values, phi,
@@ -98,6 +100,20 @@ def test_reflection_antisymmetry(field, mesh):
     flipped[:, 2] = -flipped[:, 2]
     reflected = field_from_values(flipped, mesh)
     assert np.abs(phi(reflected) + phi(field)).max() < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9)
+       .filter(lambda v: abs(np.linalg.det(np.reshape(v, (3, 3)))) > 0.1),
+       flip=st.booleans())
+def test_orthogonal_symmetry(field, mesh, entries, flip):
+    # phi(Q n) = det(Q) phi(n) for every Q in O(3): rotations keep the
+    # Jacobian density, reflections flip its sign
+    q, _ = np.linalg.qr(np.reshape(entries, (3, 3)))
+    if flip:
+        q[:, 0] = -q[:, 0]
+    moved = field_from_values(field.values @ q.T, mesh)
+    assert np.abs(phi(moved) - np.linalg.det(q) * phi(field)).max() < 1e-12
 
 
 def test_resampling_matches_closure(field, mesh):

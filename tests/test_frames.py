@@ -8,7 +8,7 @@ from coulomb_lab.frames import (ContinuationError, Frame,
                                 frame_residuals, gauge_rotate,
                                 project_frame, recover_f)
 from coulomb_lab.fields import sample_field
-from coulomb_lab.mesh import build_disc_mesh, element_gradient
+from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
 from coulomb_lab.pde import smooth_test_functions
 from coulomb_lab.surfaces import closed_form_table, enneper_gauss_closure
 
@@ -21,7 +21,7 @@ def mesh():
 @pytest.fixture(scope="module")
 def frame(mesh):
     fld = sample_field(enneper_gauss_closure(0.5), mesh)
-    return coulomb_continuation(fld)
+    return coulomb_continuation(fld, seed=7)
 
 
 def test_gauge_rotation_round_trip(mesh):
@@ -75,11 +75,14 @@ def test_recover_f_oracle(mesh):
 
 
 def test_continuation_defects(frame):
-    rep = frame_residuals(frame)
+    rep = frame_residuals(frame, seed=11)
     assert rep.orth_defect <= 1e-10
     assert rep.tangency_defect <= 1e-10
-    assert rep.orientation_min > 0
     assert rep.delta > 0
+    # (e1, e2, n) stays positively oriented
+    orient = np.einsum("ni,ni->n", frame.field_n.values,
+                       np.cross(frame.e1, frame.e2))
+    assert orient.min() > 0
 
 
 def test_continuation_log(frame):
@@ -98,9 +101,13 @@ def test_continuation_f_matches_closed_form(frame):
 
 
 def test_continuation_gradient_residuals(frame):
-    rep = frame_residuals(frame)
+    rep = frame_residuals(frame, seed=11)
     # d1 f = -h2 and d2 f = h1 up to discretization
-    assert max(rep.grad_residual_l2) < 0.1
+    mesh = frame.field_n.mesh
+    h = frame_h(frame.e1, frame.e2, mesh)
+    gf = element_gradient(frame.f, mesh)
+    for r in (gf[:, 0] + h[:, 1], gf[:, 1] - h[:, 0]):
+        assert np.sqrt(integrate(r ** 2, mesh)) < 0.1
     assert rep.coulomb_residual < 0.05
 
 
@@ -114,7 +121,7 @@ def test_continuation_needs_closure(mesh):
     bare = fld.__class__(mesh=fld.mesh, values=fld.values, closure=None,
                          d1=fld.d1, d2=fld.d2, nbar=fld.nbar)
     with pytest.raises(ValueError):
-        coulomb_continuation(bare)
+        coulomb_continuation(bare, seed=7)
 
 
 def test_continuation_needs_area_margin():
@@ -129,7 +136,7 @@ def test_continuation_needs_area_margin():
 
     fld = sample_field(double_wrap, mesh)
     with pytest.raises(FrameHypothesisError):
-        coulomb_continuation(fld)
+        coulomb_continuation(fld, seed=7)
 
 
 def test_test_functions_built_once_per_call(monkeypatch):

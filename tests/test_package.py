@@ -1,6 +1,7 @@
 """Static checks of the package source: no dead definitions, no private
-imports across modules.  They parse src/coulomb_lab/*.py and import
-nothing from it."""
+imports across modules, no parameter defaults (settings come from the
+CLI) and no dataclass field that nothing reads.  They parse
+src/coulomb_lab/*.py and import nothing from it."""
 
 import ast
 from collections import Counter
@@ -15,6 +16,33 @@ ALLOWED_UNREFERENCED = {
     "surfaces.ClosedFormTable.phi_at": "test oracle: closed-form Phi",
     "sphere.complement_region": "wrapped by name in perfbench/spans.py",
     "sphere.region_from_predicate": "wrapped by name in perfbench/spans.py",
+}
+
+# Parameter defaults, and why each stays; every other setting is a
+# module constant or comes from the CLI's `_DEFAULTS`.
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "entry point: None reads sys.argv",
+    "fields.field_from_values(closure)":
+        "rotated copies of a field have no closure",
+    "sphere.make_region(exact_measure)":
+        "admissible regions take their empirical measure",
+    "sphere.region_from_predicate(level)":
+        "no subcommand calls it; kept as perfbench/spans.py wraps it",
+    "sphere.region_from_predicate(exact_measure)":
+        "no subcommand calls it; kept as perfbench/spans.py wraps it",
+}
+
+# Dataclass fields that nothing in the package reads, and why each stays.
+ALLOWED_UNREAD = {
+    "mesh.DiscMesh.centroids": "test oracle: element centroids",
+    "sphere.SphereRegion.empirical_measure":
+        "test oracle: the rule's own measure of a cap",
+    "preimage.HolographyReport.f_term":
+        "test oracle: the full-sphere identity term by term",
+    "preimage.HolographyReport.omega_term":
+        "test oracle: the full-sphere identity term by term",
+    "surfaces.SelfIntersections.reason":
+        "test oracle: why a family has no pair",
 }
 
 
@@ -79,3 +107,50 @@ def test_no_private_imports_across_modules():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _defaults(module, scope, node):
+    """`module.qualname(arg)` of each defaulted parameter below `node`."""
+    for child in ast.iter_child_nodes(node):
+        name = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            name = f"{scope}.{getattr(child, 'name', '<lambda>')}".lstrip(".")
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            a = child.args
+            pos = a.posonlyargs + a.args
+            defaulted = pos[len(pos) - len(a.defaults):] + [
+                k for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None]
+            yield from (f"{module}.{name}({arg.arg})" for arg in defaulted)
+        yield from _defaults(module, name, child)
+
+
+def test_no_parameter_defaults():
+    found = [d for module, tree in _modules().items()
+             for d in _defaults(module, "", tree)]
+    assert set(ALLOWED_DEFAULTS) <= set(found)
+    assert [d for d in found if d not in ALLOWED_DEFAULTS] == []
+
+
+def _is_dataclass(cls):
+    return any(ast.unparse(d).split("(")[0] == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """A field counts as read when an attribute of its name is loaded
+    anywhere in the package, so a field that shares its name with a
+    read attribute of another class passes unnoticed."""
+    modules = _modules()
+    read = {node.attr for tree in modules.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = [f"{module}.{cls.name}.{item.target.id}"
+              for module, tree in modules.items()
+              for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for item in cls.body if isinstance(item, ast.AnnAssign)]
+    assert set(ALLOWED_UNREAD) <= set(fields)
+    assert [f for f in fields if f.rsplit(".", 1)[1] not in read
+            and f not in ALLOWED_UNREAD] == []

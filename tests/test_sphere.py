@@ -60,7 +60,7 @@ def test_cap_measure_exact():
 
 
 def test_cap_membership():
-    region = cap(np.array([0.0, 0.0, -1.0]), np.pi / 4)
+    region = cap(np.array([0.0, 0.0, -1.0]), np.pi / 4, level=4)
     assert region.contains([[0.0, 0.0, -1.0]])[0]
     assert not region.contains([[0.0, 0.0, 1.0]])[0]
     assert np.all(region.nodes[:, 2] <= -np.cos(np.pi / 4) + 1e-12)
@@ -68,9 +68,9 @@ def test_cap_membership():
 
 def test_cap_radius_guard():
     with pytest.raises(ValueError):
-        cap([0, 0, 1.0], 0.0)
+        cap([0, 0, 1.0], 0.0, level=4)
     with pytest.raises(ValueError):
-        cap([0, 0, 1.0], 3.5)
+        cap([0, 0, 1.0], 3.5, level=4)
 
 
 def test_complement_region():

@@ -161,11 +161,6 @@ def test_self_intersections_closure_check(monkeypatch):
         self_intersections(0.3)
 
 
-def test_representative_radius_guard():
-    with pytest.raises(ValueError):
-        self_intersections(0.3, representative_radius=0.1)
-
-
 def test_coincidence_radii_threshold():
     eps = 0.5
     hits = coincidence_radii(eps)
