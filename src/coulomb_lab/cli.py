@@ -61,11 +61,17 @@ def _rel_check(name, value, reference, tol):
 
 
 def _float_list(text):
-    return [float(t) for t in text.split(",") if t]
+    return _nonempty([float(t) for t in text.split(",") if t])
 
 
 def _int_list(text):
-    return [int(t) for t in text.split(",") if t]
+    return _nonempty([int(t) for t in text.split(",") if t])
+
+
+def _nonempty(values):
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _parse_cap(text):
@@ -470,15 +476,18 @@ _KEYS = {
 
 
 def _build_parser():
+    # A flag value that does not parse raises argparse.ArgumentError,
+    # which `main` reports as a usage error.
     parser = argparse.ArgumentParser(
         prog="coulomb-lab",
         description="Experiment runner for disc-to-sphere field "
                     "decompositions.",
+        exit_on_error=False,
     )
     parser.add_argument("--config", help="key=value configuration file")
     sub = parser.add_subparsers(dest="command")
     for name, defaults in _DEFAULTS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, exit_on_error=False)
         for key in (*defaults, "seed", "out"):
             convert, text = _KEYS[key]
             p.add_argument("--" + key.replace("_", "-"), type=convert,
@@ -488,7 +497,11 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"coulomb-lab: {exc}", file=sys.stderr)
+        return 2
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2

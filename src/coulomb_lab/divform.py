@@ -94,9 +94,14 @@ def gradient_pairing(grad, n, *xis):
     """(n x xi).grad for each xi, broadcast over leading axes.
 
     With grad = n' / (1 - n.n') this is Gamma(n, n', xi); with grad a
-    region average of that field it is the averaged potential.
+    region average of that field it is the averaged potential.  The
+    triple product equals (grad x n).xi, so grad x n is formed once, by
+    components, and dotted with each xi.
     """
-    return tuple(np.einsum("...j,...j->...", np.cross(n, xi), grad)
+    g1, g2, g3 = grad[..., 0], grad[..., 1], grad[..., 2]
+    n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2]
+    c1, c2, c3 = g2 * n3 - g3 * n2, g3 * n1 - g1 * n3, g1 * n2 - g2 * n1
+    return tuple(c1 * xi[..., 0] + c2 * xi[..., 1] + c3 * xi[..., 2]
                  for xi in xis)
 
 

@@ -101,40 +101,31 @@ def build_disc_mesh(refinement_level):
         coords.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
     nodes = np.vstack(coords)
 
-    tris = []
     # innermost fan around the center node
-    off1 = _ring_offset(1)
-    for k in range(6):
-        tris.append((off1 + k, off1 + (k + 1) % 6, 0))
-    # strips between ring j-1 and ring j
+    k = _ring_offset(1) + np.arange(6)
+    tris = [np.column_stack([k, np.roll(k, -1), np.zeros(6, np.int64)])]
+    # strips between ring j-1 and ring j: per sextant s, the j triangles
+    # on an edge of ring j, then the j-1 on an edge of ring j-1
+    s = np.arange(6)[:, None]
     for j in range(2, m + 1):
-        oj, oi = _ring_offset(j), _ring_offset(j - 1)
-        sj, si = 6 * j, 6 * (j - 1)
-        for s in range(6):
-            for i in range(j):
-                a = oj + (s * j + i) % sj
-                b = oj + (s * j + i + 1) % sj
-                c = oi + (s * (j - 1) + i) % si
-                tris.append((a, b, c))
-            for i in range(j - 1):
-                a = oi + (s * (j - 1) + i) % si
-                b = oj + (s * j + i + 1) % sj
-                c = oi + (s * (j - 1) + i + 1) % si
-                tris.append((a, b, c))
-    triangles = np.asarray(tris, dtype=np.int64)
-
-    def _signed_areas(p):
-        u = p[:, 1] - p[:, 0]
-        v = p[:, 2] - p[:, 0]
-        return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+        i = np.arange(j + 1)[None, :]
+        outer = _ring_offset(j) + (s * j + i) % (6 * j)
+        inner = _ring_offset(j - 1) + (s * (j - 1) + i) % (6 * (j - 1))
+        strip = np.concatenate([
+            np.stack([outer[:, :-1], outer[:, 1:], inner[:, :-1]], axis=2),
+            np.stack([inner[:, :-2], outer[:, 1:-1], inner[:, 1:-1]],
+                     axis=2),
+        ], axis=1)
+        tris.append(strip.reshape(-1, 3))
+    triangles = np.concatenate(tris, dtype=np.int64)
 
     p = nodes[triangles]  # (nt, 3, 2)
-    flip = _signed_areas(p) < 0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    p = nodes[triangles]
-    areas = _signed_areas(p)
+    u = p[:, 1] - p[:, 0]
+    v = p[:, 2] - p[:, 0]
+    areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
     if np.any(areas <= 0):
-        raise RuntimeError("degenerate triangle in disc mesh construction")
+        raise RuntimeError("degenerate or inverted triangle in disc mesh "
+                           "construction")
 
     x, y = p[..., 0], p[..., 1]
     inv2a = 1.0 / (2.0 * areas)

@@ -309,7 +309,7 @@ def _straddles(region, images):
     """
     m = images.sum(axis=1)
     m /= np.linalg.norm(m, axis=1, keepdims=True)
-    cos_r = np.einsum("kvi,ki->kv", images, m).min(axis=1)
+    cos_r = (images @ m[:, :, None])[..., 0].min(axis=1)
     radius = np.arccos(np.clip(cos_r, -1.0, 1.0))
     return (np.abs(region.boundary_distance(m)) <= radius) | (cos_r <= 0.0)
 
@@ -327,30 +327,29 @@ def _split(bary):
     return children.reshape(-1, 3, 3)
 
 
-def _rule_sums(fld, region, integrand, elems, bary):
+def _rule_sums(fld, region, integrand, cross, elems, bary):
     """Element-rule averages of an integrand over sub-triangles.
 
     `bary` (k, 3, 3) holds the element barycentrics of the vertices of
     sub-triangles of the elements `elems`.  At the rule points P is the
     P1 interpolant, n_h = P/|P| and, with d_i the derivatives of P,
-    Phi(n_h) = n_h.(d1 x d2) / |P|^2.  `integrand(elems, points, n, r,
-    phi_h, member)` gets, per rule point, the barycentrics, n_h, |P|,
-    Phi(n_h) and 1_K(n_h), and returns a tuple of (k, 7) values;
-    returns their rule averages per unit area.
+    Phi(n_h) = n_h.(d1 x d2) / |P|^2, with `cross` = d1 x d2 per
+    element.  `integrand(elems, points, n, r, phi_h, member)` gets, per
+    rule point, the barycentrics, n_h, |P|, Phi(n_h) and 1_K(n_h), and
+    returns a tuple of (k, 7) values; returns their rule averages per
+    unit area.
     """
-    points = np.einsum("pv,kvi->kpi", TRI7_BARY, bary)
-    P = np.einsum("kpi,kij->kpj", points,
-                  fld.values[fld.mesh.triangles[elems]])
+    points = TRI7_BARY @ bary
+    P = points @ fld.values[fld.mesh.triangles[elems]]
     r = np.linalg.norm(P, axis=2)
     n = P / r[..., None]
-    cross = np.cross(fld.d1[elems], fld.d2[elems])
-    phi_h = np.einsum("kpj,kj->kp", n, cross) / r ** 2
+    phi_h = (n @ cross[elems, :, None])[..., 0] / r ** 2
     member = region.contains(n.reshape(-1, 3)).reshape(r.shape)
     return tuple(v @ TRI7_WEIGHTS
                  for v in integrand(elems, points, n, r, phi_h, member))
 
 
-def _split_integral(fld, region, integrand, elems):
+def _split_integral(fld, region, integrand, cross, elems):
     """Integrals of the integrand over elements met by the boundary.
 
     Sub-triangles whose image may meet the region boundary are split
@@ -362,8 +361,8 @@ def _split_integral(fld, region, integrand, elems):
 
     def integral(elems, bary):
         a = fld.mesh.areas[elems]
-        return np.array([a @ v for v in
-                         _rule_sums(fld, region, integrand, elems, bary)])
+        return np.array([a @ v for v in _rule_sums(
+            fld, region, integrand, cross, elems, bary)])
 
     bary = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
     sums = 0.0
@@ -372,8 +371,7 @@ def _split_integral(fld, region, integrand, elems):
         bary = _split(bary)
         elems = np.repeat(elems, 4)
         frac *= 0.25
-        images = np.einsum("kvi,kij->kvj", bary,
-                           fld.values[fld.mesh.triangles[elems]])
+        images = bary @ fld.values[fld.mesh.triangles[elems]]
         images /= np.linalg.norm(images, axis=2, keepdims=True)
         straddles = _straddles(region, images)
         sums += frac * integral(elems[~straddles], bary[~straddles])
@@ -391,11 +389,12 @@ def _integrate_nh(fld, region, integrand, chunk):
     the boundary chunk >> SPLIT_DEPTH at a time, to bound the memory.
     """
     mesh = fld.mesh
+    cross = np.cross(fld.d1, fld.d2)
     whole = split = 0.0
     straddling = []
     for lo in range(0, mesh.triangle_count, chunk):
         elems = np.arange(lo, min(lo + chunk, mesh.triangle_count))
-        sums = _rule_sums(fld, region, integrand, elems,
+        sums = _rule_sums(fld, region, integrand, cross, elems,
                           np.broadcast_to(np.eye(3), (elems.size, 3, 3)))
         straddles = _straddles(region, fld.values[mesh.triangles[elems]])
         a = mesh.areas[elems]
@@ -405,7 +404,7 @@ def _integrate_nh(fld, region, integrand, chunk):
     straddling = np.concatenate(straddling)
     step = max(chunk >> SPLIT_DEPTH, 1)
     for lo in range(0, straddling.size, step):
-        split += _split_integral(fld, region, integrand,
+        split += _split_integral(fld, region, integrand, cross,
                                  straddling[lo:lo + step])
     return whole, split
 
@@ -456,7 +455,7 @@ def holography_identity(fld, region, zeta):
         # Phi zeta, its part over K, the pairing Omega_2 d1 zeta -
         # Omega_1 d2 zeta and |Omega|^2.  Since n_h x d_i n_h =
         # n_h x d_i / |P|, Omega_i = grad Q(n_h).(n_h x d_i) / |P|.
-        pz = phi_h * np.einsum("kpi,ki->kp", points, zv[elems])
+        pz = phi_h * (points @ zv[elems, :, None])[..., 0]
         grad_q = region.potential_gradient(n.reshape(-1, 3)).reshape(n.shape)
         grad_q /= r[..., None]
         om1, om2 = gradient_pairing(grad_q, n, fld.d1[elems, None],

@@ -124,6 +124,9 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     ["enneper-table", "--eps", "0", "--level", "2"],  # zero Gauss vector
     ["holography", "--cap=0:0:0,0.5", "--eps", "0.3", "--levels", "2",
      "--sphere-level", "2"],                   # cap centre of length 0
+    ["frame", "--eps="],                       # empty lists
+    ["convergence", "--levels="],
+    ["enneper-table", "--eps=", "--level", "2"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -21,6 +21,41 @@ def test_counts_follow_ring_layout():
         assert mesh.triangle_count == 6 * m ** 2
 
 
+def _loop_triangles(level):
+    """The ring triangulation built one triangle at a time: the fan
+    around the centre, then per ring j and sextant s the j triangles on
+    an edge of ring j and the j - 1 on an edge of ring j - 1."""
+    m = 2 * 2 ** level
+
+    def offset(j):
+        return 1 + 3 * j * (j - 1)
+
+    tris = [(offset(1) + k, offset(1) + (k + 1) % 6, 0) for k in range(6)]
+    for j in range(2, m + 1):
+        oj, oi = offset(j), offset(j - 1)
+        sj, si = 6 * j, 6 * (j - 1)
+        for s in range(6):
+            for i in range(j):
+                tris.append((oj + (s * j + i) % sj,
+                             oj + (s * j + i + 1) % sj,
+                             oi + (s * (j - 1) + i) % si))
+            for i in range(j - 1):
+                tris.append((oi + (s * (j - 1) + i) % si,
+                             oj + (s * j + i + 1) % sj,
+                             oi + (s * (j - 1) + i + 1) % si))
+    return np.asarray(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_triangle_order_matches_loop(level):
+    # artifacts index elements, so the vectorized build must keep the
+    # loop's order (and its vertex order, already positively oriented)
+    expected = _loop_triangles(level)
+    got = build_disc_mesh(level).triangles
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
 def test_level_six_counts():
     mesh = build_disc_mesh(6)
     assert mesh.node_count == 49537

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulomb_lab.fields import sample_field
-from coulomb_lab.mesh import build_disc_mesh
+from coulomb_lab.mesh import TRI7_BARY, TRI7_WEIGHTS, build_disc_mesh
 from coulomb_lab.preimage import (FILTER_REASONS, HOLOGRAPHY_TOL,
                                   PreimageSolver, coarea_check,
                                   holography_identity, regular_filter)
@@ -208,6 +208,33 @@ def test_holography_cap(field):
     assert rep.raw_term == pytest.approx(table.delta_norm, rel=0.05)
     assert abs(rep.residual) <= HOLOGRAPHY_TOL
     assert rep.omega_l2 > 0
+
+
+def test_holography_terms_match_rule_loop():
+    # raw_term and omega_l2 integrate over every element whole, so one
+    # loop over the 7 rule points, with np.cross for the products,
+    # reproduces them
+    fld = sample_field(enneper_gauss_closure(0.5), build_disc_mesh(3))
+    region = cap(-K, np.pi / 4.0, level=3)
+    zeta = zeta_eps(0.5, fld.mesh)
+    rep = holography_identity(fld, region, zeta)
+    mesh = fld.mesh
+    verts = fld.values[mesh.triangles]
+    zv = zeta[mesh.triangles]
+    jac = np.cross(fld.d1, fld.d2)
+    raw = omega_sq = 0.0
+    for b, w in zip(TRI7_BARY, TRI7_WEIGHTS):
+        P = b[0] * verts[:, 0] + b[1] * verts[:, 1] + b[2] * verts[:, 2]
+        r = np.linalg.norm(P, axis=1)
+        n = P / r[:, None]
+        phi_h = (n * jac).sum(axis=1) / r ** 2
+        raw += w * (mesh.areas * phi_h * (zv @ b)).sum()
+        grad_q = region.potential_gradient(n) / r[:, None]
+        om1 = (np.cross(n, fld.d1) * grad_q).sum(axis=1)
+        om2 = (np.cross(n, fld.d2) * grad_q).sum(axis=1)
+        omega_sq += w * (mesh.areas * (om1 ** 2 + om2 ** 2)).sum()
+    assert rep.raw_term == pytest.approx(raw, rel=1e-12)
+    assert rep.omega_l2 == pytest.approx(np.sqrt(omega_sq), rel=1e-12)
 
 
 def test_holography_needs_measure(field):
