@@ -61,16 +61,22 @@ def _rel_check(name, value, reference, tol):
 
 
 def _float_list(text):
-    return _nonempty([float(t) for t in text.split(",") if t])
+    return _number_list(float, text)
 
 
 def _int_list(text):
-    return _nonempty([int(t) for t in text.split(",") if t])
+    return _number_list(int, text)
 
 
-def _nonempty(values):
+def _number_list(convert, text):
+    # argparse prints an ArgumentTypeError's message as it stands
+    try:
+        values = [convert(t) for t in text.split(",") if t]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError("empty list")
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of {convert.__name__}s: {text!r}")
     return values
 
 
@@ -498,7 +504,10 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise argparse.ArgumentError(
+                None, f"unrecognized arguments: {' '.join(extra)}")
     except argparse.ArgumentError as exc:
         print(f"coulomb-lab: {exc}", file=sys.stderr)
         return 2
@@ -513,7 +522,7 @@ def main(argv=None):
                     raise ValueError(f"unknown config key {key!r} for "
                                      f"{args.command}")
                 opts[key] = _KEYS[key][0](val)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             print(f"coulomb-lab: bad config: {exc}", file=sys.stderr)
             return 2
     for key in opts:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fields import area_functional, phi
+from .fields import HypothesisViolationError, area_functional, phi
 from .mesh import integrate
 from .pde import element_load, flux_load
 from .sphere import SphereRegion, make_region, sphere_quadrature
@@ -53,10 +53,6 @@ class PoleDegeneracyError(Exception):
 
 class SingularElementError(Exception):
     """Element centroid value coincides with the target n'."""
-
-
-class HypothesisViolationError(Exception):
-    """Field violates the area margin needed for an admissible region."""
 
 
 class KernelBoundError(Exception):
@@ -153,7 +149,7 @@ def admissible_region(fld, level):
     area = area_functional(fld)
     if area.delta <= 0:
         raise HypothesisViolationError(
-            f"area functional {area.value:.6f} >= 4 pi; no margin"
+            f"area functional {area.value:.6f} leaves no margin below 4 pi"
         )
     quad = sphere_quadrature(level)
     tree = cKDTree(fld.nbar)

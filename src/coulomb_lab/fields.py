@@ -84,6 +84,11 @@ def dirichlet_energy(fld):
     return integrate(dens, fld.mesh)
 
 
+class HypothesisViolationError(Exception):
+    """Field breaks a hypothesis of the paper: it leaves no area margin
+    below 4 pi, or no admissible sphere region."""
+
+
 class AreaResult(NamedTuple):
     value: float
     delta: float  # 4*pi - value; may be negative

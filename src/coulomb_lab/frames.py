@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SphereField, area_functional, sample_field
+from .fields import (HypothesisViolationError, SphereField,
+                     area_functional, sample_field)
 from .mesh import element_gradient
 from .pde import (curl_load, element_load, flux_load, gradient_l2,
                   smooth_test_functions, solve_gauge_neumann, solve_pinned,
@@ -32,10 +33,6 @@ class StepTooLargeError(Exception):
 
 class ContinuationError(Exception):
     """Adaptive step fell below the underflow limit."""
-
-
-class FrameHypothesisError(Exception):
-    """Field has no positive area margin below 4 pi."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +140,7 @@ def coulomb_continuation(fld, seed):
         )
     area = area_functional(fld)
     if area.delta <= 0:
-        raise FrameHypothesisError(
+        raise HypothesisViolationError(
             f"area functional {area.value:.6f} leaves no margin below 4 pi"
         )
     mesh = fld.mesh

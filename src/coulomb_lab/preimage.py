@@ -43,21 +43,20 @@ def _tangent_basis(nprime):
     return t1, np.array([y * c - z * b, z * a - x * c, x * b - y * a])
 
 
-@dataclass(frozen=True)
-class Hit:
-    point: np.ndarray
-    sign: int
-    element: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreimageCensus:
-    hits: tuple
-    degenerate_elements: tuple
+    """The hits of one target, in element order: their points (k, 2),
+    signs (k,) and elements (k,); and the sorted elements whose system
+    is singular or whose hit has zero sign (`degenerate`)."""
+
+    points: np.ndarray
+    signs: np.ndarray
+    elements: np.ndarray
+    degenerate: np.ndarray
 
     @property
     def card(self):
-        return len(self.hits)
+        return self.signs.size
 
 
 class PreimageSolver:
@@ -80,8 +79,6 @@ class PreimageSolver:
             2.0 * self.max_radius + 1e-9,
         )
         idx = np.sort(np.asarray(idx, dtype=np.int64))
-        if idx.size == 0:
-            return idx
         d = np.linalg.norm(self.fld.nbar[idx] - nprime, axis=1)
         return idx[d <= 2.0 * self.radius[idx] + 1e-9]
 
@@ -91,54 +88,34 @@ class PreimageSolver:
         nprime = np.asarray(nprime, dtype=float)
         nprime = nprime / np.linalg.norm(nprime)
         cand = self.candidates(nprime)
-        if cand.size == 0:
-            return PreimageCensus(hits=(), degenerate_elements=())
-        hits, degenerate = [], []
         t1, t2 = _tangent_basis(nprime)
         verts = fld.values[fld.mesh.triangles[cand]]  # (m, 3, 3)
         A = np.empty((cand.size, 3, 3))
         A[:, 0] = verts @ t1
         A[:, 1] = verts @ t2
         A[:, 2] = 1.0
-        rhs = np.array([0.0, 0.0, 1.0])
-        dets = np.linalg.det(A)
-        solvable = np.abs(dets) > 1e-12
-        degenerate_mask = ~solvable & (
-            np.linalg.norm(fld.nbar[cand] - nprime, axis=1)
-            <= 2.0 * self.radius[cand] + 1e-9
-        )
-        degenerate.extend(int(e) for e in cand[degenerate_mask])
+        solvable = np.abs(np.linalg.det(A)) > 1e-12
         idx = np.flatnonzero(solvable)
-        if idx.size:
-            alpha = np.linalg.solve(
-                A[idx],
-                np.broadcast_to(rhs[:, None], (idx.size, 3, 1)).copy()
-            )[..., 0]
-            m = np.einsum("ki,kij->kj", alpha, verts[idx])
-            ray_ok = m @ nprime > 0.0
-            amin = alpha.min(axis=1)
-            # closed-element solutions; edge/vertex hits are duplicated
-            # by the neighbouring elements and deduplicated below
-            inside = np.flatnonzero(ray_ok & (amin > -BARY_TOL))
-            tri_pts = fld.mesh.nodes[fld.mesh.triangles[cand[idx]]]
-            pts = np.einsum("ki,kij->kj", alpha, tri_pts)
-            # Copies of one edge or vertex point agree to rounding and
-            # distinct hits lie about a mesh width apart, so keeping
-            # each solution with no earlier one within 1e-9 keeps the
-            # first copy.
-            found = pts[inside]
-            close = np.linalg.norm(found[:, None] - found[None],
-                                   axis=2) < 1e-9
-            inside = inside[~np.triu(close, 1).any(axis=0)]
-            elems = cand[idx[inside]]
-            signs = np.sign(self.phi[elems]).astype(int)
-            degenerate.extend(elems[signs == 0].tolist())
-            # cand is sorted, so the hits come in element order
-            hits = [Hit(point=p, sign=int(sg), element=int(e))
-                    for p, sg, e in zip(pts[inside], signs, elems)]
+        alpha = np.linalg.solve(A[idx], [0.0, 0.0, 1.0])
+        m = np.einsum("ki,kij->kj", alpha, verts[idx])
+        ray_ok = m @ nprime > 0.0
+        # closed-element solutions; edge/vertex hits are duplicated by
+        # the neighbouring elements and deduplicated below
+        inside = np.flatnonzero(ray_ok & (alpha.min(axis=1) > -BARY_TOL))
+        tri_pts = fld.mesh.nodes[fld.mesh.triangles[cand[idx]]]
+        pts = np.einsum("ki,kij->kj", alpha, tri_pts)
+        # Copies of one edge or vertex point agree to rounding and
+        # distinct hits lie about a mesh width apart, so keeping each
+        # solution with no earlier one within 1e-9 keeps the first copy.
+        found = pts[inside]
+        close = np.linalg.norm(found[:, None] - found[None], axis=2) < 1e-9
+        inside = inside[~np.triu(close, 1).any(axis=0)]
+        # cand is sorted, so the hits come in element order
+        elems = cand[idx[inside]]
+        signs = np.sign(self.phi[elems]).astype(int)
         return PreimageCensus(
-            hits=tuple(hits),
-            degenerate_elements=tuple(sorted(set(degenerate))),
+            points=pts[inside], signs=signs, elements=elems,
+            degenerate=np.union1d(cand[~solvable], elems[signs == 0]),
         )
 
     def kernel_integral(self, nprime):
@@ -172,13 +149,6 @@ class PreimageSolver:
         return self.kernel_integral(nprime) > N
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    accepted: bool
-    reasons: tuple
-    census: PreimageCensus
-
-
 def regular_filter(solver, nprime, N):
     """Regular-value test of a target direction for `solver`'s field.
 
@@ -186,7 +156,10 @@ def regular_filter(solver, nprime, N):
     with more than N hits, with hits too close to the boundary or to
     each other (within one mesh width), or with a discrete kernel
     integral of dX / |nbar - n'| above N; the reasons are named in
-    FILTER_REASONS.  The integral test is decided by
+    FILTER_REASONS.  Returns (reasons, census): the reasons in that
+    order, () for an accepted target, and the target's census.
+
+    The integral test is decided by
     `PreimageSolver.kernel_integral_exceeds`: the exact sum over the
     elements within r = 2 area / N of n' plus (far area) / r bounds
     the integral, and only a target whose bound exceeds N pays for
@@ -202,26 +175,22 @@ def regular_filter(solver, nprime, N):
     if min(np.linalg.norm(nprime - k), np.linalg.norm(nprime + k)) < 1.0 / N:
         reasons.append("pole")
     census = solver.census(nprime)
-    if census.degenerate_elements:
+    if census.degenerate.size:
         reasons.append("degenerate")
-    if any(h.sign == 0 for h in census.hits):
+    if (census.signs == 0).any():
         reasons.append("zero_jacobian")
     if census.card > N:
         reasons.append("count")
     h_mesh = solver.fld.mesh.h_max
-    pts = np.array([h.point for h in census.hits]).reshape(-1, 2)
-    if pts.size and np.linalg.norm(pts, axis=1).max() > 1.0 - h_mesh:
+    pts = census.points
+    if (np.linalg.norm(pts, axis=1) > 1.0 - h_mesh).any():
         reasons.append("boundary")
-    if pts.shape[0] >= 2:
-        dd = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-        np.fill_diagonal(dd, np.inf)
-        if dd.min() < h_mesh:
-            reasons.append("separation")
+    dd = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    if np.triu(dd < h_mesh, 1).any():
+        reasons.append("separation")
     if solver.kernel_integral_exceeds(nprime, N):
         reasons.append("integral")
-    return FilterResult(
-        accepted=not reasons, reasons=tuple(reasons), census=census
-    )
+    return tuple(reasons), census
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,18 +234,16 @@ def coarea_check(fld, g, region, N):
     rejections = dict.fromkeys(FILTER_REASONS, 0)
     solver = PreimageSolver(fld)
     for q in range(region.nodes.shape[0]):
-        res = regular_filter(solver, region.nodes[q], N)
-        cards[q] = res.census.card
-        signed[q] = sum(h.sign for h in res.census.hits)
-        for reason in res.reasons:
+        reasons, census = regular_filter(solver, region.nodes[q], N)
+        cards[q] = census.card
+        signed[q] = census.signs.sum()
+        for reason in reasons:
             rejections[reason] += 1
-        if res.accepted:
-            accepted[q] = True
-            rhs += region.weights[q] * sum(
-                g[h.element] for h in res.census.hits
-            )
-        else:
+        if reasons:
             excluded += region.weights[q]
+        else:
+            accepted[q] = True
+            rhs += region.weights[q] * g[census.elements].sum()
     return CoareaReport(
         lhs=lhs,
         rhs=rhs,

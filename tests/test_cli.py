@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,9 +89,8 @@ def test_unknown_config_key(tmp_path):
 
 
 def test_flag_the_command_does_not_read(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["mesh-info", "--eps", "0.5", "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
+    assert main(["mesh-info", "--eps", "0.5",
+                 "--out", str(tmp_path / "o")]) == 2
 
 
 def test_config_key_the_command_does_not_read(tmp_path):
@@ -127,12 +127,15 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     ["frame", "--eps="],                       # empty lists
     ["convergence", "--levels="],
     ["enneper-table", "--eps=", "--level", "2"],
+    ["mesh-info", "--bogus", "1"],             # unknown flag
+    ["frame", "--eps=abc"],                    # list item not a number
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
     assert err.startswith("coulomb-lab: ") and err.count("\n") == 1
+    assert not re.search(r"(?<!\w)_\w", err)    # no private name
 
 
 def test_parse_cap():

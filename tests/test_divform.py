@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coulomb_lab.divform import (HypothesisViolationError, KernelBoundError,
-                                 PoleDegeneracyError, SingularElementError,
-                                 admissible_region, averaged_omega,
-                                 gamma_many, omega, rotation_matrices,
-                                 rotation_matrix, weak_identity_load)
-from coulomb_lab.fields import (dirichlet_energy, field_from_values, phi,
-                                sample_field)
+from coulomb_lab.divform import (KernelBoundError, PoleDegeneracyError,
+                                 SingularElementError, admissible_region,
+                                 averaged_omega, gamma_many, omega,
+                                 rotation_matrices, rotation_matrix,
+                                 weak_identity_load)
+from coulomb_lab.fields import (HypothesisViolationError, dirichlet_energy,
+                                field_from_values, phi, sample_field)
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
 from coulomb_lab.pde import (TEST_FUNCTIONS, gradient_l2,
                              smooth_test_functions)

@@ -3,11 +3,10 @@ import pytest
 
 from coulomb_lab import frames
 from coulomb_lab.frames import (ContinuationError, Frame,
-                                FrameHypothesisError, StepTooLargeError,
-                                coulomb_continuation, frame_h,
-                                frame_residuals, gauge_rotate,
+                                StepTooLargeError, coulomb_continuation,
+                                frame_h, frame_residuals, gauge_rotate,
                                 project_frame, recover_f)
-from coulomb_lab.fields import sample_field
+from coulomb_lab.fields import HypothesisViolationError, sample_field
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
 from coulomb_lab.pde import smooth_test_functions
 from coulomb_lab.surfaces import closed_form_table, enneper_gauss_closure
@@ -135,7 +134,7 @@ def test_continuation_needs_area_margin():
                 np.cos(pol))
 
     fld = sample_field(double_wrap, mesh)
-    with pytest.raises(FrameHypothesisError):
+    with pytest.raises(HypothesisViolationError):
         coulomb_continuation(fld, seed=7)
 
 
