@@ -12,7 +12,7 @@ from .fields import (AreaResult, SphereField, area_functional,
 from .pde import (PoissonSolution, dual_norm, solve_gauge_neumann,
                   solve_poisson_dirichlet)
 from .divform import (DivergenceForm, admissible_region, averaged_omega,
-                      omega, rotation_matrix)
+                      omega)
 from .frames import (Frame, coulomb_continuation, frame_residuals,
                      gauge_rotate, project_frame, recover_f)
 from .preimage import (PreimageCensus, PreimageSolver, coarea_check,

@@ -35,7 +35,6 @@ from .pde import element_load, flux_load
 from .sphere import SphereRegion, make_region, sphere_quadrature
 
 FOUR_PI = 4.0 * np.pi
-POLE_TOL = 1e-12
 # omega raises when a centroid value lies this close to its target.
 SINGULAR_TOL = 1e-9
 # Chord distance an admissible node keeps from the image and the poles.
@@ -47,43 +46,12 @@ MIN_MARGIN = 0.025
 _BLOCK_ENTRIES = 1 << 16
 
 
-class PoleDegeneracyError(Exception):
-    """Rotation requested at n' = +-k where the family degenerates."""
-
-
 class SingularElementError(Exception):
     """Element centroid value coincides with the target n'."""
 
 
 class KernelBoundError(Exception):
     """Averaged potential exceeds its quadrature kernel bound."""
-
-
-def rotation_matrix(nprime):
-    """Rotation U with U(n') n' = k, smooth away from the poles."""
-    nprime = np.asarray(nprime, dtype=float)
-    return rotation_matrices(nprime[None])[0]
-
-
-def rotation_matrices(nprimes):
-    """Batched rotation family, one 3x3 matrix per target."""
-    nprimes = np.asarray(nprimes, dtype=float)
-    n1, n2, n3 = nprimes[:, 0], nprimes[:, 1], nprimes[:, 2]
-    lam = n1 ** 2 + n2 ** 2
-    if np.any(lam < POLE_TOL):
-        raise PoleDegeneracyError("rotation family degenerates at +-k")
-    s = np.sqrt(lam)
-    U = np.empty(nprimes.shape[:1] + (3, 3))
-    U[:, 0, 0] = n1 * n3 / s
-    U[:, 0, 1] = n2 * n3 / s
-    U[:, 0, 2] = -s
-    U[:, 1, 0] = -n2 / s
-    U[:, 1, 1] = n1 / s
-    U[:, 1, 2] = 0.0
-    U[:, 2, 0] = n1
-    U[:, 2, 1] = n2
-    U[:, 2, 2] = n3
-    return U
 
 
 def gradient_pairing(grad, n, *xis):
@@ -165,7 +133,7 @@ def admissible_region(fld, level):
             "no admissible sphere region: field image too large"
         )
     return AdmissibleRegionReport(
-        region=make_region(quad, mask, None),
+        region=make_region(quad, mask),
         sigma=float(dist[mask].min()),
         delta=area.delta,
     )

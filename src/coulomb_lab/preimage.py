@@ -18,8 +18,8 @@ from .mesh import TRI7_BARY, TRI7_WEIGHTS, element_gradient
 
 FOUR_PI = 4.0 * np.pi
 BARY_TOL = 1e-9
-# Accuracy that holography_identity promises for caps, the full sphere
-# and their complements: |residual| stays below it.
+# Accuracy that holography_identity promises for caps (the full sphere
+# is the cap of radius pi): |residual| stays below it.
 HOLOGRAPHY_TOL = 1e-4
 # Recursive splits of elements whose image straddles the region boundary.
 SPLIT_DEPTH = 10
@@ -213,13 +213,13 @@ def coarea_check(fld, g, region, N):
     g is constant on each element.  lhs integrates g |Phi(n_h)| 1_K(n_h)
     for n_h = P/|P|, the map whose preimages the census counts, with
     the rule and boundary splitting of holography_identity; so the
-    region must be a cap, the full sphere or a complement of either.
+    region must be a cap; the full sphere is the cap of radius pi.
     rhs sums, over accepted quadrature nodes, the hit-wise total of g.
     Nodes failing the regular filter contribute to the reported
     excluded measure instead, and their reasons to `rejections`.
     """
     g = np.asarray(g, dtype=float)
-    _require_closed_form(region, "coarea_check")
+    _require_cap(region, "coarea_check")
 
     def weighted(elems, points, n, r, phi_h, member):
         return (np.where(member, g[elems, None] * np.abs(phi_h), 0.0),)
@@ -376,14 +376,9 @@ def _integrate_nh(fld, region, integrand, chunk):
     return whole, split
 
 
-def _require_closed_form(region, what):
-    if region.predicate is None:
-        raise ValueError("region needs a membership predicate")
-    if not region.has_closed_form:
-        raise ValueError(
-            f"{what} needs a cap, the full sphere or a complement of "
-            "either"
-        )
+def _require_cap(region, what):
+    if region.center is None:
+        raise ValueError(f"{what} needs a cap, not a bare node set")
 
 
 def holography_identity(fld, region, zeta):
@@ -405,14 +400,14 @@ def holography_identity(fld, region, zeta):
     the region boundary are split recursively SPLIT_DEPTH times, to
     resolve the indicator and the kink of Omega there.
 
-    The region must have a closed-form potential and boundary: a cap,
-    the full sphere or a complement of either.  Then |residual| <=
-    HOLOGRAPHY_TOL.  Any other region raises ValueError.
+    The region must have a closed-form potential and boundary: a cap;
+    the full sphere is the cap of radius pi.  Then |residual| <=
+    HOLOGRAPHY_TOL.  A bare node set raises ValueError.
     """
     mu = region.measure
     if mu <= 0:
         raise ValueError("region must have positive measure")
-    _require_closed_form(region, "holography_identity")
+    _require_cap(region, "holography_identity")
     mesh = fld.mesh
     zeta = np.asarray(zeta, dtype=float)
     zv = zeta[mesh.triangles]

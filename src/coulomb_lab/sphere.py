@@ -7,14 +7,12 @@ area as weight.  The weights tile the sphere, so they sum to 4*pi up
 to rounding at every level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 MAX_SPHERE_LEVEL = 9
-
-FOUR_PI = 4.0 * np.pi
 
 
 def _normalize_rows(v):
@@ -109,38 +107,30 @@ def sphere_quadrature(level):
 class SphereRegion:
     """Subset of S2 carried by filtered quadrature nodes.
 
-    `measure` is exact when a closed form is available (caps, full
-    sphere) and otherwise the empirical weight sum.  Weights are
-    rescaled so they sum to `measure`.
-
-    `kind` names the shape: "cap" (with `center` and radius `rho`),
-    "sphere", "complement" (of `base`) or "predicate".  Caps, the
-    sphere and complements of either carry closed forms for the
-    boundary distance and the logarithmic potential.
+    A cap {s : angle(s, center) <= rho} has an exact `measure`, its
+    weights rescaled to sum to it, and closed forms for membership,
+    the boundary distance and the logarithmic potential.  A bare node
+    set has no `center` and takes the weight sum as its measure.
     """
 
     quadrature: SphereQuadrature
-    indices: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     measure: float = 0.0
     empirical_measure: float = 0.0
-    predicate: object = None
-    kind: str = "predicate"
     center: np.ndarray = field(repr=False, default=None)
     rho: float = None
-    base: object = field(repr=False, default=None)
+
+    def _cosines(self, points):
+        """Points as rows and their cosines t = p.c to the cap centre."""
+        if self.center is None:
+            raise ValueError("region is a bare node set, not a cap")
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return points, points @ self.center
 
     def contains(self, points):
-        if self.predicate is None:
-            raise ValueError("region has no membership predicate")
-        return self.predicate(np.atleast_2d(np.asarray(points, dtype=float)))
-
-    @property
-    def has_closed_form(self):
-        if self.kind == "complement":
-            return self.base.has_closed_form
-        return self.kind in ("cap", "sphere")
+        _, t = self._cosines(points)
+        return t >= np.cos(self.rho)
 
     def boundary_distance(self, points):
         """Signed geodesic distance to the boundary, negative inside.
@@ -149,15 +139,8 @@ class SphereRegion:
         of angular radius r around p lies on one side of the boundary
         when |boundary_distance(p)| > r.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "cap":
-            return np.arccos(np.clip(points @ self.center, -1.0, 1.0)) \
-                - self.rho
-        if self.kind == "sphere":
-            return np.full(points.shape[0], -np.inf)
-        if self.kind == "complement":
-            return -self.base.boundary_distance(points)
-        raise ValueError("region has no closed-form boundary")
+        _, t = self._cosines(points)
+        return np.arccos(np.clip(t, -1.0, 1.0)) - self.rho
 
     def potential_gradient(self, points):
         """Tangential gradient of the logarithmic potential at points.
@@ -170,105 +153,61 @@ class SphereRegion:
 
         that is q' = 1/(1 - t) outside and (1 + a)/((1 - a)(1 + t))
         inside, and grad Q = q'(t) (c - t n).  On the full sphere
-        grad Q = 0; a complement has mu_c grad Q_c = -mu grad Q.
+        (a = -1) this is 0 away from -c.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "cap":
-            a = np.cos(self.rho)
-            t = points @ self.center
-            inside = t >= a
-            qp = np.where(inside, (1.0 + a) / (1.0 - a), 1.0) / np.where(
-                inside, 1.0 + t, 1.0 - t
-            )
-            return qp[:, None] * (self.center - t[:, None] * points)
-        if self.kind == "sphere":
-            return np.zeros_like(points)
-        if self.kind == "complement":
-            return -(self.base.measure / self.measure) * \
-                self.base.potential_gradient(points)
-        raise ValueError("region has no closed-form potential")
+        points, t = self._cosines(points)
+        a = np.cos(self.rho)
+        inside = t >= a
+        qp = np.where(inside, (1.0 + a) / (1.0 - a), 1.0) / np.where(
+            inside, 1.0 + t, 1.0 - t
+        )
+        return qp[:, None] * (self.center - t[:, None] * points)
 
 
-def make_region(quad, mask, predicate, exact_measure=None, **shape):
-    """Region of the quadrature nodes selected by `mask`.
-
-    With `exact_measure` the weights are rescaled to sum to it;
-    `shape` holds the `kind` and its closed-form data.
-    """
-    idx = np.flatnonzero(mask)
-    w = quad.weights[idx].copy()
-    empirical = float(w.sum())
-    if exact_measure is None:
-        measure = empirical
-    else:
-        measure = float(exact_measure)
-        if empirical > 0:
-            w *= measure / empirical
-    return SphereRegion(
-        quadrature=quad,
-        indices=idx,
-        nodes=quad.nodes[idx].copy(),
-        weights=w,
-        measure=measure,
-        empirical_measure=empirical,
-        predicate=predicate,
-        **shape,
-    )
-
-
-def full_sphere(level):
-    quad = sphere_quadrature(level)
-    return make_region(
-        quad,
-        np.ones(quad.nodes.shape[0], dtype=bool),
-        lambda p: np.ones(p.shape[0], dtype=bool),
-        exact_measure=FOUR_PI,
-        kind="sphere",
-    )
+def make_region(quad, mask):
+    """Bare node set: the quadrature nodes selected by `mask`, with the
+    rule's weights and their sum as measure."""
+    w = quad.weights[mask]
+    measure = float(w.sum())
+    return SphereRegion(quadrature=quad, nodes=quad.nodes[mask], weights=w,
+                        measure=measure, empirical_measure=measure)
 
 
 def cap(center, rho, level):
-    """Geodesic cap {s : angle(s, center) <= rho} with exact measure."""
-    if not 0.0 < rho < np.pi:
-        raise ValueError("cap radius must lie strictly between 0 and pi")
+    """Geodesic cap {s : angle(s, center) <= rho}, 0 < rho <= pi, with
+    exact measure 2 pi (1 - cos rho)."""
+    return _cap(sphere_quadrature(level), center, rho)
+
+
+def _cap(quad, center, rho):
+    if not 0.0 < rho <= np.pi:
+        raise ValueError("cap radius must lie in (0, pi]")
     center = np.asarray(center, dtype=float)
     center = center / np.linalg.norm(center)
     cos_rho = np.cos(rho)
+    bare = make_region(quad, quad.nodes @ center >= cos_rho)
+    measure = 2.0 * np.pi * (1.0 - cos_rho)
+    scale = measure / bare.measure if bare.measure > 0 else 1.0
+    return replace(bare, weights=bare.weights * scale, measure=measure,
+                   center=center, rho=float(rho))
 
-    def predicate(p):
-        return p @ center >= cos_rho
 
-    quad = sphere_quadrature(level)
-    return make_region(
-        quad,
-        predicate(quad.nodes),
-        predicate,
-        exact_measure=2.0 * np.pi * (1.0 - cos_rho),
-        kind="cap",
-        center=center,
-        rho=float(rho),
-    )
+def full_sphere(level):
+    """S2 as the cap of radius pi about -k: cos(pi) is exactly -1, so
+    its measure is exactly 4 pi and its potential gradient exactly 0
+    away from k.  Its boundary is the single point k, which the Enneper
+    images (z < (1 - eps^2)/(1 + eps^2)) stay away from, so no element
+    straddles it."""
+    return cap(np.array([0.0, 0.0, -1.0]), np.pi, level)
 
 
 def complement_region(region):
-    """Complement of a region on the same quadrature, measure 4pi - m."""
-    quad = region.quadrature
-    mask = np.ones(quad.nodes.shape[0], dtype=bool)
-    mask[region.indices] = False
-    pred = region.predicate
-
-    def predicate(p):
-        return ~pred(p)
-
-    return make_region(
-        quad, mask, predicate if pred is not None else None,
-        exact_measure=FOUR_PI - region.measure,
-        kind="complement",
-        base=region,
-    )
+    """Complement cap(-c, pi - rho) of a cap, on the same quadrature."""
+    return _cap(region.quadrature, -region.center, np.pi - region.rho)
 
 
-def region_from_predicate(predicate, level=4, exact_measure=None):
+def region_from_predicate(predicate, level):
+    """Bare node set of the level's quadrature nodes where `predicate`
+    holds."""
     quad = sphere_quadrature(level)
-    return make_region(quad, predicate(quad.nodes), predicate, exact_measure)
-
+    return make_region(quad, predicate(quad.nodes))

@@ -65,9 +65,6 @@ class ClosedFormTable:
     f_at_origin: float
     delta_norm: float      # Delta(eps) = sqrt(grad_f2)
 
-    def phi_at(self, x, y):
-        return -4.0 * self.eps ** 2 / lam(self.eps, x, y) ** 2
-
 
 def closed_form_table(eps):
     """Exact reference values for the Enneper/stereographic family."""

@@ -11,9 +11,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coulomb_lab"
 
 # Definitions that no subcommand calls, and why each stays.
 ALLOWED_UNREFERENCED = {
-    "divform.rotation_matrix": "test oracle: the rotated Gamma formula",
-    "divform.rotation_matrices": "test oracle, behind rotation_matrix",
-    "surfaces.ClosedFormTable.phi_at": "test oracle: closed-form Phi",
     "sphere.complement_region": "wrapped by name in perfbench/spans.py",
     "sphere.region_from_predicate": "wrapped by name in perfbench/spans.py",
 }
@@ -24,12 +21,6 @@ ALLOWED_DEFAULTS = {
     "cli.main(argv)": "entry point: None reads sys.argv",
     "fields.field_from_values(closure)":
         "rotated copies of a field have no closure",
-    "sphere.make_region(exact_measure)":
-        "admissible regions take their empirical measure",
-    "sphere.region_from_predicate(level)":
-        "no subcommand calls it; kept as perfbench/spans.py wraps it",
-    "sphere.region_from_predicate(exact_measure)":
-        "no subcommand calls it; kept as perfbench/spans.py wraps it",
 }
 
 # Dataclass fields that nothing in the package reads, and why each stays.

@@ -204,10 +204,10 @@ def test_coarea_zero_weight(field):
     assert rep.rhs == 0.0
 
 
-def test_coarea_needs_predicate(field):
-    region = full_sphere(2)
-    bare = dataclasses.replace(region, predicate=None)
-    with pytest.raises(ValueError):
+def test_coarea_needs_cap(field):
+    # every node of the sphere, but as a bare node set without a cap
+    bare = region_from_predicate(lambda p: np.ones(len(p), dtype=bool), 2)
+    with pytest.raises(ValueError, match="needs a cap"):
         coarea_check(field, np.ones(field.mesh.triangle_count), bare, 64)
 
 
@@ -270,5 +270,5 @@ def test_holography_needs_closed_form(field):
     # the same cap as test_holography_cap, known only by its predicate
     cos_rho = np.cos(np.pi / 4.0)
     region = region_from_predicate(lambda p: p @ -K >= cos_rho, level=3)
-    with pytest.raises(ValueError, match="cap, the full sphere"):
+    with pytest.raises(ValueError, match="needs a cap"):
         holography_identity(field, region, zeta_eps(0.5, field.mesh))

@@ -71,6 +71,13 @@ def test_cap_radius_guard():
         cap([0, 0, 1.0], 0.0, level=4)
     with pytest.raises(ValueError):
         cap([0, 0, 1.0], 3.5, level=4)
+    # rho = pi is the full sphere: cos(pi) is exactly -1, so its measure
+    # is exactly 4 pi and its potential gradient exactly 0 off k
+    assert cap([0, 0, 1.0], np.pi, level=4).measure == FOUR_PI
+    region = full_sphere(3)
+    assert region.nodes.shape[0] == sphere_quadrature(3).nodes.shape[0]
+    assert region.measure == FOUR_PI
+    assert np.all(region.potential_gradient(region.nodes) == 0.0)
 
 
 def test_complement_region():
@@ -111,6 +118,10 @@ def test_potential_gradient_matches_quadrature(n, center, rho, kind):
     dist = region.boundary_distance(n)[0]
     assume(abs(dist) >= 0.2)
     grad = region.potential_gradient(n)[0]
+    if kind == "sphere":
+        # the complement of the full sphere is empty
+        assert np.all(grad == 0.0)
+        return
     assert abs(grad @ n) <= 1e-12
     part, sign = (complement_region(region), -1.0) if dist < 0 \
         else (region, 1.0)
@@ -124,3 +135,27 @@ def test_potential_gradient_matches_quadrature(n, center, rho, kind):
         assert abs(grad @ e - val / region.measure) <= 0.02 * (
             1.0 + np.linalg.norm(grad)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(center=_DIRECTIONS, rho=st.floats(0.05, np.pi - 0.05))
+def test_complement_is_the_opposite_cap(center, rho):
+    # the complement of cap(c, rho) is cap(-c, pi - rho).  The identity
+    # mu_c grad Q_c = -mu grad Q is checked to 1e-12 relative; for rho
+    # within 0.05 of 0 or pi, 1 - cos(rho) loses about 1e-16 / rho^2 of
+    # its relative accuracy to cancellation
+    region = cap(_unit(*center), rho, level=3)
+    comp = complement_region(region)
+    assert region.measure + comp.measure == pytest.approx(FOUR_PI,
+                                                          abs=1e-12)
+    nodes = region.quadrature.nodes
+    assert np.allclose(comp.boundary_distance(nodes),
+                       -region.boundary_distance(nodes), rtol=0, atol=1e-12)
+    mu_grad = region.measure * region.potential_gradient(nodes)
+    diff = comp.measure * comp.potential_gradient(nodes) + mu_grad
+    assert np.abs(diff).max() <= 1e-12 * np.abs(mu_grad).max()
+    inside = {tuple(p) for p in region.nodes}
+    outside = {tuple(p) for p in comp.nodes}
+    assert not inside & outside
+    off_plane = np.abs(nodes @ region.center - np.cos(rho)) > 1e-12
+    assert {tuple(p) for p in nodes[off_plane]} <= inside | outside
