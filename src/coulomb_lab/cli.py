@@ -384,11 +384,11 @@ def cmd_holography(args, outdir):
 
 def cmd_self_intersect(args, outdir):
     eps = args.eps[0]
-    result = self_intersections(eps)
+    pairs = self_intersections(eps)
     psi = enneper_psi_closure(eps)
     rows = []
     worst = 0.0
-    for p in result.pairs:
+    for p in pairs:
         gap = float(np.linalg.norm(psi(*p.x_hat) - psi(*p.x_tilde)))
         worst = max(worst, gap)
         rows.append((p.family, *p.x_hat, *p.x_tilde, p.radius, gap))
@@ -396,8 +396,7 @@ def cmd_self_intersect(args, outdir):
     min_r2 = float((radii ** 2).min()) if radii.size else float("inf")
     floor = 3.0 * eps ** 2 - 1e-6
     checks = [
-        Check("pair_count", len(result.pairs), 4, None,
-              len(result.pairs) == 4),
+        Check("pair_count", len(pairs), 4, None, len(pairs) == 4),
         Check("pair_gap_max", worst, 0.0, 1e-10, worst <= 1e-10),
         Check("sweep_min_radius_sq", min_r2, floor, None, min_r2 >= floor),
     ]

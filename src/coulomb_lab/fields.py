@@ -1,6 +1,7 @@
 """Sphere-valued fields on the disc: sampling, Jacobian density, energies."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -18,27 +19,44 @@ class SamplingError(ValueError):
 class SphereField:
     """Unit vectors at mesh nodes, with the sampling closure retained.
 
-    Derived per-element data (P1 derivatives, normalized centroid
-    value) is computed once at construction:
+    Derived per-element data is computed once, on first read, and is
+    read-only:
 
     d1, d2 : (nt, 3) derivatives of the affine interpolant
     nbar   : (nt, 3) normalized triangle-centroid value
+    cross  : (nt, 3) d1 x d2
     """
 
     mesh: DiscMesh
     values: np.ndarray
     closure: Optional[Callable] = None
-    d1: np.ndarray = field(repr=False, default=None)
-    d2: np.ndarray = field(repr=False, default=None)
-    nbar: np.ndarray = field(repr=False, default=None)
 
+    @cached_property
+    def _gradient(self):
+        g = element_gradient(self.values, self.mesh)  # (nt, 2, 3)
+        g.setflags(write=False)
+        return g
 
-def _derive(mesh, values):
-    g = element_gradient(values, mesh)  # (nt, 2, 3)
-    d1, d2 = g[:, 0], g[:, 1]
-    nbar = values[mesh.triangles].mean(axis=1)
-    nbar = nbar / np.linalg.norm(nbar, axis=1, keepdims=True)
-    return d1, d2, nbar
+    @cached_property
+    def d1(self):
+        return self._gradient[:, 0]
+
+    @cached_property
+    def d2(self):
+        return self._gradient[:, 1]
+
+    @cached_property
+    def nbar(self):
+        nbar = self.values[self.mesh.triangles].mean(axis=1)
+        nbar /= np.linalg.norm(nbar, axis=1, keepdims=True)
+        nbar.setflags(write=False)
+        return nbar
+
+    @cached_property
+    def cross(self):
+        cross = np.cross(self.d1, self.d2)
+        cross.setflags(write=False)
+        return cross
 
 
 def field_from_values(values, mesh, closure=None):
@@ -51,11 +69,8 @@ def field_from_values(values, mesh, closure=None):
     if bad.size:
         raise SamplingError(f"zero vector at node {bad[0]}")
     values /= norms[:, None]
-    d1, d2, nbar = _derive(mesh, values)
-    for arr in (values, d1, d2, nbar):
-        arr.setflags(write=False)
-    return SphereField(mesh=mesh, values=values, closure=closure,
-                       d1=d1, d2=d2, nbar=nbar)
+    values.setflags(write=False)
+    return SphereField(mesh=mesh, values=values, closure=closure)
 
 
 def sample_field(closure, mesh):
@@ -75,7 +90,7 @@ def sample_field(closure, mesh):
 
 def phi(fld):
     """Per-element Jacobian density nbar . (d1 x d2)."""
-    return np.einsum("ti,ti->t", fld.nbar, np.cross(fld.d1, fld.d2))
+    return np.einsum("ti,ti->t", fld.nbar, fld.cross)
 
 
 def dirichlet_energy(fld):
@@ -96,7 +111,7 @@ class AreaResult(NamedTuple):
 
 def area_functional(fld):
     """Integral of |d1 n x d2 n|, with the implied margin below 4*pi."""
-    dens = np.linalg.norm(np.cross(fld.d1, fld.d2), axis=1)
+    dens = np.linalg.norm(fld.cross, axis=1)
     value = integrate(dens, fld.mesh)
     return AreaResult(value=value, delta=FOUR_PI - value)
 

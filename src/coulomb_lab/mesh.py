@@ -43,16 +43,15 @@ class DiscMesh:
     nodes          : (nn, 2) coordinates
     triangles      : (nt, 3) node indices, positively oriented
     boundary_mask  : (nn,) True where |X| = 1
-    areas, centroids, grad_x, grad_y : per-element P1 data; grad_x[t, i]
-        is the coefficient of vertex i in d/dx of the linear interpolant
-        on triangle t (similarly grad_y).
+    areas, grad_x, grad_y : per-element P1 data; grad_x[t, i] is the
+        coefficient of vertex i in d/dx of the linear interpolant on
+        triangle t (similarly grad_y).
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_mask: np.ndarray
     areas: np.ndarray = field(repr=False, default=None)
-    centroids: np.ndarray = field(repr=False, default=None)
     grad_x: np.ndarray = field(repr=False, default=None)
     grad_y: np.ndarray = field(repr=False, default=None)
     h_max: float = 0.0
@@ -146,14 +145,11 @@ def build_disc_mesh(refinement_level):
 
     for arr in (nodes, triangles, boundary_mask, areas, grad_x, grad_y):
         arr.setflags(write=False)
-    centroids = p.mean(axis=1)
-    centroids.setflags(write=False)
     return DiscMesh(
         nodes=nodes,
         triangles=triangles,
         boundary_mask=boundary_mask,
         areas=areas,
-        centroids=centroids,
         grad_x=grad_x,
         grad_y=grad_y,
         h_max=h_max,

@@ -294,18 +294,20 @@ def _split(bary):
     return children.reshape(-1, 3, 3)
 
 
-def _rule_sums(fld, region, integrand, cross, elems, bary):
+def _rule_sums(fld, region, integrand, elems, bary):
     """Element-rule averages of an integrand over sub-triangles.
 
     `bary` (k, 3, 3) holds the element barycentrics of the vertices of
     sub-triangles of the elements `elems`.  At the rule points P is the
     P1 interpolant, n_h = P/|P| and, with d_i the derivatives of P,
-    Phi(n_h) = n_h.(d1 x d2) / |P|^2, with `cross` = d1 x d2 per
-    element.  `integrand(elems, points, n, r, phi_h, member)` gets, per
-    rule point, the barycentrics, n_h, |P|, Phi(n_h) and 1_K(n_h), and
-    returns a tuple of (k, 7) values; returns their rule averages per
-    unit area.
+    Phi(n_h) = n_h.(d1 x d2) / |P|^2.  `integrand(elems, points, n, r,
+    phi_h, member)` gets, per rule point, the barycentrics, n_h, |P|,
+    Phi(n_h) and 1_K(n_h), and returns a tuple of (k, 7) values;
+    returns their rule averages per unit area.
     """
+    # a first read derives d1 x d2 for the whole mesh: before the
+    # rule-point arrays exist, it does not raise the peak memory
+    cross = fld.cross
     points = TRI7_BARY @ bary
     P = points @ fld.values[fld.mesh.triangles[elems]]
     r = np.linalg.norm(P, axis=2)
@@ -316,7 +318,7 @@ def _rule_sums(fld, region, integrand, cross, elems, bary):
                  for v in integrand(elems, points, n, r, phi_h, member))
 
 
-def _split_integral(fld, region, integrand, cross, elems):
+def _split_integral(fld, region, integrand, elems):
     """Integrals of the integrand over elements met by the boundary.
 
     Sub-triangles whose image may meet the region boundary are split
@@ -329,7 +331,7 @@ def _split_integral(fld, region, integrand, cross, elems):
     def integral(elems, bary):
         a = fld.mesh.areas[elems]
         return np.array([a @ v for v in _rule_sums(
-            fld, region, integrand, cross, elems, bary)])
+            fld, region, integrand, elems, bary)])
 
     bary = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
     sums = 0.0
@@ -356,12 +358,11 @@ def _integrate_nh(fld, region, integrand, chunk):
     the boundary chunk >> SPLIT_DEPTH at a time, to bound the memory.
     """
     mesh = fld.mesh
-    cross = np.cross(fld.d1, fld.d2)
     whole = split = 0.0
     straddling = []
     for lo in range(0, mesh.triangle_count, chunk):
         elems = np.arange(lo, min(lo + chunk, mesh.triangle_count))
-        sums = _rule_sums(fld, region, integrand, cross, elems,
+        sums = _rule_sums(fld, region, integrand, elems,
                           np.broadcast_to(np.eye(3), (elems.size, 3, 3)))
         straddles = _straddles(region, fld.values[mesh.triangles[elems]])
         a = mesh.areas[elems]
@@ -371,7 +372,7 @@ def _integrate_nh(fld, region, integrand, chunk):
     straddling = np.concatenate(straddling)
     step = max(chunk >> SPLIT_DEPTH, 1)
     for lo in range(0, straddling.size, step):
-        split += _split_integral(fld, region, integrand, cross,
+        split += _split_integral(fld, region, integrand,
                                  straddling[lo:lo + step])
     return whole, split
 
@@ -386,8 +387,8 @@ def holography_identity(fld, region, zeta):
 
     The terms are evaluated for the Lipschitz map n_h = P/|P|, where P
     is the P1 interpolant of the nodal values (the map whose preimages
-    `PreimageSolver.census` solves for).  For n_h and the P1 test function zeta,
-    vanishing on the boundary,
+    `PreimageSolver.census` solves for).  For n_h and the P1 test
+    function zeta, vanishing on the boundary,
 
         int Phi zeta = (4 pi / mu) int_{n_h in K} Phi zeta
                        + int (Omega_2 d1 zeta - Omega_1 d2 zeta)

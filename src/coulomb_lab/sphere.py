@@ -117,7 +117,6 @@ class SphereRegion:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     measure: float = 0.0
-    empirical_measure: float = 0.0
     center: np.ndarray = field(repr=False, default=None)
     rho: float = None
 
@@ -168,9 +167,8 @@ def make_region(quad, mask):
     """Bare node set: the quadrature nodes selected by `mask`, with the
     rule's weights and their sum as measure."""
     w = quad.weights[mask]
-    measure = float(w.sum())
     return SphereRegion(quadrature=quad, nodes=quad.nodes[mask], weights=w,
-                        measure=measure, empirical_measure=measure)
+                        measure=float(w.sum()))
 
 
 def cap(center, rho, level):

@@ -100,12 +100,6 @@ class IntersectionPair:
     radius: float
 
 
-@dataclass(frozen=True)
-class SelfIntersections:
-    pairs: tuple
-    reason: str = ""
-
-
 def self_intersections(eps):
     """Closed-form self-intersection pairs of the Enneper immersion.
 
@@ -114,13 +108,15 @@ def self_intersections(eps):
     pi/2, and pi vs 0), plus the reflection curves phi -> -phi with
     sin^2 phi = (3/4)(1 + eps^2/r^2) and phi -> pi - phi with
     cos^2 phi = (3/4)(1 + eps^2/r^2), sampled at the representative
-    radius r = (sqrt(3) eps + 1) / 2, at least sqrt(3) eps.  Every returned pair is verified under Psi_eps to 1e-10.
+    radius r = (sqrt(3) eps + 1) / 2, at least sqrt(3) eps.  Every
+    returned pair is verified under Psi_eps to 1e-10.  Returns the
+    tuple of pairs, empty when sqrt(3) eps exceeds the disc radius 1.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     r0 = np.sqrt(3.0) * eps
     if r0 > 1.0:
-        return SelfIntersections(
-            pairs=(), reason="intersection radius exceeds D1"
-        )
+        return ()
     pairs = [
         IntersectionPair(
             family="vertical_axis",
@@ -166,7 +162,7 @@ def self_intersections(eps):
             raise ClosureCheckError(
                 f"family {p.family} pair fails closure check: gap {gap:g}"
             )
-    return SelfIntersections(pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 def _best_circle_pair(psi, r):
@@ -219,6 +215,8 @@ def coincidence_radii(eps):
     precision (circles slightly below the critical radius bottom out
     around 4e-7 per 1e-6 of r^2, well above GAP_TOL).
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     psi = enneper_psi_closure(eps)
     radii = np.linspace(1.0 / N_RADII, 1.0, N_RADII)
     hits = []

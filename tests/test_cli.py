@@ -129,6 +129,8 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     ["enneper-table", "--eps=", "--level", "2"],
     ["mesh-info", "--bogus", "1"],             # unknown flag
     ["frame", "--eps=abc"],                    # list item not a number
+    ["self-intersect", "--eps", "0"],          # eps must be positive
+    ["self-intersect", "--eps", "-0.4"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from coulomb_lab.fields import (SamplingError, area_functional,
                                 dirichlet_energy, field_from_values, phi,
                                 sample_field)
-from coulomb_lab.mesh import build_disc_mesh, integrate
+from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
 from coulomb_lab.surfaces import enneper_gauss_closure, lam
 
 FOUR_PI = 4.0 * np.pi
@@ -25,6 +25,23 @@ def mesh():
 @pytest.fixture(scope="module")
 def field(mesh):
     return sample_field(enneper_gauss_closure(0.5), mesh)
+
+
+def test_derived_data_on_first_read(mesh):
+    fld = sample_field(enneper_gauss_closure(0.5), mesh)
+    derived = ("d1", "d2", "nbar", "cross")
+    assert not set(derived) & set(vars(fld))
+    arrays = [getattr(fld, name) for name in derived]
+    for name, arr in zip(derived, arrays):
+        assert not arr.flags.writeable
+        assert getattr(fld, name) is arr
+    d1, d2, nbar, cross = arrays
+    g = element_gradient(fld.values, mesh)
+    assert np.array_equal(d1, g[:, 0]) and np.array_equal(d2, g[:, 1])
+    mean = fld.values[mesh.triangles].mean(axis=1)
+    assert np.array_equal(
+        nbar, mean / np.linalg.norm(mean, axis=1, keepdims=True))
+    assert np.array_equal(cross, np.cross(d1, d2))
 
 
 def test_values_unit_norm(field):
@@ -53,7 +70,7 @@ def test_phi_sign_and_magnitude(field, mesh):
     # the eps = 0.5 family has Phi = -4 eps^2 / lambda^2 < 0 everywhere
     ph = phi(field)
     assert ph.max() < 0
-    ref = phi_at(0.5, mesh.centroids[:, 0], mesh.centroids[:, 1])
+    ref = phi_at(0.5, *mesh.nodes[mesh.triangles].mean(axis=1).T)
     assert np.abs(ph - ref).max() < 0.05 * np.abs(ref).max()
 
 

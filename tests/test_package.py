@@ -1,7 +1,8 @@
 """Static checks of the package source: no dead definitions, no private
 imports across modules, no parameter defaults (settings come from the
-CLI) and no dataclass field that nothing reads.  They parse
-src/coulomb_lab/*.py and import nothing from it."""
+CLI), no dataclass field that nothing reads and no line over 79
+characters.  They parse src/coulomb_lab/*.py and import nothing from
+it."""
 
 import ast
 from collections import Counter
@@ -25,15 +26,10 @@ ALLOWED_DEFAULTS = {
 
 # Dataclass fields that nothing in the package reads, and why each stays.
 ALLOWED_UNREAD = {
-    "mesh.DiscMesh.centroids": "test oracle: element centroids",
-    "sphere.SphereRegion.empirical_measure":
-        "test oracle: the rule's own measure of a cap",
     "preimage.HolographyReport.f_term":
         "test oracle: the full-sphere identity term by term",
     "preimage.HolographyReport.omega_term":
         "test oracle: the full-sphere identity term by term",
-    "surfaces.SelfIntersections.reason":
-        "test oracle: why a family has no pair",
 }
 
 
@@ -145,3 +141,11 @@ def test_every_dataclass_field_is_read():
     assert set(ALLOWED_UNREAD) <= set(fields)
     assert [f for f in fields if f.rsplit(".", 1)[1] not in read
             and f not in ALLOWED_UNREAD] == []
+
+
+def test_no_line_over_79_characters():
+    long = [f"{path.name}:{number}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert long == []

@@ -78,7 +78,7 @@ def test_conformal_check_enneper(mesh):
     # on the mesh centroids: E = G, F = 0, and the log conformal factor
     # f = log|Psi_x| = log(lambda) - log(1 + eps^2), which is 0 on |X| = 1
     eps = 0.5
-    cx, cy = mesh.centroids[:, 0], mesh.centroids[:, 1]
+    cx, cy = mesh.nodes[mesh.triangles].mean(axis=1).T
     a, b = _fd_tangents(enneper_psi_closure(eps), cx, cy)
     E, F, G = ((a * a).sum(axis=1), (a * b).sum(axis=1),
                (b * b).sum(axis=1))
@@ -129,14 +129,13 @@ def test_zeta_eps_normalized(mesh):
 
 def test_self_intersection_pairs():
     eps = 0.3
-    res = self_intersections(eps)
-    assert len(res.pairs) == 4
-    assert res.reason == ""
-    names = {p.family for p in res.pairs}
+    pairs = self_intersections(eps)
+    assert len(pairs) == 4
+    names = {p.family for p in pairs}
     assert names == {"vertical_axis", "horizontal_axis",
                      "reflection_sin", "reflection_cos"}
     psi = enneper_psi_closure(eps)
-    for p in res.pairs:
+    for p in pairs:
         assert p.radius ** 2 >= 3.0 * eps ** 2 - 1e-12
         assert np.linalg.norm(p.x_hat - p.x_tilde) > 0.1
         gap = np.linalg.norm(psi(*p.x_hat) - psi(*p.x_tilde))
@@ -144,9 +143,15 @@ def test_self_intersection_pairs():
 
 
 def test_self_intersections_outside_domain():
-    res = self_intersections(0.7)
-    assert res.pairs == ()
-    assert res.reason != ""
+    assert self_intersections(0.7) == ()
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.4, float("nan")])
+def test_self_intersections_need_positive_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        self_intersections(eps)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        coincidence_radii(eps)
 
 
 def test_self_intersections_closure_check(monkeypatch):
