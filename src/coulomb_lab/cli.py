@@ -19,6 +19,7 @@ configuration is byte-identical.
 import argparse
 import json
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,9 @@ from .sphere import cap, full_sphere
 from .surfaces import (closed_form_table, coincidence_radii,
                        enneper_gauss_closure, enneper_psi_closure, lam,
                        self_intersections, zeta_eps)
+
+# Rows per format operation of _write_csv (bounds the working memory).
+_CSV_CHUNK = 1 << 8
 
 
 class Check:
@@ -111,12 +115,18 @@ def _load_config_file(path):
 
 
 def _write_csv(path, header, rows):
-    """One CSV line per row; numbers as %.17g, so the file round-trips."""
+    """One CSV line per row; numbers as %.17g, so the file round-trips.
+
+    Each _CSV_CHUNK rows are one format operation, with the line
+    template of their first row (%s where it holds a string).
+    """
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}"
-                              for v in row) + "\n")
+        while chunk := list(islice(rows, _CSV_CHUNK)):
+            line = ",".join("%s" if isinstance(v, str) else "%.17g"
+                            for v in chunk[0]) + "\n"
+            fh.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 def _write_summary(outdir, command, config, checks, info):
@@ -528,12 +538,18 @@ def main(argv=None):
         if getattr(args, key) is not None:
             opts[key] = getattr(args, key)
     outdir = Path(opts.pop("out"))
+    created = [p for p in (outdir, *outdir.parents) if not p.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         checks, info = _COMMANDS[args.command](argparse.Namespace(**opts),
                                                outdir)
     except ValueError as exc:
         print(f"coulomb-lab: {exc}", file=sys.stderr)
+        # leave no directory this run made and wrote nothing into
+        for p in created:
+            if any(p.iterdir()):
+                break
+            p.rmdir()
         return 2
     _write_summary(outdir, args.command, opts, checks, info)
     return _report(checks)

@@ -4,10 +4,13 @@ The preimage census solves, per triangle, the 3x3 linear system that
 makes the affine interpolant of the nodal sphere values parallel to
 the target direction (with positive ray orientation) in barycentric
 coordinates.  A k-d tree over element centroid values prunes the
-candidate triangles, so a census costs O(hits), not O(elements).
+candidate triangles, so a census costs O(hits), not O(elements), per
+target.  The census takes a batch of targets: one tree query and one
+stacked solve serve the whole batch.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,36 +30,64 @@ SPLIT_DEPTH = 10
 # holography_identity and of coarea_check's lhs.
 _CHUNK = 1 << 16
 _COAREA_CHUNK = 1 << 12
+# Targets per census batch of coarea_check (bounds the working memory).
+_CENSUS_CHUNK = 256
 # The reasons regular_filter gives, in the order it tests them.
 FILTER_REASONS = ("pole", "degenerate", "zero_jacobian", "count",
                   "boundary", "separation", "integral")
 
 
-def _tangent_basis(nprime):
+def _norms(v):
+    """Row norms of v (k, d), rounded as np.linalg.norm rounds one row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _tangent_bases(nprimes):
     """Unit t1 = e_i x n' / |e_i x n'|, for the axis e_i least aligned
-    with n', and t2 = n' x t1, written out as np.cross computes them."""
-    x, y, z = nprime.tolist()
-    i = min(range(3), key=lambda k: abs((x, y, z)[k]))
-    t1 = np.array(((0.0, -z, y), (z, 0.0, -x), (-y, x, 0.0))[i])
-    t1 /= np.linalg.norm(t1)
-    a, b, c = t1.tolist()
-    return t1, np.array([y * c - z * b, z * a - x * c, x * b - y * a])
+    with n' (the first such axis on a tie), and t2 = n' x t1; one row
+    per row of `nprimes`."""
+    t1 = np.cross(np.eye(3)[np.argmin(np.abs(nprimes), axis=1)], nprimes)
+    t1 /= _norms(t1)[:, None]
+    return t1, np.cross(nprimes, t1)
+
+
+def _near_earlier(owner, points, tol, targets):
+    """Whether each point lies within tol of an earlier point of the
+    same target, with `owner` (k,) the sorted target index of each
+    point; compared in padded (targets, most points per target)
+    arrays."""
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    padded = np.full((targets, rank.max(initial=-1) + 1, points.shape[1]),
+                     np.nan)
+    padded[owner, rank] = points
+    d = np.linalg.norm(padded[:, :, None] - padded[:, None], axis=3)
+    return np.triu(d < tol, 1).any(axis=1)[owner, rank]
 
 
 @dataclass(frozen=True, eq=False)
 class PreimageCensus:
-    """The hits of one target, in element order: their points (k, 2),
-    signs (k,) and elements (k,); and the sorted elements whose system
-    is singular or whose hit has zero sign (`degenerate`)."""
+    """The hits of a batch of `targets` targets, ordered by target and
+    then element: their target index in the batch `owner` (k,), points
+    (k, 2), signs (k,) and elements (k,); and the sorted pair codes
+    (see `PreimageSolver.candidates`) of the elements whose system is
+    singular or whose hit has zero sign (`degenerate`)."""
 
+    owner: np.ndarray
     points: np.ndarray
     signs: np.ndarray
     elements: np.ndarray
     degenerate: np.ndarray
+    targets: int
 
     @property
     def card(self):
-        return self.signs.size
+        """Hits in the whole batch."""
+        return int(self.signs.size)
+
+    @property
+    def cards(self):
+        """Hits per target (targets,)."""
+        return np.bincount(self.owner, minlength=self.targets)
 
 
 class PreimageSolver:
@@ -65,57 +96,68 @@ class PreimageSolver:
     def __init__(self, fld):
         self.fld = fld
         self.phi = phi(fld)
-        verts = fld.values[fld.mesh.triangles]  # (nt, 3, 3)
-        self.radius = np.linalg.norm(
-            verts - fld.nbar[:, None, :], axis=2
-        ).max(axis=1)
+        # one vertex at a time: a (nt, 3, 3) temporary would set the
+        # peak memory of coarea_check
+        self.radius = np.max([
+            np.linalg.norm(fld.values[corner] - fld.nbar, axis=1)
+            for corner in fld.mesh.triangles.T], axis=0)
         self.max_radius = float(self.radius.max())
         self.tree = cKDTree(fld.nbar)
         self.area = fld.mesh.area
 
-    def candidates(self, nprime):
-        idx = self.tree.query_ball_point(
-            np.asarray(nprime, dtype=float),
-            2.0 * self.max_radius + 1e-9,
-        )
-        idx = np.sort(np.asarray(idx, dtype=np.int64))
-        d = np.linalg.norm(self.fld.nbar[idx] - nprime, axis=1)
-        return idx[d <= 2.0 * self.radius[idx] + 1e-9]
+    def candidates(self, nprimes):
+        """Codes q * triangle_count + e of the (target, element) pairs
+        to solve: element e lies within twice its radius of target q
+        of `nprimes` (T, 3).  The codes are sorted, so the pairs come
+        by target and then element."""
+        lists = self.tree.query_ball_point(
+            nprimes, 2.0 * self.max_radius + 1e-9, return_sorted=True)
+        sizes = np.fromiter(map(len, lists), np.int64, len(lists))
+        owner = np.repeat(np.arange(len(lists)), sizes)
+        elems = np.fromiter(chain.from_iterable(lists), np.int64,
+                            int(sizes.sum()))
+        d = np.linalg.norm(self.fld.nbar[elems] - nprimes[owner], axis=1)
+        near = d <= 2.0 * self.radius[elems] + 1e-9
+        return owner[near] * self.fld.mesh.triangle_count + elems[near]
 
-    def census(self, nprime):
-        """Census of {X : n(X) = n'} for the element-affine interpolant."""
+    def census(self, nprimes):
+        """Census of {X : n(X) = n'} for the element-affine interpolant,
+        for each row n' of `nprimes` (T, 3)."""
         fld = self.fld
-        nprime = np.asarray(nprime, dtype=float)
-        nprime = nprime / np.linalg.norm(nprime)
-        cand = self.candidates(nprime)
-        t1, t2 = _tangent_basis(nprime)
+        nprimes = np.asarray(nprimes, dtype=float)
+        nprimes = nprimes / _norms(nprimes)[:, None]
+        codes = self.candidates(nprimes)
+        owner, cand = np.divmod(codes, fld.mesh.triangle_count)
+        t1, t2 = _tangent_bases(nprimes)
         verts = fld.values[fld.mesh.triangles[cand]]  # (m, 3, 3)
         A = np.empty((cand.size, 3, 3))
-        A[:, 0] = verts @ t1
-        A[:, 1] = verts @ t2
+        A[:, 0] = (verts @ t1[owner, :, None])[..., 0]
+        A[:, 1] = (verts @ t2[owner, :, None])[..., 0]
         A[:, 2] = 1.0
         solvable = np.abs(np.linalg.det(A)) > 1e-12
         idx = np.flatnonzero(solvable)
         alpha = np.linalg.solve(A[idx], [0.0, 0.0, 1.0])
         m = np.einsum("ki,kij->kj", alpha, verts[idx])
-        ray_ok = m @ nprime > 0.0
+        ray_ok = np.vecdot(m, nprimes[owner[idx]]) > 0.0
         # closed-element solutions; edge/vertex hits are duplicated by
         # the neighbouring elements and deduplicated below
         inside = np.flatnonzero(ray_ok & (alpha.min(axis=1) > -BARY_TOL))
         tri_pts = fld.mesh.nodes[fld.mesh.triangles[cand[idx]]]
-        pts = np.einsum("ki,kij->kj", alpha, tri_pts)
+        pts = np.einsum("ki,kij->kj", alpha, tri_pts)[inside]
         # Copies of one edge or vertex point agree to rounding and
         # distinct hits lie about a mesh width apart, so keeping each
-        # solution with no earlier one within 1e-9 keeps the first copy.
-        found = pts[inside]
-        close = np.linalg.norm(found[:, None] - found[None], axis=2) < 1e-9
-        inside = inside[~np.triu(close, 1).any(axis=0)]
-        # cand is sorted, so the hits come in element order
-        elems = cand[idx[inside]]
-        signs = np.sign(self.phi[elems]).astype(int)
+        # solution with no earlier one of its target within 1e-9 keeps
+        # the first copy.
+        hits = idx[inside]
+        first = ~_near_earlier(owner[hits], pts, 1e-9, nprimes.shape[0])
+        hits = hits[first]
+        signs = np.sign(self.phi[cand[hits]]).astype(int)
         return PreimageCensus(
-            points=pts[inside], signs=signs, elements=elems,
-            degenerate=np.union1d(cand[~solvable], elems[signs == 0]),
+            owner=owner[hits], points=pts[first], signs=signs,
+            elements=cand[hits],
+            degenerate=np.union1d(codes[~solvable],
+                                  codes[hits][signs == 0]),
+            targets=nprimes.shape[0],
         )
 
     def kernel_integral(self, nprime):
@@ -149,17 +191,18 @@ class PreimageSolver:
         return self.kernel_integral(nprime) > N
 
 
-def regular_filter(solver, nprime, N):
-    """Regular-value test of a target direction for `solver`'s field.
+def regular_filter(solver, nprimes, N):
+    """Regular-value test of target directions for `solver`'s field.
 
     Rejects targets near the poles, with degenerate or zero-sign hits,
     with more than N hits, with hits too close to the boundary or to
     each other (within one mesh width), or with a discrete kernel
-    integral of dX / |nbar - n'| above N; the reasons are named in
-    FILTER_REASONS.  Returns (reasons, census): the reasons in that
-    order, () for an accepted target, and the target's census.
+    integral of dX / |nbar - n'| above N.  Returns (flags, census) for
+    the rows of `nprimes` (T, 3): flags (T, len(FILTER_REASONS)) says
+    which reasons reject each target, so a row of False is an
+    accepted target; census is the batch's census.
 
-    The integral test is decided by
+    The integral test is decided per target by
     `PreimageSolver.kernel_integral_exceeds`: the exact sum over the
     elements within r = 2 area / N of n' plus (far area) / r bounds
     the integral, and only a target whose bound exceeds N pays for
@@ -168,29 +211,29 @@ def regular_filter(solver, nprime, N):
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    nprime = np.asarray(nprime, dtype=float)
-    nprime = nprime / np.linalg.norm(nprime)
-    reasons = []
+    nprimes = np.asarray(nprimes, dtype=float)
+    nprimes = nprimes / _norms(nprimes)[:, None]
+    census = solver.census(nprimes)
+    mesh = solver.fld.mesh
     k = np.array([0.0, 0.0, 1.0])
-    if min(np.linalg.norm(nprime - k), np.linalg.norm(nprime + k)) < 1.0 / N:
-        reasons.append("pole")
-    census = solver.census(nprime)
-    if census.degenerate.size:
-        reasons.append("degenerate")
-    if (census.signs == 0).any():
-        reasons.append("zero_jacobian")
-    if census.card > N:
-        reasons.append("count")
-    h_mesh = solver.fld.mesh.h_max
+
+    def any_hit(mask):
+        return np.bincount(census.owner[mask],
+                           minlength=census.targets) > 0
+
     pts = census.points
-    if (np.linalg.norm(pts, axis=1) > 1.0 - h_mesh).any():
-        reasons.append("boundary")
-    dd = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    if np.triu(dd < h_mesh, 1).any():
-        reasons.append("separation")
-    if solver.kernel_integral_exceeds(nprime, N):
-        reasons.append("integral")
-    return tuple(reasons), census
+    flags = np.column_stack([
+        np.minimum(_norms(nprimes - k), _norms(nprimes + k)) < 1.0 / N,
+        np.bincount(census.degenerate // mesh.triangle_count,
+                    minlength=census.targets) > 0,
+        any_hit(census.signs == 0),
+        census.cards > N,
+        any_hit(np.linalg.norm(pts, axis=1) > 1.0 - mesh.h_max),
+        any_hit(_near_earlier(census.owner, pts, mesh.h_max,
+                              census.targets)),
+        [solver.kernel_integral_exceeds(n, N) for n in nprimes],
+    ])
+    return flags, census
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +260,7 @@ def coarea_check(fld, g, region, N):
     rhs sums, over accepted quadrature nodes, the hit-wise total of g.
     Nodes failing the regular filter contribute to the reported
     excluded measure instead, and their reasons to `rejections`.
+    The filter takes the nodes _CENSUS_CHUNK at a time.
     """
     g = np.asarray(g, dtype=float)
     _require_cap(region, "coarea_check")
@@ -228,31 +272,32 @@ def coarea_check(fld, g, region, N):
     lhs = float(lhs)
     rhs = 0.0
     excluded = 0.0
-    cards = np.zeros(region.nodes.shape[0], dtype=int)
-    accepted = np.zeros(region.nodes.shape[0], dtype=bool)
-    signed = np.zeros(region.nodes.shape[0], dtype=int)
-    rejections = dict.fromkeys(FILTER_REASONS, 0)
+    count = region.nodes.shape[0]
+    flags = np.zeros((count, len(FILTER_REASONS)), dtype=bool)
+    cards = np.zeros(count, dtype=int)
+    signed = np.zeros(count, dtype=int)
     solver = PreimageSolver(fld)
-    for q in range(region.nodes.shape[0]):
-        reasons, census = regular_filter(solver, region.nodes[q], N)
-        cards[q] = census.card
-        signed[q] = census.signs.sum()
-        for reason in reasons:
-            rejections[reason] += 1
-        if reasons:
-            excluded += region.weights[q]
-        else:
-            accepted[q] = True
-            rhs += region.weights[q] * g[census.elements].sum()
+    for lo in range(0, count, _CENSUS_CHUNK):
+        hi = min(lo + _CENSUS_CHUNK, count)
+        flags[lo:hi], census = regular_filter(solver, region.nodes[lo:hi],
+                                              N)
+        cards[lo:hi] = census.cards
+        signed[lo:hi] = np.bincount(census.owner, census.signs, hi - lo)
+        hits = np.split(census.elements, np.cumsum(cards[lo:hi - 1]))
+        for q, elems in zip(range(lo, hi), hits):
+            if flags[q].any():
+                excluded += region.weights[q]
+            else:
+                rhs += region.weights[q] * g[elems].sum()
     return CoareaReport(
         lhs=lhs,
         rhs=rhs,
         gap=lhs - rhs,
         excluded_measure=excluded,
         cards=cards,
-        accepted=accepted,
+        accepted=~flags.any(axis=1),
         signed_sums=signed,
-        rejections=rejections,
+        rejections=dict(zip(FILTER_REASONS, flags.sum(axis=0).tolist())),
     )
 
 

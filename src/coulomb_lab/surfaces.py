@@ -68,7 +68,7 @@ class ClosedFormTable:
 
 def closed_form_table(eps):
     """Exact reference values for the Enneper/stereographic family."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     e2 = eps ** 2
     grad_f2 = 4.0 * np.pi * (np.log(1.0 / e2 + 1.0) - 1.0 / (1.0 + e2))
@@ -84,7 +84,7 @@ def closed_form_table(eps):
 
 def zeta_eps(eps, mesh):
     """Normalized closed-form test function f_eps / Delta(eps)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     table = closed_form_table(eps)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]

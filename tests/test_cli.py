@@ -131,9 +131,12 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     ["frame", "--eps=abc"],                    # list item not a number
     ["self-intersect", "--eps", "0"],          # eps must be positive
     ["self-intersect", "--eps", "-0.4"],
+    ["convergence", "--eps", "nan", "--levels", "2,3"],   # eps not a number
+    ["enneper-table", "--eps", "nan", "--level", "2"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert main(argv + ["--out", str(tmp_path / "o" / "p")]) == 2
+    assert not (tmp_path / "o").exists()    # no empty directory left
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
     assert err.startswith("coulomb-lab: ") and err.count("\n") == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulomb_lab import preimage
 from coulomb_lab.fields import sample_field
 from coulomb_lab.mesh import TRI7_BARY, TRI7_WEIGHTS, build_disc_mesh
 from coulomb_lab.preimage import (FILTER_REASONS, HOLOGRAPHY_TOL,
@@ -16,6 +17,12 @@ from coulomb_lab.surfaces import (closed_form_table, enneper_gauss_closure,
 
 FOUR_PI = 4.0 * np.pi
 K = np.array([0.0, 0.0, 1.0])
+
+
+def _reasons(solver, nprime, N):
+    """The filter's reasons for one target, and its census."""
+    flags, census = regular_filter(solver, [nprime], N)
+    return tuple(r for r, f in zip(FILTER_REASONS, flags[0]) if f), census
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +42,7 @@ def solver(field):
 
 def test_south_pole_single_hit(field, solver):
     # n(0, 0) = -k and nothing else maps there
-    census = solver.census(-K)
+    census = solver.census([-K])
     assert census.card == 1
     assert np.linalg.norm(census.points[0]) < field.mesh.h_max
     assert census.signs[0] == -1
@@ -43,7 +50,7 @@ def test_south_pole_single_hit(field, solver):
 
 def test_target_outside_image_cap(solver):
     # the image is the cap n3 <= (1 - eps^2)/(1 + eps^2) < 1
-    census = solver.census(K)
+    census = solver.census([K])
     assert census.card == 0
     assert census.degenerate.size == 0
 
@@ -51,7 +58,7 @@ def test_target_outside_image_cap(solver):
 def test_generic_interior_target(field, solver):
     closure = enneper_gauss_closure(0.5)
     target = np.asarray(closure(0.3, 0.2), dtype=float)
-    census = solver.census(target)
+    census = solver.census([target])
     assert census.card == 1
     assert np.linalg.norm(census.points[0] - [0.3, 0.2]) < field.mesh.h_max
     assert census.signs[0] == -1
@@ -61,7 +68,7 @@ def test_vertex_hit_deduplicated(field, solver):
     # a nodal value is shared by every incident triangle; the census
     # must report the common point once
     node = 200
-    census = solver.census(field.values[node])
+    census = solver.census([field.values[node]])
     d = np.linalg.norm(census.points - field.mesh.nodes[node], axis=1)
     assert (d < 1e-8).sum() == 1
 
@@ -70,53 +77,74 @@ def test_vertex_hit_deduplicated(field, solver):
 @given(v=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda v: np.linalg.norm(v) > 0.1))
 def test_census_pruning_misses_no_hit(solver, v):
-    # the centroid tree prunes the elements the census solves on; with
-    # every element a candidate, the census must find the same hits.
-    # An element whose centroid value lies farther than twice its
-    # radius from n' holds no preimage, so a singular system there is
-    # no degenerate hit: the census flags only the near ones.  (At
-    # n' = e1 the field's symmetry makes 64 far systems
-    # singular.)
+    # the centroid tree prunes the (target, element) pairs the census
+    # solves on; with every element a candidate of every target, the
+    # census must find the same hits.  An element whose centroid value
+    # lies farther than twice its radius from n' holds no preimage, so
+    # a singular system there is no degenerate hit: the census flags
+    # only the near ones.  (At n' = e1 the field's symmetry makes 64
+    # far systems singular.)  The batch holds n' and -n'.
     n = np.asarray(v) / np.linalg.norm(v)
-    pruned = solver.census(n)
+    batch = np.array([n, -n])
+    nt = solver.fld.mesh.triangle_count
+    pruned = solver.census(batch)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PreimageSolver, "candidates", lambda self, nprime:
-                   np.arange(self.fld.mesh.triangle_count))
-        full = solver.census(n)
+        mp.setattr(PreimageSolver, "candidates", lambda self, nprimes:
+                   np.arange(len(nprimes) * nt))
+        full = solver.census(batch)
+    assert np.array_equal(pruned.owner, full.owner)
     assert np.array_equal(pruned.elements, full.elements)
     assert np.array_equal(pruned.signs, full.signs)
     assert np.allclose(pruned.points, full.points, rtol=0.0, atol=1e-12)
-    near = np.flatnonzero(np.linalg.norm(solver.fld.nbar - n, axis=1)
-                          <= 2.0 * solver.radius + 1e-9)
+    near = np.concatenate([
+        q * nt + np.flatnonzero(np.linalg.norm(solver.fld.nbar - t, axis=1)
+                                <= 2.0 * solver.radius + 1e-9)
+        for q, t in enumerate(batch)])
     assert np.array_equal(pruned.degenerate,
                           np.intersect1d(full.degenerate, near))
 
 
 def test_filter_rejects_poles(solver):
-    reasons, _ = regular_filter(solver, -K, 64)
+    reasons, _ = _reasons(solver, -K, 64)
     assert "pole" in reasons
-    reasons, _ = regular_filter(solver, K, 64)
+    reasons, _ = _reasons(solver, K, 64)
     assert "pole" in reasons
 
 
 def test_filter_rejects_boundary_targets(solver):
     closure = enneper_gauss_closure(0.5)
     target = np.asarray(closure(0.997, 0.0), dtype=float)
-    reasons, _ = regular_filter(solver, target, 64)
+    reasons, _ = _reasons(solver, target, 64)
     assert "boundary" in reasons
+
+
+def test_filter_rejects_close_hits():
+    # folding the field across x = 0 gives each target two preimages,
+    # (x, y) and (-x, y); within one mesh width of each other only at
+    # the fold.  The batch holds a target of each kind.
+    closure = enneper_gauss_closure(0.5)
+    folded = sample_field(lambda x, y: closure(np.abs(x), y),
+                          build_disc_mesh(4))
+    batch = [np.asarray(closure(x, 0.3), float) for x in (0.015, 0.5)]
+    flags, census = regular_filter(PreimageSolver(folded), batch, 64)
+    separation = flags[:, FILTER_REASONS.index("separation")]
+    assert separation.tolist() == [True, False]
+    assert not flags[1].any()
+    assert census.cards.tolist() == [2, 2]
+    assert np.array_equal(census.signs, [-1, 1, -1, 1])
 
 
 def test_filter_accepts_generic_target(solver):
     closure = enneper_gauss_closure(0.5)
     target = np.asarray(closure(0.3, 0.2), dtype=float)
-    reasons, census = regular_filter(solver, target, 64)
+    reasons, census = _reasons(solver, target, 64)
     assert reasons == ()
     assert census.card == 1
 
 
 def test_filter_needs_two(solver):
     with pytest.raises(ValueError):
-        regular_filter(solver, [0.6, 0.0, -0.8], 1)
+        regular_filter(solver, [[0.6, 0.0, -0.8]], 1)
 
 
 def test_signed_census_is_degree(solver):
@@ -130,14 +158,14 @@ def test_signed_census_is_degree(solver):
         x, y = 0.7 * rng.uniform(-1, 1, size=2)
         if x ** 2 + y ** 2 > 0.49:
             continue
-        reasons, census = regular_filter(
+        reasons, census = _reasons(
             solver, np.asarray(closure(x, y), float), 64)
         if reasons == ():
             assert census.signs.sum() == -1
             checked += 1
     assert checked >= 10
     outside = np.array([0.3, 0.1, 0.95])
-    census = solver.census(outside)
+    census = solver.census([outside])
     assert census.signs.sum() == 0
 
 
@@ -158,6 +186,39 @@ def test_coarea_full_sphere(field):
     rejected = int((~rep.accepted).sum())
     assert max(rep.rejections.values()) <= rejected
     assert sum(rep.rejections.values()) >= rejected
+
+
+@pytest.mark.parametrize("N, rejections", [
+    # the per-target filter's counts, before the census took batches
+    (4, {"pole": 48, "degenerate": 0, "zero_jacobian": 0, "count": 0,
+         "boundary": 28, "separation": 0, "integral": 156}),
+    (8, {"pole": 12, "degenerate": 0, "zero_jacobian": 0, "count": 0,
+         "boundary": 28, "separation": 0, "integral": 0}),
+])
+def test_coarea_small_n_rejections(field, N, rejections):
+    rep = coarea_check(field, np.ones(field.mesh.triangle_count),
+                       full_sphere(3), N)
+    assert rep.rejections == rejections
+
+
+def test_coarea_is_chunk_invariant(field, monkeypatch):
+    # the census takes the nodes in batches; the batch size must not
+    # change any decision, count or (sequentially summed) side
+    region = full_sphere(2)
+    g = np.random.default_rng(3).uniform(0.5, 1.5,
+                                         field.mesh.triangle_count)
+    reports = []
+    for chunk in (1, 7, region.nodes.shape[0]):
+        monkeypatch.setattr(preimage, "_CENSUS_CHUNK", chunk)
+        reports.append(coarea_check(field, g, region, 8))
+    first = reports[0]
+    assert not first.accepted.all()
+    for rep in reports[1:]:
+        for name in ("cards", "accepted", "signed_sums"):
+            assert np.array_equal(getattr(rep, name), getattr(first, name))
+        assert rep.rejections == first.rejections
+        assert (rep.lhs, rep.rhs, rep.excluded_measure) == (
+            first.lhs, first.rhs, first.excluded_measure)
 
 
 def test_coarea_cap_counts_preimages_of_nh():
@@ -191,9 +252,8 @@ def test_filter_decides_integral_from_bound(solver, monkeypatch):
         raise AssertionError("kernel_integral called")
 
     monkeypatch.setattr(PreimageSolver, "kernel_integral", exact)
-    for q in full_sphere(2).nodes:
-        reasons, _ = regular_filter(solver, q, 64)
-        assert "integral" not in reasons
+    flags, _ = regular_filter(solver, full_sphere(2).nodes, 64)
+    assert not flags[:, FILTER_REASONS.index("integral")].any()
 
 
 def test_coarea_zero_weight(field):
