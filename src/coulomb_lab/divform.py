@@ -19,9 +19,9 @@ admissible sphere region K gives square-integrable potentials with the
 8 pi / meas(K) certificate.  Every potential in the package has the form
 Omega_i = (n x d_i n).G(n) and differs only in the field G: the point
 mass above (`omega`), its quadrature average over K
-(`averaged_omega`) or the gradient of K's logarithmic potential
-(`SphereRegion.potential_gradient`, used by the holography identity).
-`gradient_pairing` is the one place that forms this product.
+(`averaged_omega`) or the gradient q'(t) (c - t n) of a cap's
+logarithmic potential, t = n.c.  `gradient_pairing` forms it for the
+first two; the holography identity uses (c - t n) x n = c x n instead.
 """
 
 from dataclasses import dataclass, field

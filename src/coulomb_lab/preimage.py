@@ -15,7 +15,6 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .divform import gradient_pairing
 from .fields import phi
 from .mesh import TRI7_BARY, TRI7_WEIGHTS, element_gradient
 
@@ -26,10 +25,10 @@ BARY_TOL = 1e-9
 HOLOGRAPHY_TOL = 1e-4
 # Recursive splits of elements whose image straddles the region boundary.
 SPLIT_DEPTH = 10
-# Elements per vectorized batch (bounds the working memory) of
-# holography_identity and of coarea_check's lhs.
-_CHUNK = 1 << 16
-_COAREA_CHUNK = 1 << 12
+# Elements per vectorized batch of holography_identity and of
+# coarea_check's lhs (bounds the working memory); elements met by the
+# region boundary go _CHUNK >> SPLIT_DEPTH at a time.
+_CHUNK = 1 << 12
 # Targets per census batch of coarea_check (bounds the working memory).
 _CENSUS_CHUNK = 256
 # The reasons regular_filter gives, in the order it tests them.
@@ -265,10 +264,12 @@ def coarea_check(fld, g, region, N):
     g = np.asarray(g, dtype=float)
     _require_cap(region, "coarea_check")
 
-    def weighted(elems, points, n, r, phi_h, member):
-        return (np.where(member, g[elems, None] * np.abs(phi_h), 0.0),)
+    def terms(s, r, phi_h, inside, slope, split):
+        return (np.where(inside, np.abs(phi_h), 0.0),), ()
 
-    _, (lhs,) = _integrate_nh(fld, region, weighted, _COAREA_CHUNK)
+    # g is constant on each element, so it weights the element's area
+    _, (lhs,) = _integrate_nh(fld, region, lambda elems, split: ((), ()),
+                              terms, g * fld.mesh.areas)
     lhs = float(lhs)
     rhs = 0.0
     excluded = 0.0
@@ -326,45 +327,37 @@ def _straddles(region, images):
     return (np.abs(region.boundary_distance(m)) <= radius) | (cos_r <= 0.0)
 
 
-def _split(bary):
-    """Four midpoint children of each sub-triangle (k, 3, 3)."""
-    b0, b1, b2 = bary[:, 0], bary[:, 1], bary[:, 2]
-    m01, m12, m02 = 0.5 * (b0 + b1), 0.5 * (b1 + b2), 0.5 * (b0 + b2)
-    children = np.stack([
-        np.stack([b0, m01, m02], axis=1),
-        np.stack([m01, b1, m12], axis=1),
-        np.stack([m02, m12, b2], axis=1),
-        np.stack([m01, m12, m02], axis=1),
-    ], axis=1)
-    return children.reshape(-1, 3, 3)
+# Barycentrics of the vertices of a triangle's four midpoint children.
+_CHILDREN = 0.5 * np.array([[2, 0, 0], [1, 1, 0], [1, 0, 1],
+                            [1, 1, 0], [0, 2, 0], [0, 1, 1],
+                            [1, 0, 1], [0, 1, 1], [0, 0, 2],
+                            [1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
 
-def _rule_sums(fld, region, integrand, elems, bary):
-    """Element-rule averages of an integrand over sub-triangles.
-
-    `bary` (k, 3, 3) holds the element barycentrics of the vertices of
-    sub-triangles of the elements `elems`.  At the rule points P is the
-    P1 interpolant, n_h = P/|P| and, with d_i the derivatives of P,
-    Phi(n_h) = n_h.(d1 x d2) / |P|^2.  `integrand(elems, points, n, r,
-    phi_h, member)` gets, per rule point, the barycentrics, n_h, |P|,
-    Phi(n_h) and 1_K(n_h), and returns a tuple of (k, 7) values;
-    returns their rule averages per unit area.
-    """
-    # a first read derives d1 x d2 for the whole mesh: before the
-    # rule-point arrays exist, it does not raise the peak memory
-    cross = fld.cross
-    points = TRI7_BARY @ bary
-    P = points @ fld.values[fld.mesh.triangles[elems]]
-    r = np.linalg.norm(P, axis=2)
-    n = P / r[..., None]
-    phi_h = (n @ cross[elems, :, None])[..., 0] / r ** 2
-    member = region.contains(n.reshape(-1, 3)).reshape(r.shape)
-    return tuple(v @ TRI7_WEIGHTS
-                 for v in integrand(elems, points, n, r, phi_h, member))
+def _vertex_values(fld, region, vertex, elems, split):
+    """(m, 3, S) vertex values on `elems` of P, P.c, P.(d1 x d2), P.w
+    for each vector w of `vertex(elems, split)`, and its scalars."""
+    verts = fld.values[fld.mesh.triangles[elems]]
+    vectors, scalars = vertex(elems, split)
+    w = np.dstack([np.broadcast_to(region.center, (elems.size, 3)),
+                   fld.cross[elems], *vectors])
+    return np.dstack([verts, verts @ w, *scalars])
 
 
-def _split_integral(fld, region, integrand, elems):
-    """Integrals of the integrand over elements met by the boundary.
+def _rule_sums(region, terms, values, points, split):
+    """Element-rule averages of the (split, whole) terms on sub-triangles
+    with `_vertex_values` (k, 3, S) and rule points `points` (k, 7, 3)
+    or (7, 3), in element barycentrics; `terms(s, r, phi_h, inside,
+    slope, split)` gets the integrand's scalars s (E, k, 7) there."""
+    s = np.moveaxis(points @ values, 2, 0)
+    r = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
+    inside, slope = region.potential_slope(s[3] / r)
+    return [[v @ TRI7_WEIGHTS for v in part] for part in terms(
+        s[5:], r, s[4] / r ** 3, inside, slope, split)]
+
+
+def _split_integral(fld, region, vertex, terms, weights, elems):
+    """Integrals of the split terms over elements met by the boundary.
 
     Sub-triangles whose image may meet the region boundary are split
     SPLIT_DEPTH times; the others take the element rule whole, and the
@@ -372,52 +365,58 @@ def _split_integral(fld, region, integrand, elems):
     indicator and any kink of the integrand across the boundary
     preimage.
     """
+    verts = fld.values[fld.mesh.triangles[elems]]
+    values = _vertex_values(fld, region, vertex, elems, True)
 
-    def integral(elems, bary):
-        a = fld.mesh.areas[elems]
-        return np.array([a @ v for v in _rule_sums(
-            fld, region, integrand, elems, bary)])
+    def integral(local, bary):
+        kept, _ = _rule_sums(region, terms, values[local],
+                             TRI7_BARY @ bary, True)
+        return np.array([weights[elems[local]] @ v for v in kept])
 
+    local = np.arange(elems.size)
     bary = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
     sums = 0.0
     frac = 1.0
     for _ in range(SPLIT_DEPTH):
-        bary = _split(bary)
-        elems = np.repeat(elems, 4)
+        bary = (_CHILDREN @ bary).reshape(-1, 3, 3)
+        local = np.repeat(local, 4)
         frac *= 0.25
-        images = bary @ fld.values[fld.mesh.triangles[elems]]
+        images = bary @ verts[local]
         images /= np.linalg.norm(images, axis=2, keepdims=True)
         straddles = _straddles(region, images)
-        sums += frac * integral(elems[~straddles], bary[~straddles])
-        bary, elems = bary[straddles], elems[straddles]
-    return sums + frac * integral(elems, bary)
+        sums += frac * integral(local[~straddles], bary[~straddles])
+        bary, local = bary[straddles], local[straddles]
+    return sums + frac * integral(local, bary)
 
 
-def _integrate_nh(fld, region, integrand, chunk):
-    """Disc integrals of the integrand's values, for n_h: (whole, split).
+def _integrate_nh(fld, region, vertex, terms, weights):
+    """Disc integrals of an integrand of n_h, each element's rule
+    average times its weight (its area, or a multiple): (whole, split).
 
-    `whole` applies the element rule to every element.  `split` does so
-    where the element's image stays on one side of the region boundary
-    and integrates the other elements with `_split_integral`, which
-    resolves 1_K(n_h).  Elements go `chunk` at a time, and those met by
-    the boundary chunk >> SPLIT_DEPTH at a time, to bound the memory.
-    """
+    `vertex(elems, split)` gives the vectors w whose P.w the integrand
+    reads and its own scalars, as (m, 3) vertex values on `elems`;
+    `terms` makes (split terms, whole terms) of them (see `_rule_sums`),
+    with split True only the first.  `whole` is the element rule over
+    every element; `split` also, where the element's image stays on one
+    side of the region boundary, and `_split_integral` elsewhere.
+    Elements go _CHUNK, and those met by the boundary _CHUNK >>
+    SPLIT_DEPTH, at a time."""
     mesh = fld.mesh
     whole = split = 0.0
     straddling = []
-    for lo in range(0, mesh.triangle_count, chunk):
-        elems = np.arange(lo, min(lo + chunk, mesh.triangle_count))
-        sums = _rule_sums(fld, region, integrand, elems,
-                          np.broadcast_to(np.eye(3), (elems.size, 3, 3)))
+    for lo in range(0, mesh.triangle_count, _CHUNK):
+        elems = np.arange(lo, min(lo + _CHUNK, mesh.triangle_count))
+        values = _vertex_values(fld, region, vertex, elems, False)
+        kept, only = _rule_sums(region, terms, values, TRI7_BARY, False)
         straddles = _straddles(region, fld.values[mesh.triangles[elems]])
-        a = mesh.areas[elems]
-        whole += np.array([a @ v for v in sums])
-        split += np.array([a[~straddles] @ v[~straddles] for v in sums])
+        a = weights[elems]
+        whole += np.array([a @ v for v in only])
+        split += np.array([a[~straddles] @ v[~straddles] for v in kept])
         straddling.append(elems[straddles])
     straddling = np.concatenate(straddling)
-    step = max(chunk >> SPLIT_DEPTH, 1)
+    step = max(_CHUNK >> SPLIT_DEPTH, 1)
     for lo in range(0, straddling.size, step):
-        split += _split_integral(fld, region, integrand,
+        split += _split_integral(fld, region, vertex, terms, weights,
                                  straddling[lo:lo + step])
     return whole, split
 
@@ -425,6 +424,28 @@ def _integrate_nh(fld, region, integrand, chunk):
 def _require_cap(region, what):
     if region.center is None:
         raise ValueError(f"{what} needs a cap, not a bare node set")
+
+
+def _holography_integrand(fld, region, zeta):
+    """holography_identity's `vertex` and `terms` (see _integrate_nh):
+    split terms 1_K Phi zeta, the pairing; whole Phi zeta, |Omega|^2."""
+    gz = element_gradient(zeta, fld.mesh)
+    cx = np.cross(np.eye(3), region.center)  # d @ cx = d x c
+
+    def vertex(elems, split):
+        d1c, d2c = fld.d1[elems] @ cx, fld.d2[elems] @ cx
+        pair = gz[elems, 0, None] * d2c - gz[elems, 1, None] * d1c
+        return ((pair,) if split else (pair, d1c, d2c),
+                (zeta[fld.mesh.triangles[elems]],))
+
+    def terms(s, r, phi_h, inside, slope, split):
+        scale = slope / r ** 2
+        pz = phi_h * s[-1]
+        kept = np.where(inside, pz, 0.0), scale * s[0]
+        return kept, () if split else (
+            pz, scale ** 2 * (s[1] ** 2 + s[2] ** 2))
+
+    return vertex, terms
 
 
 def holography_identity(fld, region, zeta):
@@ -439,12 +460,19 @@ def holography_identity(fld, region, zeta):
                        + int (Omega_2 d1 zeta - Omega_1 d2 zeta)
 
     holds exactly, with Omega_i = grad Q(n_h).(n_h x d_i n_h) and Q
-    the logarithmic potential of the region (see
-    `SphereRegion.potential_gradient`).  raw = int Phi zeta; f_term
-    and omega_term are the two right-hand terms, all three from the
-    same 7-point degree-5 element rule.  Elements whose image may meet
-    the region boundary are split recursively SPLIT_DEPTH times, to
-    resolve the indicator and the kink of Omega there.
+    the logarithmic potential of the region.  raw = int Phi zeta;
+    f_term and omega_term are the two right-hand terms, all three from
+    the same 7-point degree-5 element rule.  Elements whose image may
+    meet the region boundary are split recursively SPLIT_DEPTH times,
+    to resolve the indicator and the kink of Omega there.
+
+    Each integrand comes from scalars affine on each element, known at
+    the rule points from their vertex values.  With d_i the derivatives
+    of P, Phi(n_h) = P.(d1 x d2) / |P|^3; t = P.c / |P| gives 1_K(n_h)
+    and q'(t), with grad Q = q'(t) (c - t n_h).  As n_h x d_i n_h =
+    n_h x d_i / |P| and (c - t n_h) x n_h = c x n_h, Omega_i = q'(t) /
+    |P|^2 P.(d_i x c): the pairing is P.(d1 zeta (d2 x c) - d2 zeta
+    (d1 x c)), d_i zeta constant per element, times q'(t) / |P|^2.
 
     The region must have a closed-form potential and boundary: a cap;
     the full sphere is the cap of radius pi.  Then |residual| <=
@@ -454,26 +482,10 @@ def holography_identity(fld, region, zeta):
     if mu <= 0:
         raise ValueError("region must have positive measure")
     _require_cap(region, "holography_identity")
-    mesh = fld.mesh
-    zeta = np.asarray(zeta, dtype=float)
-    zv = zeta[mesh.triangles]
-    gz = element_gradient(zeta, mesh)
-
-    def terms(elems, points, n, r, phi_h, member):
-        # Phi zeta, its part over K, the pairing Omega_2 d1 zeta -
-        # Omega_1 d2 zeta and |Omega|^2.  Since n_h x d_i n_h =
-        # n_h x d_i / |P|, Omega_i = grad Q(n_h).(n_h x d_i) / |P|.
-        pz = phi_h * (points @ zv[elems, :, None])[..., 0]
-        grad_q = region.potential_gradient(n.reshape(-1, 3)).reshape(n.shape)
-        grad_q /= r[..., None]
-        om1, om2 = gradient_pairing(grad_q, n, fld.d1[elems, None],
-                                    fld.d2[elems, None])
-        pairing = om2 * gz[elems, 0, None] - om1 * gz[elems, 1, None]
-        return pz, np.where(member, pz, 0.0), pairing, om1 ** 2 + om2 ** 2
-
-    whole, split = _integrate_nh(fld, region, terms, _CHUNK)
-    raw, omega_sq = float(whole[0]), float(whole[3])
-    f_term, omega_term = float(split[1]), float(split[2])
+    whole, split = _integrate_nh(fld, region, *_holography_integrand(
+        fld, region, np.asarray(zeta, dtype=float)), fld.mesh.areas)
+    raw, omega_sq = float(whole[0]), float(whole[1])
+    f_term, omega_term = float(split[0]), float(split[1])
     f_term *= FOUR_PI / mu
     return HolographyReport(
         raw_term=raw,

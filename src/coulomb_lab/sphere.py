@@ -120,17 +120,6 @@ class SphereRegion:
     center: np.ndarray = field(repr=False, default=None)
     rho: float = None
 
-    def _cosines(self, points):
-        """Points as rows and their cosines t = p.c to the cap centre."""
-        if self.center is None:
-            raise ValueError("region is a bare node set, not a cap")
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return points, points @ self.center
-
-    def contains(self, points):
-        _, t = self._cosines(points)
-        return t >= np.cos(self.rho)
-
     def boundary_distance(self, points):
         """Signed geodesic distance to the boundary, negative inside.
 
@@ -138,29 +127,27 @@ class SphereRegion:
         of angular radius r around p lies on one side of the boundary
         when |boundary_distance(p)| > r.
         """
-        _, t = self._cosines(points)
+        if self.center is None:
+            raise ValueError("region is a bare node set, not a cap")
+        t = np.atleast_2d(np.asarray(points, dtype=float)) @ self.center
         return np.arccos(np.clip(t, -1.0, 1.0)) - self.rho
 
-    def potential_gradient(self, points):
-        """Tangential gradient of the logarithmic potential at points.
+    def potential_slope(self, t):
+        """Membership t >= a and slope q'(t) at cosines t = n.c.
 
         Q(n) = -(1/mu) integral over the region of log(1 - n.s) ds, so
         grad Q(n) is the tangential part of (1/mu) int_K s/(1 - n.s) ds.
         For a cap with centre c and cos(rho) = a, Q = q(n.c) with
-
-            (1 - t^2) q'(t) = (1 + t) - (4 pi / mu) (t - a)_+,
-
-        that is q' = 1/(1 - t) outside and (1 + a)/((1 - a)(1 + t))
-        inside, and grad Q = q'(t) (c - t n).  On the full sphere
-        (a = -1) this is 0 away from -c.
+        (1 - t^2) q'(t) = (1 + t) - (4 pi / mu) (t - a)_+: q' = 1/(1 - t)
+        outside and (1 + a)/((1 - a)(1 + t)) inside, and grad Q =
+        q'(t) (c - t n).  As (c - t n) x n = c x n, grad Q.(n x xi) =
+        q'(t) n.(xi x c).  On the full sphere (a = -1) q' is 0 off -c.
         """
-        points, t = self._cosines(points)
         a = np.cos(self.rho)
         inside = t >= a
-        qp = np.where(inside, (1.0 + a) / (1.0 - a), 1.0) / np.where(
-            inside, 1.0 + t, 1.0 - t
-        )
-        return qp[:, None] * (self.center - t[:, None] * points)
+        slope = np.where(inside, (1.0 + a) / (1.0 - a), 1.0) / np.where(
+            inside, 1.0 + t, 1.0 - t)
+        return inside, slope
 
 
 def make_region(quad, mask):
@@ -192,7 +179,7 @@ def _cap(quad, center, rho):
 
 def full_sphere(level):
     """S2 as the cap of radius pi about -k: cos(pi) is exactly -1, so
-    its measure is exactly 4 pi and its potential gradient exactly 0
+    its measure is exactly 4 pi and its potential slope exactly 0
     away from k.  Its boundary is the single point k, which the Enneper
     images (z < (1 - eps^2)/(1 + eps^2)) stay away from, so no element
     straddles it."""

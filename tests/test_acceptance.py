@@ -171,13 +171,23 @@ def test_criterion_10_self_intersection(tmp_path):
 
 
 def test_criterion_11_determinism(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        code = main(["convergence", "--levels", "3,4", "--eps", "0.5",
-                     "--out", str(out)])
-        assert code == 0
-        outs.append(out)
-    differ = [f for f in ("convergence.csv", "summary.json")
-              if (outs[0] / f).read_bytes() != (outs[1] / f).read_bytes()]
+    # convergence, plus the two users of the rule kernel: holography
+    # and coarea (at eps 0.5, level 3 is too coarse for the gap check)
+    runs = {
+        "convergence": (["--levels", "3,4", "--eps", "0.5"],
+                        "convergence.csv"),
+        "holography": (["--eps", "0.3", "--levels", "3",
+                        "--sphere-level", "2"], "holography.csv"),
+        "coarea": (["--level", "3", "--eps", "0.3"], "coarea.csv"),
+    }
+    differ = []
+    for command, (flags, artifact) in runs.items():
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / command / name
+            assert main([command, *flags, "--out", str(out)]) == 0
+            outs.append(out)
+        differ += [f"{command}/{f}" for f in (artifact, "summary.json")
+                   if (outs[0] / f).read_bytes()
+                   != (outs[1] / f).read_bytes()]
     _verdict(11, differ, "repeated runs byte-identical")

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulomb_lab import preimage
+from coulomb_lab.divform import gradient_pairing
 from coulomb_lab.fields import sample_field
-from coulomb_lab.mesh import TRI7_BARY, TRI7_WEIGHTS, build_disc_mesh
+from coulomb_lab.mesh import (TRI7_BARY, TRI7_WEIGHTS, build_disc_mesh,
+                              element_gradient)
 from coulomb_lab.preimage import (FILTER_REASONS, HOLOGRAPHY_TOL,
                                   PreimageSolver, coarea_check,
                                   holography_identity, regular_filter)
@@ -17,6 +19,13 @@ from coulomb_lab.surfaces import (closed_form_table, enneper_gauss_closure,
 
 FOUR_PI = 4.0 * np.pi
 K = np.array([0.0, 0.0, 1.0])
+
+
+def _grad_q(region, n):
+    """Vector oracle grad Q(n) = q'(t) (c - t n), t = n.c."""
+    t = n @ region.center
+    _, slope = region.potential_slope(t)
+    return slope[:, None] * (region.center - t[:, None] * n)
 
 
 def _reasons(solver, nprime, N):
@@ -311,7 +320,7 @@ def test_holography_terms_match_rule_loop():
         n = P / r[:, None]
         phi_h = (n * jac).sum(axis=1) / r ** 2
         raw += w * (mesh.areas * phi_h * (zv @ b)).sum()
-        grad_q = region.potential_gradient(n) / r[:, None]
+        grad_q = _grad_q(region, n) / r[:, None]
         om1 = (np.cross(n, fld.d1) * grad_q).sum(axis=1)
         om2 = (np.cross(n, fld.d2) * grad_q).sum(axis=1)
         omega_sq += w * (mesh.areas * (om1 ** 2 + om2 ** 2)).sum()
@@ -332,3 +341,107 @@ def test_holography_needs_closed_form(field):
     region = region_from_predicate(lambda p: p @ -K >= cos_rho, level=3)
     with pytest.raises(ValueError, match="needs a cap"):
         holography_identity(field, region, zeta_eps(0.5, field.mesh))
+
+
+_DIRECTIONS = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi))
+
+
+def _unit(z, angle):
+    r = np.sqrt(1.0 - z * z)
+    return np.array([r * np.cos(angle), r * np.sin(angle), z])
+
+
+@pytest.fixture(scope="module")
+def field3():
+    return sample_field(enneper_gauss_closure(0.5), build_disc_mesh(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(center=_DIRECTIONS, rho=st.floats(0.05, np.pi))
+def test_holography_kernel_matches_point_oracle(field3, center, rho):
+    # the affine-scalar kernel against the vector form at each rule
+    # point: Omega_i = grad Q(n).(n x d_i) / |P| with grad Q = q'(t)
+    # (c - t n), formed by gradient_pairing
+    fld = field3
+    mesh = fld.mesh
+    region = cap(_unit(*center), rho, level=2)
+    zeta = zeta_eps(0.5, mesh)
+    vertex, terms = preimage._holography_integrand(fld, region, zeta)
+    elems = np.arange(mesh.triangle_count)
+    verts = fld.values[mesh.triangles]
+    values = preimage._vertex_values(fld, region, vertex, elems, False)
+    (f, pairing), (pz, omega_sq) = preimage._rule_sums(
+        region, terms, values, TRI7_BARY, False)
+    gz = element_gradient(zeta, mesh)
+    want = np.zeros((4, mesh.triangle_count))
+    for b, w in zip(TRI7_BARY, TRI7_WEIGHTS):
+        P = b @ verts
+        r = np.linalg.norm(P, axis=1)
+        n = P / r[:, None]
+        inside, _ = region.potential_slope(n @ region.center)
+        phi_z = (n * fld.cross).sum(axis=1) / r ** 2 \
+            * (zeta[mesh.triangles] @ b)
+        om1, om2 = gradient_pairing(_grad_q(region, n) / r[:, None], n,
+                                    fld.d1, fld.d2)
+        want += w * np.array([phi_z, np.where(inside, phi_z, 0.0),
+                              om2 * gz[:, 0] - om1 * gz[:, 1],
+                              om1 ** 2 + om2 ** 2])
+    for got, ref in zip((pz, f, pairing, omega_sq), want):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the split pass reads only the scalars of its two terms; on the
+    # whole elements, as sub-triangles, they give the same sums
+    values = preimage._vertex_values(fld, region, vertex, elems, True)
+    whole = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
+    kept, only = preimage._rule_sums(region, terms, values,
+                                     TRI7_BARY @ whole, True)
+    assert only == []
+    for got, ref in zip(kept, (f, pairing)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_holography_is_chunk_invariant(field, monkeypatch):
+    # the whole pass takes _CHUNK elements, and the split pass
+    # _CHUNK >> SPLIT_DEPTH straddling ones, at a time
+    region = cap(-K, np.pi / 4.0, level=3)
+    zeta = zeta_eps(0.5, field.mesh)
+    reports = []
+    for chunk in (64, 4096, field.mesh.triangle_count):
+        monkeypatch.setattr(preimage, "_CHUNK", chunk)
+        reports.append(holography_identity(field, region, zeta))
+    first = reports[0]
+    scale = abs(first.raw_term)
+    for rep in reports[1:]:
+        for name in ("raw_term", "f_term", "omega_term", "omega_l2"):
+            assert getattr(rep, name) == pytest.approx(
+                getattr(first, name), rel=1e-13, abs=0.0)
+        assert abs(rep.residual - first.residual) <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(center=_DIRECTIONS, rho=st.floats(0.05, np.pi),
+       depth=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_straddle_test_certifies_one_side(field3, center, rho, depth,
+                                          seed):
+    # a sub-triangle that _straddles clears has its vertices and its
+    # rule points on one side of the boundary; the sub-triangles are
+    # drawn from the elements whose image comes near the boundary
+    fld = field3
+    region = cap(_unit(*center), rho, level=2)
+    rng = np.random.default_rng(seed)
+    verts = fld.values[fld.mesh.triangles]
+    spread = np.linalg.norm(verts - fld.nbar[:, None], axis=2).max(axis=1)
+    near = np.flatnonzero(
+        np.abs(region.boundary_distance(fld.nbar)) <= 3.0 * spread)
+    if near.size == 0:
+        return
+    elems = rng.choice(near, 512)
+    bary = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
+    for _ in range(depth):
+        children = (preimage._CHILDREN @ bary).reshape(-1, 4, 3, 3)
+        bary = children[np.arange(elems.size),
+                        rng.integers(0, 4, elems.size)]
+    P = np.concatenate([bary, TRI7_BARY @ bary], axis=1) @ verts[elems]
+    n = P / np.linalg.norm(P, axis=2, keepdims=True)
+    cleared = ~preimage._straddles(region, n[:, :3])
+    inside = n[cleared] @ region.center >= np.cos(rho)
+    assert np.all(inside.all(axis=1) | ~inside.any(axis=1))
