@@ -2,11 +2,14 @@
 
 Each subcommand reproduces one of the package's headline checks and
 writes its artifacts (CSV tables plus a summary.json listing every
-check with its measured value, reference, tolerance and pass flag)
-into the output directory.  The summary is the single definition of
-each acceptance criterion: the acceptance tests run these subcommands
-and assert their checks by name.  Exit status: 0 when all checks pass,
-1 when a check fails, 2 on usage errors.
+check with its measured value, reference, tolerance, rule and pass
+flag) into the output directory.  The rule alone decides the pass
+flag, from the recorded fields: "<=" is value <= tol, ">=" value >=
+reference, ">" value > reference, "==" value == reference, and "rel"
+|value - reference| / |reference| <= tol.  So the summary is the
+single definition of each acceptance criterion: the acceptance tests
+run these subcommands and assert their checks by name.  Exit status:
+0 when all checks pass, 1 when a check fails, 2 on usage errors.
 
 Configuration comes from command-line flags, optionally seeded from a
 key=value file given with --config (flags override the file).  A
@@ -19,6 +22,7 @@ configuration is byte-identical.
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from pathlib import Path
 
@@ -41,27 +45,32 @@ from .surfaces import (closed_form_table, coincidence_radii,
 _CSV_CHUNK = 1 << 8
 
 
+# How each rule decides a check, from the fields summary.json records.
+RULES = {
+    "<=": lambda c: c.value <= c.tol,
+    ">=": lambda c: c.value >= c.reference,
+    ">": lambda c: c.value > c.reference,
+    "==": lambda c: c.value == c.reference,
+    "rel": lambda c: abs(c.value - c.reference) / abs(c.reference) <= c.tol,
+}
+
+
+@dataclass(frozen=True)
 class Check:
-    def __init__(self, name, value, reference, tol, ok):
-        self.name = name
-        self.value = value
-        self.reference = reference
-        self.tol = tol
-        self.ok = bool(ok)
+    """One acceptance check, decided by its rule (a key of RULES)."""
+
+    name: str
+    value: float
+    reference: float
+    tol: float
+    rule: str
+
+    @property
+    def ok(self):
+        return bool(RULES[self.rule](self))
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "reference": self.reference,
-            "tol": self.tol,
-            "pass": self.ok,
-        }
-
-
-def _rel_check(name, value, reference, tol):
-    err = abs(value - reference) / abs(reference)
-    return Check(name, value, reference, tol, err <= tol)
+        return {**asdict(self), "pass": self.ok}
 
 
 def _float_list(text):
@@ -145,8 +154,9 @@ def _write_summary(outdir, command, config, checks, info):
 def _report(checks):
     for c in checks:
         status = "pass" if c.ok else "FAIL"
-        ref = "" if c.reference is None else f" ref={c.reference:.6g}"
-        print(f"[{status}] {c.name}: {c.value:.6g}{ref}")
+        bound = c.tol if c.rule in ("<=", "rel") else c.reference
+        of = f" of {c.reference:.6g}" if c.rule == "rel" else ""
+        print(f"[{status}] {c.name}: {c.value:.6g} ({c.rule} {bound:.6g}{of})")
     return 0 if all(c.ok for c in checks) else 1
 
 
@@ -192,9 +202,8 @@ def cmd_mesh_info(args, outdir):
     with open(outdir / "mesh.txt", "w") as fh:
         export_mesh(mesh, fh)
     checks = [
-        _rel_check("disc_area", mesh.area, np.pi, 0.01),
-        Check("min_element_area", float(mesh.areas.min()), None, None,
-              mesh.areas.min() > 0),
+        Check("disc_area", mesh.area, np.pi, 0.01, "rel"),
+        Check("min_element_area", float(mesh.areas.min()), 0.0, None, ">"),
     ]
     info = {
         "level": args.level,
@@ -215,11 +224,11 @@ def cmd_enneper_table(args, outdir):
         abs_phi, energy, grad_f2, errs = _closed_form_errors(fld, eps, table)
         rows.append((eps, abs_phi, table.int_abs_phi, energy,
                      table.int_grad_n2, grad_f2, table.grad_f2, max(errs)))
-        checks.append(Check(f"closed_forms_eps_{eps:g}", max(errs), 0.0,
-                            0.01, max(errs) <= 0.01))
         minimal = abs(2.0 * abs_phi - energy) / energy
-        checks.append(Check(f"minimal_surface_eps_{eps:g}", minimal, 0.0,
-                            0.01, minimal <= 0.01))
+        checks += [
+            Check(f"closed_forms_eps_{eps:g}", max(errs), 0.0, 0.01, "<="),
+            Check(f"minimal_surface_eps_{eps:g}", minimal, 0.0, 0.01, "<="),
+        ]
     _write_csv(outdir / "enneper_table.csv",
                "eps,int_abs_phi,ref_phi,int_grad_n2,ref_grad_n2,"
                "grad_f2,ref_grad_f2,rel_err_max", rows)
@@ -232,9 +241,7 @@ def cmd_decompose(args, outdir):
     fld = _enneper_field(eps, args.level)
     report = admissible_region(fld, level=args.sphere_level)
     measure = report.region.measure
-    checks = [
-        Check("region_measure", measure, None, None, measure > 0.0),
-    ]
+    checks = [Check("region_measure", measure, 0.0, None, ">")]
     worst, form = _weak_identity_worst(fld, report.region, args.seed)
     coarse, _ = _weak_identity_worst(
         _enneper_field(eps, args.level - 1), report.region, args.seed
@@ -242,14 +249,12 @@ def cmd_decompose(args, outdir):
     grad_n = np.sqrt(dirichlet_energy(fld))
     cert = (8.0 * np.pi / measure) * grad_n
     checks += [
-        Check("omega_l2_certificate",
-              max(form.l2_omega1, form.l2_omega2), cert, None,
-              max(form.l2_omega1, form.l2_omega2) <= cert),
-        Check("weak_residual", worst, 0.0, 0.05, worst <= 0.05),
-        Check("residual_refinement_ratio", coarse / worst, 1.5, None,
-              coarse / worst >= 1.5),
+        Check("omega_l2_certificate", max(form.l2_omega1, form.l2_omega2),
+              None, cert, "<="),
+        Check("weak_residual", worst, 0.0, 0.05, "<="),
+        Check("residual_refinement_ratio", coarse / worst, 1.5, None, ">="),
         Check("kernel_bound_slack", float(form.bound_slack.min()), 0.0,
-              None, form.bound_slack.min() >= 0.0),
+              None, ">="),
     ]
     # kernel bound on 1e5 random samples
     def unit(k):
@@ -265,8 +270,7 @@ def cmd_decompose(args, outdir):
     g = gamma_many(n[ok], np_[ok], xi[ok])
     bound = 2.0 * np.linalg.norm(xi[ok], axis=1) / sep[ok]
     violations = int(np.sum(np.abs(g) > bound + 1e-12))
-    checks.append(Check("gamma_bound_violations", violations, 0, None,
-                        violations == 0))
+    checks.append(Check("gamma_bound_violations", violations, 0, None, "=="))
     # elementwise omega bound at random admissible targets
     targets = report.region.nodes[
         rng.integers(0, report.region.nodes.shape[0], size=5)
@@ -279,7 +283,7 @@ def cmd_decompose(args, outdir):
         b2 = 2.0 * np.linalg.norm(fld.d2, axis=1) / dist
         bad += int(np.sum(np.abs(w1) > b1 + 1e-12))
         bad += int(np.sum(np.abs(w2) > b2 + 1e-12))
-    checks.append(Check("omega_bound_violations", bad, 0, None, bad == 0))
+    checks.append(Check("omega_bound_violations", bad, 0, None, "=="))
     _write_csv(outdir / "divform.csv",
                "element,phi,omega1,omega2,bound_slack",
                zip(range(fld.mesh.triangle_count), phi(fld), form.omega1,
@@ -308,17 +312,12 @@ def cmd_frame(args, outdir):
     r_mid = residuals[args.level - 1].coulomb_residual
     r_hi = final.coulomb_residual
     checks = [
-        Check("orthonormality_defect", final.orth_defect, 0.0, 1e-10,
-              final.orth_defect <= 1e-10),
-        Check("tangency_defect", final.tangency_defect, 0.0, 1e-10,
-              final.tangency_defect <= 1e-10),
-        Check("residual_halving_1", r_lo / r_mid, 2.0, None,
-              r_lo / r_mid >= 2.0),
-        Check("residual_halving_2", r_mid / r_hi, 2.0, None,
-              r_mid / r_hi >= 2.0),
-        Check("f_recovery_gap", f_gap, 0.0, 0.02 * poisson.max_abs,
-              f_gap <= 0.02 * poisson.max_abs),
-        _rel_check("f_max", final.f_max, abs(table.f_at_origin), 0.02),
+        Check("orthonormality_defect", final.orth_defect, 0.0, 1e-10, "<="),
+        Check("tangency_defect", final.tangency_defect, 0.0, 1e-10, "<="),
+        Check("residual_halving_1", r_lo / r_mid, 2.0, None, ">="),
+        Check("residual_halving_2", r_mid / r_hi, 2.0, None, ">="),
+        Check("f_recovery_gap", f_gap, 0.0, 0.02 * poisson.max_abs, "<="),
+        Check("f_max", final.f_max, abs(table.f_at_origin), 0.02, "rel"),
     ]
     return checks, {"boundary_std": frame.boundary_std,
                     "delta": final.delta,
@@ -330,8 +329,7 @@ def cmd_coarea(args, outdir):
     eps = args.eps[0]
     fld = _enneper_field(eps, args.level)
     region = full_sphere(args.sphere_level)
-    g = np.ones(fld.mesh.triangle_count)
-    rep = coarea_check(fld, g, region, N=args.filter_n)
+    rep = coarea_check(fld, region, N=args.filter_n)
     gap = abs(rep.gap) / rep.lhs
     excl = rep.excluded_measure / region.measure
     cap_height = (1.0 - eps ** 2) / (1.0 + eps ** 2)
@@ -341,10 +339,10 @@ def cmd_coarea(args, outdir):
     card1 = float(np.mean(rep.cards[inner] == 1)) if inner.any() else 0.0
     card0 = int(np.sum(rep.cards[outer] != 0))
     checks = [
-        Check("coarea_gap", gap, 0.0, 0.02, gap <= 0.02),
-        Check("excluded_measure", excl, 0.0, 0.05, excl <= 0.05),
-        Check("card1_fraction", card1, 1.0, None, card1 >= 0.95),
-        Check("card0_outside_image", card0, 0, None, card0 == 0),
+        Check("coarea_gap", gap, 0.0, 0.02, "<="),
+        Check("excluded_measure", excl, 0.0, 0.05, "<="),
+        Check("card1_fraction", card1, 0.95, None, ">="),
+        Check("card0_outside_image", card0, 0, None, "=="),
     ]
     _write_csv(outdir / "coarea.csv", "node,n1,n2,n3,card,signed_sum,accepted",
                zip(range(region.nodes.shape[0]), *region.nodes.T, rep.cards,
@@ -374,18 +372,19 @@ def cmd_holography(args, outdir):
                      rep.omega_l2))
     checks = []
     for eps, raw, dual, ref in zip(args.eps, raws, duals, refs):
-        checks.append(_rel_check(f"raw_term_eps_{eps:g}", raw, ref, 0.05))
-        checks.append(_rel_check(f"dual_norm_eps_{eps:g}", dual, ref, 0.05))
+        checks += [
+            Check(f"raw_term_eps_{eps:g}", raw, ref, 0.05, "rel"),
+            Check(f"dual_norm_eps_{eps:g}", dual, ref, 0.05, "rel"),
+        ]
     inc_raw = all(b > a for a, b in zip(raws, raws[1:]))
     inc_dual = all(b > a for a, b in zip(duals, duals[1:]))
-    # non-increasing within the accuracy holography_identity promises
-    mono = all(b <= a + HOLOGRAPHY_TOL for a, b in zip(resids, resids[1:]))
+    rise = max((b - a for a, b in zip(resids, resids[1:])), default=0.0)
     checks += [
-        Check("raw_term_increasing", float(inc_raw), 1.0, None, inc_raw),
-        Check("dual_norm_increasing", float(inc_dual), 1.0, None, inc_dual),
-        Check("residual_max", max(resids), 0.0, 0.5, max(resids) <= 0.5),
-        Check("residual_non_increasing", float(mono), 1.0, HOLOGRAPHY_TOL,
-              mono),
+        Check("raw_term_increasing", float(inc_raw), 1.0, None, "=="),
+        Check("dual_norm_increasing", float(inc_dual), 1.0, None, "=="),
+        Check("residual_max", max(resids), 0.0, 0.5, "<="),
+        # non-increasing within the accuracy holography_identity promises
+        Check("residual_non_increasing", rise, 0.0, HOLOGRAPHY_TOL, "<="),
     ]
     _write_csv(outdir / "holography.csv",
                "eps,mu,raw_term,corrected_residual,omega_l2", rows)
@@ -404,11 +403,11 @@ def cmd_self_intersect(args, outdir):
         rows.append((p.family, *p.x_hat, *p.x_tilde, p.radius, gap))
     radii = coincidence_radii(eps)
     min_r2 = float((radii ** 2).min()) if radii.size else float("inf")
-    floor = 3.0 * eps ** 2 - 1e-6
     checks = [
-        Check("pair_count", len(pairs), 4, None, len(pairs) == 4),
-        Check("pair_gap_max", worst, 0.0, 1e-10, worst <= 1e-10),
-        Check("sweep_min_radius_sq", min_r2, floor, None, min_r2 >= floor),
+        Check("pair_count", len(pairs), 4, None, "=="),
+        Check("pair_gap_max", worst, 0.0, 1e-10, "<="),
+        Check("sweep_min_radius_sq", min_r2, 3.0 * eps ** 2 - 1e-6, None,
+              ">="),
     ]
     _write_csv(outdir / "self_intersect.csv",
                "family,x_hat1,x_hat2,x_tilde1,x_tilde2,radius,gap", rows)
@@ -428,10 +427,7 @@ def cmd_convergence(args, outdir):
     worst_by_level = [row[-1] for row in rows]
     decreasing = all(b < a for a, b in
                      zip(worst_by_level, worst_by_level[1:]))
-    checks = [
-        Check("errors_decreasing", float(decreasing), 1.0, None,
-              decreasing),
-    ]
+    checks = [Check("errors_decreasing", float(decreasing), 1.0, None, "==")]
     # orientation symmetry of the Jacobian density under O(3)
     rng = np.random.default_rng(args.seed)
     fld = fields[len(fields) // 2]
@@ -444,8 +440,8 @@ def cmd_convergence(args, outdir):
         worst_sym = max(
             worst_sym, float(np.abs(phi(rotated) - sign * base).max())
         )
-    checks.append(Check("rotation_symmetry_defect", worst_sym, 0.0,
-                        1e-12, worst_sym <= 1e-12))
+    checks.append(Check("rotation_symmetry_defect", worst_sym, 0.0, 1e-12,
+                        "<="))
     _write_csv(outdir / "convergence.csv",
                "level,rel_err_phi,rel_err_energy,rel_err_gradf2,max_rel_err",
                rows)

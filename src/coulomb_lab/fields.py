@@ -29,7 +29,7 @@ class SphereField:
 
     mesh: DiscMesh
     values: np.ndarray
-    closure: Optional[Callable] = None
+    closure: Optional[Callable]
 
     @cached_property
     def _gradient(self):

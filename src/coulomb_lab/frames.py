@@ -39,10 +39,10 @@ class ContinuationError(Exception):
 class Frame:
     e1: np.ndarray = field(repr=False)
     e2: np.ndarray = field(repr=False)
-    field_n: SphereField = None
-    f: np.ndarray = field(repr=False, default=None)
-    boundary_std: float = 0.0
-    log: tuple = ()
+    field_n: SphereField
+    f: np.ndarray = field(repr=False)
+    boundary_std: float
+    log: tuple
 
 
 def project_frame(prev, n_new):

@@ -51,10 +51,10 @@ class DiscMesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_mask: np.ndarray
-    areas: np.ndarray = field(repr=False, default=None)
-    grad_x: np.ndarray = field(repr=False, default=None)
-    grad_y: np.ndarray = field(repr=False, default=None)
-    h_max: float = 0.0
+    areas: np.ndarray = field(repr=False)
+    grad_x: np.ndarray = field(repr=False)
+    grad_y: np.ndarray = field(repr=False)
+    h_max: float
 
     @property
     def node_count(self):

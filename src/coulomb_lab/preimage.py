@@ -67,14 +67,13 @@ def _near_earlier(owner, points, tol, targets):
 class PreimageCensus:
     """The hits of a batch of `targets` targets, ordered by target and
     then element: their target index in the batch `owner` (k,), points
-    (k, 2), signs (k,) and elements (k,); and the sorted pair codes
+    (k, 2) and signs (k,); and the sorted pair codes
     (see `PreimageSolver.candidates`) of the elements whose system is
     singular or whose hit has zero sign (`degenerate`)."""
 
     owner: np.ndarray
     points: np.ndarray
     signs: np.ndarray
-    elements: np.ndarray
     degenerate: np.ndarray
     targets: int
 
@@ -153,7 +152,6 @@ class PreimageSolver:
         signs = np.sign(self.phi[cand[hits]]).astype(int)
         return PreimageCensus(
             owner=owner[hits], points=pts[first], signs=signs,
-            elements=cand[hits],
             degenerate=np.union1d(codes[~solvable],
                                   codes[hits][signs == 0]),
             targets=nprimes.shape[0],
@@ -249,30 +247,26 @@ class CoareaReport:
     rejections: dict = field(repr=False)
 
 
-def coarea_check(fld, g, region, N):
+def coarea_check(fld, region, N):
     """Both sides of the coarea identity over a sphere region.
 
-    g is constant on each element.  lhs integrates g |Phi(n_h)| 1_K(n_h)
-    for n_h = P/|P|, the map whose preimages the census counts, with
-    the rule and boundary splitting of holography_identity; so the
-    region must be a cap; the full sphere is the cap of radius pi.
-    rhs sums, over accepted quadrature nodes, the hit-wise total of g.
-    Nodes failing the regular filter contribute to the reported
-    excluded measure instead, and their reasons to `rejections`.
-    The filter takes the nodes _CENSUS_CHUNK at a time.
+    lhs integrates |Phi(n_h)| 1_K(n_h) for n_h = P/|P|, the map whose
+    preimages the census counts, with the rule and boundary splitting
+    of holography_identity; so the region must be a cap; the full
+    sphere is the cap of radius pi.  rhs sums, over accepted
+    quadrature nodes, the weight times the number of hits.  Nodes
+    failing the regular filter contribute to the reported excluded
+    measure instead, and their reasons to `rejections`.  The filter
+    takes the nodes _CENSUS_CHUNK at a time.
     """
-    g = np.asarray(g, dtype=float)
     _require_cap(region, "coarea_check")
 
     def terms(s, r, phi_h, inside, slope, split):
         return (np.where(inside, np.abs(phi_h), 0.0),), ()
 
-    # g is constant on each element, so it weights the element's area
     _, (lhs,) = _integrate_nh(fld, region, lambda elems, split: ((), ()),
-                              terms, g * fld.mesh.areas)
+                              terms)
     lhs = float(lhs)
-    rhs = 0.0
-    excluded = 0.0
     count = region.nodes.shape[0]
     flags = np.zeros((count, len(FILTER_REASONS)), dtype=bool)
     cards = np.zeros(count, dtype=int)
@@ -284,19 +278,17 @@ def coarea_check(fld, g, region, N):
                                               N)
         cards[lo:hi] = census.cards
         signed[lo:hi] = np.bincount(census.owner, census.signs, hi - lo)
-        hits = np.split(census.elements, np.cumsum(cards[lo:hi - 1]))
-        for q, elems in zip(range(lo, hi), hits):
-            if flags[q].any():
-                excluded += region.weights[q]
-            else:
-                rhs += region.weights[q] * g[elems].sum()
+    accepted = ~flags.any(axis=1)
+    # sequential sums, in node order
+    rhs = sum((region.weights * cards)[accepted].tolist(), 0.0)
+    excluded = sum(region.weights[~accepted].tolist(), 0.0)
     return CoareaReport(
         lhs=lhs,
         rhs=rhs,
         gap=lhs - rhs,
         excluded_measure=excluded,
         cards=cards,
-        accepted=~flags.any(axis=1),
+        accepted=accepted,
         signed_sums=signed,
         rejections=dict(zip(FILTER_REASONS, flags.sum(axis=0).tolist())),
     )
@@ -356,7 +348,7 @@ def _rule_sums(region, terms, values, points, split):
         s[5:], r, s[4] / r ** 3, inside, slope, split)]
 
 
-def _split_integral(fld, region, vertex, terms, weights, elems):
+def _split_integral(fld, region, vertex, terms, elems):
     """Integrals of the split terms over elements met by the boundary.
 
     Sub-triangles whose image may meet the region boundary are split
@@ -371,7 +363,7 @@ def _split_integral(fld, region, vertex, terms, weights, elems):
     def integral(local, bary):
         kept, _ = _rule_sums(region, terms, values[local],
                              TRI7_BARY @ bary, True)
-        return np.array([weights[elems[local]] @ v for v in kept])
+        return np.array([fld.mesh.areas[elems[local]] @ v for v in kept])
 
     local = np.arange(elems.size)
     bary = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
@@ -389,9 +381,9 @@ def _split_integral(fld, region, vertex, terms, weights, elems):
     return sums + frac * integral(local, bary)
 
 
-def _integrate_nh(fld, region, vertex, terms, weights):
+def _integrate_nh(fld, region, vertex, terms):
     """Disc integrals of an integrand of n_h, each element's rule
-    average times its weight (its area, or a multiple): (whole, split).
+    average times its area: (whole, split).
 
     `vertex(elems, split)` gives the vectors w whose P.w the integrand
     reads and its own scalars, as (m, 3) vertex values on `elems`;
@@ -409,14 +401,14 @@ def _integrate_nh(fld, region, vertex, terms, weights):
         values = _vertex_values(fld, region, vertex, elems, False)
         kept, only = _rule_sums(region, terms, values, TRI7_BARY, False)
         straddles = _straddles(region, fld.values[mesh.triangles[elems]])
-        a = weights[elems]
+        a = mesh.areas[elems]
         whole += np.array([a @ v for v in only])
         split += np.array([a[~straddles] @ v[~straddles] for v in kept])
         straddling.append(elems[straddles])
     straddling = np.concatenate(straddling)
     step = max(_CHUNK >> SPLIT_DEPTH, 1)
     for lo in range(0, straddling.size, step):
-        split += _split_integral(fld, region, vertex, terms, weights,
+        split += _split_integral(fld, region, vertex, terms,
                                  straddling[lo:lo + step])
     return whole, split
 
@@ -483,7 +475,7 @@ def holography_identity(fld, region, zeta):
         raise ValueError("region must have positive measure")
     _require_cap(region, "holography_identity")
     whole, split = _integrate_nh(fld, region, *_holography_integrand(
-        fld, region, np.asarray(zeta, dtype=float)), fld.mesh.areas)
+        fld, region, np.asarray(zeta, dtype=float)))
     raw, omega_sq = float(whole[0]), float(whole[1])
     f_term, omega_term = float(split[0]), float(split[1])
     f_term *= FOUR_PI / mu

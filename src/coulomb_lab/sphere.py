@@ -71,7 +71,7 @@ class SphereQuadrature:
     faces: np.ndarray = field(repr=False)  # (nf, 3, 3)
     nodes: np.ndarray = field(repr=False)  # (nf, 3) face centroids
     weights: np.ndarray = field(repr=False)  # (nf,) spherical areas
-    face_diameter: float = 0.0  # max vertex-to-vertex distance
+    face_diameter: float  # max vertex-to-vertex distance
 
 
 _quadrature_cache = {}
@@ -116,7 +116,7 @@ class SphereRegion:
     quadrature: SphereQuadrature
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    measure: float = 0.0
+    measure: float
     center: np.ndarray = field(repr=False, default=None)
     rho: float = None
 

@@ -4,8 +4,9 @@ Each criterion is defined once, by the `coulomb-lab` subcommand that
 checks it: a test runs that subcommand at its defaults (seed 1234),
 reads the summary.json it writes, and asserts that every check the
 criterion owns is present and passes.  Each test prints a single
-`criterion N: PASS/FAIL` line; `tests/conftest.py` repeats the captured
-lines at the end of the run, so every run shows the verdicts.
+`criterion N: PASS/FAIL` line, with the bounds it read from that
+summary; `tests/conftest.py` repeats the captured lines at the end of
+the run, so every run shows the verdicts.
 """
 
 import json
@@ -14,6 +15,9 @@ import time
 import pytest
 
 from coulomb_lab.cli import main
+
+# Wall-time limit of the enneper-table run (criterion 1).
+RUNTIME_LIMIT_S = 120.0
 
 
 def _run(out, *argv):
@@ -38,6 +42,15 @@ def _verdict(num, failed, detail):
 
 def _values(checks, names):
     return [checks[n]["value"] for n in names]
+
+
+def _bound(check):
+    """The rule and bound that decide `check`, as summary.json records
+    them."""
+    rule = check["rule"]
+    if rule == "rel":
+        return f"rel err <= {check['tol']:g}"
+    return f"{rule} {check['tol' if rule == '<=' else 'reference']:g}"
 
 
 def _rel_errs(checks, names):
@@ -72,9 +85,10 @@ def test_criterion_01_closed_forms(enneper_table):
              "closed_forms_eps_0.25"]
     worst = max(_values(checks, names))
     _verdict(1, _failed(checks, names),
-             f"closed-form rel err {worst:.2e} (tol 1e-2), "
-             f"runtime {elapsed:.1f}s (limit 120s)")
-    assert elapsed < 120.0
+             f"closed-form rel err {worst:.2e} "
+             f"({_bound(checks[names[0]])}), runtime {elapsed:.1f}s "
+             f"(limit {RUNTIME_LIMIT_S:g}s)")
+    assert elapsed < RUNTIME_LIMIT_S
 
 
 def test_criterion_02_minimal_surface_equality(enneper_table):
@@ -83,7 +97,8 @@ def test_criterion_02_minimal_surface_equality(enneper_table):
              "minimal_surface_eps_0.25"]
     worst = max(_values(checks, names))
     _verdict(2, _failed(checks, names),
-             f"|2 int|Phi| - energy| rel err {worst:.2e} (tol 1e-2)")
+             f"|2 int|Phi| - energy| rel err {worst:.2e} "
+             f"({_bound(checks[names[0]])})")
 
 
 def test_criterion_03_decomposition_pipeline(decompose):
@@ -91,8 +106,11 @@ def test_criterion_03_decomposition_pipeline(decompose):
              "residual_refinement_ratio", "kernel_bound_slack"]
     measure, _, worst, ratio, _ = _values(decompose, names)
     _verdict(3, _failed(decompose, names),
-             f"meas(K)={measure:.3f}, weak residual {worst:.2e} "
-             f"(tol 5e-2), refinement ratio {ratio:.2f} (min 1.5)")
+             f"meas(K)={measure:.3f} "
+             f"({_bound(decompose['region_measure'])}), weak residual "
+             f"{worst:.2e} ({_bound(decompose['weak_residual'])}), "
+             f"refinement ratio {ratio:.2f} "
+             f"({_bound(decompose['residual_refinement_ratio'])})")
 
 
 def test_criterion_04_kernel_bounds(decompose):
@@ -100,7 +118,7 @@ def test_criterion_04_kernel_bounds(decompose):
     violations = sum(_values(decompose, names))
     _verdict(4, _failed(decompose, names),
              f"{violations} bound violations over 1e5 samples plus all "
-             f"field elements")
+             f"field elements ({_bound(decompose[names[0]])} each)")
 
 
 def test_criterion_05_symmetry(tmp_path):
@@ -109,7 +127,8 @@ def test_criterion_05_symmetry(tmp_path):
             for eps in ("0.5", "0.25")]
     worst = max(c["rotation_symmetry_defect"]["value"] for c in runs)
     _verdict(5, _failed(runs[0], names) + _failed(runs[1], names),
-             f"orthogonal-transform defect {worst:.2e} (tol 1e-12)")
+             f"orthogonal-transform defect {worst:.2e} "
+             f"({_bound(runs[0]['rotation_symmetry_defect'])})")
 
 
 def test_criterion_06_coulomb_frame(tmp_path):
@@ -120,9 +139,12 @@ def test_criterion_06_coulomb_frame(tmp_path):
     orth, tang, half1, half2, f_gap, _ = _values(checks, names)
     (f_max_err,) = _rel_errs(checks, ["f_max"])
     _verdict(6, _failed(checks, names),
-             f"defects {max(orth, tang):.1e} (tol 1e-10), halving "
-             f"{half1:.1f}/{half2:.1f}, f gap {f_gap:.2e}, "
-             f"max|f| err {f_max_err:.2e}")
+             f"defects {max(orth, tang):.1e} "
+             f"({_bound(checks['orthonormality_defect'])}), halving "
+             f"{half1:.1f}/{half2:.1f} "
+             f"({_bound(checks['residual_halving_1'])}), f gap "
+             f"{f_gap:.2e} ({_bound(checks['f_recovery_gap'])}), "
+             f"max|f| err {f_max_err:.2e} ({_bound(checks['f_max'])})")
 
 
 def test_criterion_07_coarea(tmp_path):
@@ -131,8 +153,10 @@ def test_criterion_07_coarea(tmp_path):
              "card0_outside_image"]
     gap, excl, card1, card0 = _values(checks, names)
     _verdict(7, _failed(checks, names),
-             f"gap {gap:.2e} (tol 2e-2), excluded {excl:.2e} (tol 5e-2), "
-             f"card1 {card1:.3f} (min 0.95), card0 misses {card0}")
+             f"gap {gap:.2e} ({_bound(checks['coarea_gap'])}), excluded "
+             f"{excl:.2e} ({_bound(checks['excluded_measure'])}), card1 "
+             f"{card1:.3f} ({_bound(checks['card1_fraction'])}), card0 "
+             f"misses {card0} ({_bound(checks['card0_outside_image'])})")
 
 
 def test_criterion_08_holography_sharpness(holography):
@@ -142,10 +166,11 @@ def test_criterion_08_holography_sharpness(holography):
     names = raw + ["residual_max", "residual_non_increasing"]
     raw_ok = not _failed(checks, raw)
     _verdict(8, _failed(checks, names),
-             f"raw within 5% and increasing: {raw_ok}, residuals "
-             f"{'/'.join(f'{r:.1e}' for r in resids)} (bound 0.5, "
-             f"non-increasing within "
-             f"{checks['residual_non_increasing']['tol']:g} required)")
+             f"raw ({_bound(checks[raw[0]])}) and increasing: {raw_ok}, "
+             f"residuals {'/'.join(f'{r:.1e}' for r in resids)} "
+             f"({_bound(checks['residual_max'])}), largest rise "
+             f"{checks['residual_non_increasing']['value']:.1e} "
+             f"({_bound(checks['residual_non_increasing'])})")
 
 
 def test_criterion_09_dual_norm(holography):
@@ -155,17 +180,18 @@ def test_criterion_09_dual_norm(holography):
     norms = "/".join(f"{d:.3f}" for d in _values(checks, duals))
     _verdict(9, _failed(checks, names),
              f"dual norms {norms} strictly increasing, rel err max "
-             f"{max(_rel_errs(checks, duals)):.2e} (tol 5e-2)")
+             f"{max(_rel_errs(checks, duals)):.2e} "
+             f"({_bound(checks[duals[0]])})")
 
 
 def test_criterion_10_self_intersection(tmp_path):
     checks = _run(tmp_path, "self-intersect")
     names = ["pair_count", "pair_gap_max", "sweep_min_radius_sq"]
     pairs, worst, min_r2 = _values(checks, names)
-    floor = checks["sweep_min_radius_sq"]["reference"]
     _verdict(10, _failed(checks, names),
-             f"{pairs} pairs, worst gap {worst:.1e} (tol 1e-10), "
-             f"sweep min r^2 {min_r2:.3f} (floor {floor:.3f})")
+             f"{pairs} pairs ({_bound(checks['pair_count'])}), worst gap "
+             f"{worst:.1e} ({_bound(checks['pair_gap_max'])}), sweep min "
+             f"r^2 {min_r2:.3f} ({_bound(checks['sweep_min_radius_sq'])})")
     rows = (tmp_path / "self_intersect.csv").read_text().splitlines()
     assert len(rows) == 5
 

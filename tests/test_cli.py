@@ -4,7 +4,19 @@ import re
 import numpy as np
 import pytest
 
+from coulomb_lab import surfaces
 from coulomb_lab.cli import _load_config_file, _parse_cap, main
+
+# The rules of summary.json, each from the fields it reads: a copy of
+# the definition in the cli module docstring, not an import of it.
+RULES = {
+    "<=": lambda c: c["value"] <= c["tol"],
+    ">=": lambda c: c["value"] >= c["reference"],
+    ">": lambda c: c["value"] > c["reference"],
+    "==": lambda c: c["value"] == c["reference"],
+    "rel": lambda c: (abs(c["value"] - c["reference"])
+                      / abs(c["reference"]) <= c["tol"]),
+}
 
 
 def run(tmp_path, *argv):
@@ -65,8 +77,37 @@ def test_summary_structure(tmp_path):
     _, _, summary = run(tmp_path, "mesh-info", "--level", "2")
     assert set(summary) == {"command", "config", "checks", "pass", "info"}
     for c in summary["checks"]:
-        assert set(c) == {"name", "value", "reference", "tol", "pass"}
+        assert set(c) == {"name", "value", "reference", "tol", "rule",
+                          "pass"}
     assert summary["config"]["seed"] == 1234
+
+
+def test_rules_decide_every_check(tmp_path, monkeypatch):
+    # every subcommand at small flags (self-intersect, which has none
+    # that shrink its sweep, on fewer circles); at these levels some
+    # checks fail, so both outcomes are recomputed
+    monkeypatch.setattr(surfaces, "N_RADII", 12)
+    runs = [
+        ["mesh-info", "--level", "2"],
+        ["enneper-table", "--level", "3", "--eps", "1.0,0.5"],
+        ["decompose", "--level", "3", "--sphere-level", "2"],
+        ["frame", "--level", "3"],
+        ["coarea", "--level", "3", "--sphere-level", "2"],
+        ["holography", "--eps", "0.3,0.1", "--levels", "3",
+         "--sphere-level", "2"],
+        ["self-intersect"],
+        ["convergence", "--levels", "2,3"],
+    ]
+    outcomes = set()
+    for argv in runs:
+        code, _, summary = run(tmp_path / argv[0], *argv)
+        for c in summary["checks"]:
+            assert c["rule"] in RULES, c
+            assert RULES[c["rule"]](c) == c["pass"], c
+            outcomes.add(c["pass"])
+        assert summary["pass"] == all(c["pass"] for c in summary["checks"])
+        assert code == (0 if summary["pass"] else 1)
+    assert outcomes == {True, False}
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -1,8 +1,8 @@
 """Static checks of the package source: no dead definitions, no private
-imports across modules, no parameter defaults (settings come from the
-CLI), no dataclass field that nothing reads and no line over 79
-characters.  They parse src/coulomb_lab/*.py and import nothing from
-it."""
+imports across modules, no parameter or dataclass field defaults
+(settings come from the CLI), no dataclass field that nothing reads and
+no line over 79 characters.  They parse src/coulomb_lab/*.py and import
+nothing from it."""
 
 import ast
 from collections import Counter
@@ -24,6 +24,15 @@ ALLOWED_DEFAULTS = {
     "cli.main(argv)": "entry point: None reads sys.argv",
     "fields.field_from_values(closure)":
         "rotated copies of a field have no closure",
+}
+
+# Dataclass field defaults, and why each stays; every constructor passes
+# every other field.
+ALLOWED_FIELD_DEFAULTS = {
+    "sphere.SphereRegion.center":
+        "make_region builds bare node sets, which have no centre",
+    "sphere.SphereRegion.rho":
+        "make_region builds bare node sets, which have no cap radius",
 }
 
 # Dataclass fields that nothing in the package reads, and why each stays.
@@ -126,6 +135,33 @@ def _is_dataclass(cls):
                for d in cls.decorator_list)
 
 
+def _fields(modules):
+    """`module.Class.field` and the AnnAssign node of each dataclass
+    field."""
+    return {f"{module}.{cls.name}.{item.target.id}": item
+            for module, tree in modules.items()
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for item in cls.body if isinstance(item, ast.AnnAssign)}
+
+
+def _has_default(item):
+    """Whether a field's value gives it a default: any value but a
+    `field(...)` call without default or default_factory."""
+    value = item.value
+    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+        return any(k.arg in ("default", "default_factory")
+                   for k in value.keywords)
+    return value is not None
+
+
+def test_no_dataclass_field_defaults():
+    fields = _fields(_modules())
+    defaulted = [f for f, item in fields.items() if _has_default(item)]
+    assert set(ALLOWED_FIELD_DEFAULTS) <= set(defaulted)
+    assert [f for f in defaulted if f not in ALLOWED_FIELD_DEFAULTS] == []
+
+
 def test_every_dataclass_field_is_read():
     """A field counts as read when an attribute of its name is loaded
     anywhere in the package, so a field that shares its name with a
@@ -135,11 +171,7 @@ def test_every_dataclass_field_is_read():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
-    fields = [f"{module}.{cls.name}.{item.target.id}"
-              for module, tree in modules.items()
-              for cls in tree.body
-              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-              for item in cls.body if isinstance(item, ast.AnnAssign)]
+    fields = _fields(modules)
     assert set(ALLOWED_UNREAD) <= set(fields)
     assert [f for f in fields if f.rsplit(".", 1)[1] not in read
             and f not in ALLOWED_UNREAD] == []
