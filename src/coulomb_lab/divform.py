@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fields import HypothesisViolationError, area_functional, phi
+from .fields import (FOUR_PI, HypothesisViolationError, area_functional,
+                     phi)
 from .mesh import integrate
 from .pde import element_load, flux_load
 from .sphere import SphereRegion, make_region, sphere_quadrature
 
-FOUR_PI = 4.0 * np.pi
 # omega raises when a centroid value lies this close to its target.
 SINGULAR_TOL = 1e-9
 # Chord distance an admissible node keeps from the image and the poles.

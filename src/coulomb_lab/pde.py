@@ -121,10 +121,14 @@ class PoissonSolution:
     max_abs: float
 
 
-def _dirichlet_solve_load(b, mesh):
+def solve_poisson_dirichlet(rhs, mesh):
+    """Weak solution of -Laplace(f) = rhs with f = 0 on the boundary."""
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("right-hand side must be finite")
     idx = mesh.interior_nodes
     f = np.zeros(mesh.node_count)
-    bi = b[idx]
+    bi = element_load(rhs, mesh)[idx]
     fi = _factor(mesh, idx).solve(bi)
     f[idx] = fi
     # energy identity: |grad f|^2 = f^T K f = f^T b for the exact solve
@@ -134,14 +138,6 @@ def _dirichlet_solve_load(b, mesh):
         gradient_norm=float(np.sqrt(grad2)),
         max_abs=float(np.abs(f).max()),
     )
-
-
-def solve_poisson_dirichlet(rhs, mesh):
-    """Weak solution of -Laplace(f) = rhs with f = 0 on the boundary."""
-    rhs = np.asarray(rhs, dtype=float)
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("right-hand side must be finite")
-    return _dirichlet_solve_load(element_load(rhs, mesh), mesh)
 
 
 def dual_norm(rhs, mesh):

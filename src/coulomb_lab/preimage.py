@@ -15,19 +15,19 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fields import phi
+from .fields import FOUR_PI, phi
 from .mesh import TRI7_BARY, TRI7_WEIGHTS, element_gradient
+from .sphere import spherical_areas
 
-FOUR_PI = 4.0 * np.pi
 BARY_TOL = 1e-9
 # Accuracy that holography_identity promises for caps (the full sphere
 # is the cap of radius pi): |residual| stays below it.
 HOLOGRAPHY_TOL = 1e-4
 # Recursive splits of elements whose image straddles the region boundary.
 SPLIT_DEPTH = 10
-# Elements per vectorized batch of holography_identity and of
-# coarea_check's lhs (bounds the working memory); elements met by the
-# region boundary go _CHUNK >> SPLIT_DEPTH at a time.
+# Elements per vectorized batch of holography_identity (bounds the
+# working memory); elements met by the region boundary go
+# _CHUNK >> SPLIT_DEPTH at a time.
 _CHUNK = 1 << 12
 # Targets per census batch of coarea_check (bounds the working memory).
 _CENSUS_CHUNK = 256
@@ -94,7 +94,7 @@ class PreimageSolver:
     def __init__(self, fld):
         self.fld = fld
         self.phi = phi(fld)
-        # one vertex at a time: a (nt, 3, 3) temporary would set the
+        # one vertex at a time: (nt, 3, 3) temporaries would raise the
         # peak memory of coarea_check
         self.radius = np.max([
             np.linalg.norm(fld.values[corner] - fld.nbar, axis=1)
@@ -248,25 +248,26 @@ class CoareaReport:
 
 
 def coarea_check(fld, region, N):
-    """Both sides of the coarea identity over a sphere region.
+    """Both sides of the coarea identity over the whole sphere.
 
-    lhs integrates |Phi(n_h)| 1_K(n_h) for n_h = P/|P|, the map whose
-    preimages the census counts, with the rule and boundary splitting
-    of holography_identity; so the region must be a cap; the full
-    sphere is the cap of radius pi.  rhs sums, over accepted
-    quadrature nodes, the weight times the number of hits.  Nodes
-    failing the regular filter contribute to the reported excluded
-    measure instead, and their reasons to `rejections`.  The filter
-    takes the nodes _CENSUS_CHUNK at a time.
+    lhs integrates |Phi(n_h)| for n_h = P/|P|, the map whose preimages
+    the census counts.  n_h maps each element onto the geodesic
+    triangle spanned by its vertex values, and Phi(n_h) = P.(d1 x d2) /
+    |P|^3 has one sign there; so the element's integral is that
+    triangle's solid angle, in closed form (`spherical_areas`).  rhs
+    sums, over accepted quadrature nodes, the weight times the number
+    of hits.  Nodes failing the regular filter contribute to the
+    reported excluded measure instead, and their reasons to
+    `rejections`.  The filter takes the nodes _CENSUS_CHUNK at a time.
+
+    The region must be the whole sphere, holding every node of its
+    quadrature, since lhs is the whole sphere's; others raise
+    ValueError.
     """
-    _require_cap(region, "coarea_check")
-
-    def terms(s, r, phi_h, inside, slope, split):
-        return (np.where(inside, np.abs(phi_h), 0.0),), ()
-
-    _, (lhs,) = _integrate_nh(fld, region, lambda elems, split: ((), ()),
-                              terms)
-    lhs = float(lhs)
+    if (region.nodes.shape[0] < region.quadrature.nodes.shape[0]
+            or not np.isclose(region.measure, FOUR_PI)):
+        raise ValueError("coarea_check needs the whole sphere")
+    lhs = float(spherical_areas(fld.values[fld.mesh.triangles]).sum())
     count = region.nodes.shape[0]
     flags = np.zeros((count, len(FILTER_REASONS)), dtype=bool)
     cards = np.zeros(count, dtype=int)
@@ -312,8 +313,8 @@ def _straddles(region, images):
     the cap of angular radius r about their normalized mean m.  The
     image stays on one side when |boundary_distance(m)| > r.
     """
-    m = images.sum(axis=1)
-    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    m = images[:, 0] + images[:, 1] + images[:, 2]
+    m /= np.sqrt(m[:, 0] ** 2 + m[:, 1] ** 2 + m[:, 2] ** 2)[:, None]
     cos_r = (images @ m[:, :, None])[..., 0].min(axis=1)
     radius = np.arccos(np.clip(cos_r, -1.0, 1.0))
     return (np.abs(region.boundary_distance(m)) <= radius) | (cos_r <= 0.0)
@@ -326,43 +327,50 @@ _CHILDREN = 0.5 * np.array([[2, 0, 0], [1, 1, 0], [1, 0, 1],
                             [1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
 
-def _vertex_values(fld, region, vertex, elems, split):
-    """(m, 3, S) vertex values on `elems` of P, P.c, P.(d1 x d2), P.w
-    for each vector w of `vertex(elems, split)`, and its scalars."""
+def _vertex_values(fld, region, zeta, gz, elems, whole):
+    """(m, 3, S) vertex values on `elems` of P, P.c, P.(d1 x d2), the
+    pairing P.(d1 zeta (d2 x c) - d2 zeta (d1 x c)), with `whole` also
+    P.(d1 x c) and P.(d2 x c), and zeta; `gz` (nt, 2) is grad zeta."""
     verts = fld.values[fld.mesh.triangles[elems]]
-    vectors, scalars = vertex(elems, split)
+    cx = np.cross(np.eye(3), region.center)  # d @ cx = d x c
+    d1c, d2c = fld.d1[elems] @ cx, fld.d2[elems] @ cx
+    pair = gz[elems, 0, None] * d2c - gz[elems, 1, None] * d1c
     w = np.dstack([np.broadcast_to(region.center, (elems.size, 3)),
-                   fld.cross[elems], *vectors])
-    return np.dstack([verts, verts @ w, *scalars])
+                   fld.cross[elems], pair, *((d1c, d2c) if whole else ())])
+    return np.dstack([verts, verts @ w, zeta[fld.mesh.triangles[elems]]])
 
 
-def _rule_sums(region, terms, values, points, split):
-    """Element-rule averages of the (split, whole) terms on sub-triangles
-    with `_vertex_values` (k, 3, S) and rule points `points` (k, 7, 3)
-    or (7, 3), in element barycentrics; `terms(s, r, phi_h, inside,
-    slope, split)` gets the integrand's scalars s (E, k, 7) there."""
+def _rule_sums(region, values, points, whole):
+    """Element-rule averages on sub-triangles with `_vertex_values`
+    (k, 3, S) and rule points `points` (k, 7, 3) or (7, 3), in element
+    barycentrics: 1_K Phi zeta and the pairing, with `whole` also
+    Phi zeta and |Omega|^2."""
     s = np.moveaxis(points @ values, 2, 0)
     r = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
     inside, slope = region.potential_slope(s[3] / r)
-    return [[v @ TRI7_WEIGHTS for v in part] for part in terms(
-        s[5:], r, s[4] / r ** 3, inside, slope, split)]
+    scale = slope / r ** 2
+    pz = s[4] / r ** 3 * s[-1]
+    terms = [np.where(inside, pz, 0.0), scale * s[5]]
+    if whole:
+        terms += [pz, scale ** 2 * (s[6] ** 2 + s[7] ** 2)]
+    return [v @ TRI7_WEIGHTS for v in terms]
 
 
-def _split_integral(fld, region, vertex, terms, elems):
-    """Integrals of the split terms over elements met by the boundary.
+def _split_integral(fld, region, zeta, gz, elems):
+    """Integrals of 1_K Phi zeta and the pairing over elements met by
+    the boundary.
 
     Sub-triangles whose image may meet the region boundary are split
     SPLIT_DEPTH times; the others take the element rule whole, and the
     leaves use the pointwise indicator.  Splitting resolves both the
-    indicator and any kink of the integrand across the boundary
+    indicator and the kink of the pairing across the boundary
     preimage.
     """
     verts = fld.values[fld.mesh.triangles[elems]]
-    values = _vertex_values(fld, region, vertex, elems, True)
+    values = _vertex_values(fld, region, zeta, gz, elems, False)
 
     def integral(local, bary):
-        kept, _ = _rule_sums(region, terms, values[local],
-                             TRI7_BARY @ bary, True)
+        kept = _rule_sums(region, values[local], TRI7_BARY @ bary, False)
         return np.array([fld.mesh.areas[elems[local]] @ v for v in kept])
 
     local = np.arange(elems.size)
@@ -374,70 +382,12 @@ def _split_integral(fld, region, vertex, terms, elems):
         local = np.repeat(local, 4)
         frac *= 0.25
         images = bary @ verts[local]
-        images /= np.linalg.norm(images, axis=2, keepdims=True)
+        images /= np.sqrt(images[..., 0] ** 2 + images[..., 1] ** 2
+                          + images[..., 2] ** 2)[..., None]
         straddles = _straddles(region, images)
         sums += frac * integral(local[~straddles], bary[~straddles])
         bary, local = bary[straddles], local[straddles]
     return sums + frac * integral(local, bary)
-
-
-def _integrate_nh(fld, region, vertex, terms):
-    """Disc integrals of an integrand of n_h, each element's rule
-    average times its area: (whole, split).
-
-    `vertex(elems, split)` gives the vectors w whose P.w the integrand
-    reads and its own scalars, as (m, 3) vertex values on `elems`;
-    `terms` makes (split terms, whole terms) of them (see `_rule_sums`),
-    with split True only the first.  `whole` is the element rule over
-    every element; `split` also, where the element's image stays on one
-    side of the region boundary, and `_split_integral` elsewhere.
-    Elements go _CHUNK, and those met by the boundary _CHUNK >>
-    SPLIT_DEPTH, at a time."""
-    mesh = fld.mesh
-    whole = split = 0.0
-    straddling = []
-    for lo in range(0, mesh.triangle_count, _CHUNK):
-        elems = np.arange(lo, min(lo + _CHUNK, mesh.triangle_count))
-        values = _vertex_values(fld, region, vertex, elems, False)
-        kept, only = _rule_sums(region, terms, values, TRI7_BARY, False)
-        straddles = _straddles(region, fld.values[mesh.triangles[elems]])
-        a = mesh.areas[elems]
-        whole += np.array([a @ v for v in only])
-        split += np.array([a[~straddles] @ v[~straddles] for v in kept])
-        straddling.append(elems[straddles])
-    straddling = np.concatenate(straddling)
-    step = max(_CHUNK >> SPLIT_DEPTH, 1)
-    for lo in range(0, straddling.size, step):
-        split += _split_integral(fld, region, vertex, terms,
-                                 straddling[lo:lo + step])
-    return whole, split
-
-
-def _require_cap(region, what):
-    if region.center is None:
-        raise ValueError(f"{what} needs a cap, not a bare node set")
-
-
-def _holography_integrand(fld, region, zeta):
-    """holography_identity's `vertex` and `terms` (see _integrate_nh):
-    split terms 1_K Phi zeta, the pairing; whole Phi zeta, |Omega|^2."""
-    gz = element_gradient(zeta, fld.mesh)
-    cx = np.cross(np.eye(3), region.center)  # d @ cx = d x c
-
-    def vertex(elems, split):
-        d1c, d2c = fld.d1[elems] @ cx, fld.d2[elems] @ cx
-        pair = gz[elems, 0, None] * d2c - gz[elems, 1, None] * d1c
-        return ((pair,) if split else (pair, d1c, d2c),
-                (zeta[fld.mesh.triangles[elems]],))
-
-    def terms(s, r, phi_h, inside, slope, split):
-        scale = slope / r ** 2
-        pz = phi_h * s[-1]
-        kept = np.where(inside, pz, 0.0), scale * s[0]
-        return kept, () if split else (
-            pz, scale ** 2 * (s[1] ** 2 + s[2] ** 2))
-
-    return vertex, terms
 
 
 def holography_identity(fld, region, zeta):
@@ -454,9 +404,13 @@ def holography_identity(fld, region, zeta):
     holds exactly, with Omega_i = grad Q(n_h).(n_h x d_i n_h) and Q
     the logarithmic potential of the region.  raw = int Phi zeta;
     f_term and omega_term are the two right-hand terms, all three from
-    the same 7-point degree-5 element rule.  Elements whose image may
-    meet the region boundary are split recursively SPLIT_DEPTH times,
-    to resolve the indicator and the kink of Omega there.
+    the same 7-point degree-5 element rule, each element's rule average
+    times its area.  Raw and |Omega|^2 take every element whole; the
+    other two terms take the elements whose image stays on one side of
+    the boundary whole, and split the others recursively SPLIT_DEPTH
+    times (`_split_integral`), to resolve the indicator and the kink
+    of Omega there.  Elements go _CHUNK, and those met by the boundary
+    _CHUNK >> SPLIT_DEPTH, at a time.
 
     Each integrand comes from scalars affine on each element, known at
     the rule points from their vertex values.  With d_i the derivatives
@@ -473,9 +427,29 @@ def holography_identity(fld, region, zeta):
     mu = region.measure
     if mu <= 0:
         raise ValueError("region must have positive measure")
-    _require_cap(region, "holography_identity")
-    whole, split = _integrate_nh(fld, region, *_holography_integrand(
-        fld, region, np.asarray(zeta, dtype=float)))
+    if region.center is None:
+        raise ValueError(
+            "holography_identity needs a cap, not a bare node set")
+    mesh = fld.mesh
+    zeta = np.asarray(zeta, dtype=float)
+    gz = element_gradient(zeta, mesh)
+    whole = split = 0.0
+    straddling = []
+    for lo in range(0, mesh.triangle_count, _CHUNK):
+        elems = np.arange(lo, min(lo + _CHUNK, mesh.triangle_count))
+        values = _vertex_values(fld, region, zeta, gz, elems, True)
+        terms = _rule_sums(region, values, TRI7_BARY, True)
+        straddles = _straddles(region, fld.values[mesh.triangles[elems]])
+        a = mesh.areas[elems]
+        whole += np.array([a @ v for v in terms[2:]])
+        split += np.array([a[~straddles] @ v[~straddles]
+                           for v in terms[:2]])
+        straddling.append(elems[straddles])
+    straddling = np.concatenate(straddling)
+    step = max(_CHUNK >> SPLIT_DEPTH, 1)
+    for lo in range(0, straddling.size, step):
+        split += _split_integral(fld, region, zeta, gz,
+                                 straddling[lo:lo + step])
     raw, omega_sq = float(whole[0]), float(whole[1])
     f_term, omega_term = float(split[0]), float(split[1])
     f_term *= FOUR_PI / mu

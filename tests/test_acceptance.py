@@ -197,8 +197,9 @@ def test_criterion_10_self_intersection(tmp_path):
 
 
 def test_criterion_11_determinism(tmp_path):
-    # convergence, plus the two users of the rule kernel: holography
-    # and coarea (at eps 0.5, level 3 is too coarse for the gap check)
+    # convergence, holography (the rule kernel) and coarea (the census
+    # and the solid-angle lhs; at eps 0.5, level 3 is too coarse for
+    # the gap check)
     runs = {
         "convergence": (["--levels", "3,4", "--eps", "0.5"],
                         "convergence.csv"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coulomb_lab import preimage
 from coulomb_lab.divform import gradient_pairing
-from coulomb_lab.fields import sample_field
+from coulomb_lab.fields import field_from_values, sample_field
 from coulomb_lab.mesh import (TRI7_BARY, TRI7_WEIGHTS, build_disc_mesh,
                               element_gradient)
 from coulomb_lab.preimage import (FILTER_REASONS, HOLOGRAPHY_TOL,
@@ -225,16 +225,41 @@ def test_coarea_is_chunk_invariant(field, monkeypatch):
             first.lhs, first.rhs, first.excluded_measure)
 
 
-def test_coarea_cap_counts_preimages_of_nh():
-    # lhs integrates |Phi(n_h)| over the preimage under n_h, the map the
-    # census counts; deciding membership by element centroid instead
-    # gave lhs = 1.777 against rhs = 1.840 (-3.5%) here.  The cap lies
-    # inside the image, so both sides also equal its measure.
-    fld = sample_field(enneper_gauss_closure(0.5), build_disc_mesh(5))
-    region = cap(-K, np.pi / 4.0, level=4)
-    rep = coarea_check(fld, region, 64)
-    assert abs(rep.gap) <= 0.02 * rep.lhs
-    assert rep.lhs == pytest.approx(region.measure, rel=0.02)
+def _abs_phi_rule(fld):
+    """Oracle of coarea's lhs: the sum over the elements of the 7-point
+    rule of |Phi(n_h)|, Phi(n_h) = P.(d1 x d2) / |P|^3."""
+    mesh = fld.mesh
+    verts = fld.values[mesh.triangles]
+    total = np.zeros(mesh.triangle_count)
+    for b, w in zip(TRI7_BARY, TRI7_WEIGHTS):
+        P = b @ verts
+        r = np.linalg.norm(P, axis=1)
+        total += w * np.abs((P * fld.cross).sum(axis=1)) / r ** 3
+    return float(mesh.areas @ total)
+
+
+@settings(max_examples=20, deadline=None)
+@given(eps=st.floats(0.3, 1.0), level=st.integers(3, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_coarea_lhs_is_the_solid_angle_sum(mesh, field3, eps, level, seed):
+    # lhs sums the solid angles of the elements' images.  The 7-point
+    # rule approaches it: measured within 9.5e-7 relative at eps 0.3,
+    # mesh level 3, the worst of this range.  An orthogonal map of the
+    # values keeps each solid angle's size.  Holography's raw term with
+    # zeta = 1 is the same rule's signed integral: Phi < 0 here.
+    fld = sample_field(enneper_gauss_closure(eps),
+                       {3: field3.mesh, 4: mesh}[level])
+    lhs = coarea_check(fld, full_sphere(0), 64).lhs
+    rule = _abs_phi_rule(fld)
+    assert abs(lhs - rule) <= 2e-6 * lhs
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    turned = field_from_values(fld.values @ q.T, fld.mesh)
+    assert coarea_check(turned, full_sphere(0), 64).lhs == pytest.approx(
+        lhs, rel=1e-12, abs=0.0)
+    raw = holography_identity(fld, full_sphere(2),
+                              np.ones(fld.mesh.node_count)).raw_term
+    assert raw == pytest.approx(-rule, rel=1e-12, abs=0.0)
+    assert abs(raw + lhs) <= 2e-6 * lhs
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,11 +285,14 @@ def test_filter_decides_integral_from_bound(solver, monkeypatch):
     assert not flags[:, FILTER_REASONS.index("integral")].any()
 
 
-def test_coarea_needs_cap(field):
-    # every node of the sphere, but as a bare node set without a cap
-    bare = region_from_predicate(lambda p: np.ones(len(p), dtype=bool), 2)
-    with pytest.raises(ValueError, match="needs a cap"):
-        coarea_check(field, bare, 64)
+def test_coarea_needs_whole_sphere(field):
+    # lhs is the whole sphere's, so a proper cap or a node set holding
+    # half the nodes would pair it with a partial rhs
+    half = region_from_predicate(lambda p: p[:, 2] >= 0.0, 2)
+    assert 0 < half.nodes.shape[0] < half.quadrature.nodes.shape[0]
+    for region in (cap(-K, np.pi / 4.0, level=2), half):
+        with pytest.raises(ValueError, match="whole sphere"):
+            coarea_check(field, region, 64)
 
 
 def test_holography_full_sphere_f_term(field):
@@ -360,13 +388,12 @@ def test_holography_kernel_matches_point_oracle(field3, center, rho):
     mesh = fld.mesh
     region = cap(_unit(*center), rho, level=2)
     zeta = zeta_eps(0.5, mesh)
-    vertex, terms = preimage._holography_integrand(fld, region, zeta)
+    gz = element_gradient(zeta, mesh)
     elems = np.arange(mesh.triangle_count)
     verts = fld.values[mesh.triangles]
-    values = preimage._vertex_values(fld, region, vertex, elems, False)
-    (f, pairing), (pz, omega_sq) = preimage._rule_sums(
-        region, terms, values, TRI7_BARY, False)
-    gz = element_gradient(zeta, mesh)
+    values = preimage._vertex_values(fld, region, zeta, gz, elems, True)
+    f, pairing, pz, omega_sq = preimage._rule_sums(region, values,
+                                                   TRI7_BARY, True)
     want = np.zeros((4, mesh.triangle_count))
     slack = np.zeros((4, mesh.triangle_count))
     for b, w in zip(TRI7_BARY, TRI7_WEIGHTS):
@@ -389,11 +416,10 @@ def test_holography_kernel_matches_point_oracle(field3, center, rho):
         assert np.all(np.abs(got - ref) <= bound)
     # the split pass reads only the scalars of its two terms; on the
     # whole elements, as sub-triangles, they give the same sums
-    values = preimage._vertex_values(fld, region, vertex, elems, True)
+    values = preimage._vertex_values(fld, region, zeta, gz, elems, False)
     whole = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
-    kept, only = preimage._rule_sums(region, terms, values,
-                                     TRI7_BARY @ whole, True)
-    assert only == []
+    kept = preimage._rule_sums(region, values, TRI7_BARY @ whole, False)
+    assert len(kept) == 2
     for got, ref, bound in zip(kept, (f, pairing), bounds[1:3]):
         assert np.all(np.abs(got - ref) <= bound)
 
