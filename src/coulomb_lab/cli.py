@@ -95,19 +95,17 @@ def _number_list(convert, text):
 
 def _parse_cap(text):
     """Cap string `center,rho` with center one of k, -k, or `x:y:z`."""
-    head, rho = text.rsplit(",", 1)
-    if head == "k":
-        center = np.array([0.0, 0.0, 1.0])
-    elif head == "-k":
-        center = np.array([0.0, 0.0, -1.0])
-    else:
-        center = np.array([float(t) for t in head.split(":")])
-        norm = np.linalg.norm(center)
-        if not (np.isfinite(norm) and norm > 0.0):
-            raise ValueError(f"cap centre {head!r} is not a finite "
-                             "nonzero vector")
-        center = center / norm
-    return center, float(rho)
+    head, *rest = text.split(",")
+    coords = {"k": "0:0:1", "-k": "0:0:-1"}.get(head, head).split(":")
+    if len(rest) != 1 or len(coords) != 3:
+        raise ValueError(f"bad cap {text!r}: expected center,rho with "
+                         "center k, -k or x:y:z")
+    center = np.array([float(t) for t in coords])
+    norm = np.linalg.norm(center)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"cap centre {head!r} is not a finite "
+                         "nonzero vector")
+    return center / norm, float(rest[0])
 
 
 def _load_config_file(path):

@@ -46,8 +46,9 @@ MIN_MARGIN = 0.025
 _BLOCK_ENTRIES = 1 << 16
 
 
-class SingularElementError(Exception):
-    """Element centroid value coincides with the target n'."""
+class SingularElementError(ValueError):
+    """Element centroid value coincides with the target n', or an
+    averaging region touches the field image."""
 
 
 class KernelBoundError(Exception):

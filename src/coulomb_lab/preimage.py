@@ -1,12 +1,14 @@
 """Preimage counting, regular-value filtering, coarea and holography.
 
-The preimage census solves, per triangle, the 3x3 linear system that
-makes the affine interpolant of the nodal sphere values parallel to
-the target direction (with positive ray orientation) in barycentric
-coordinates.  A k-d tree over element centroid values prunes the
-candidate triangles, so a census costs O(hits), not O(elements), per
-target.  The census takes a batch of targets: one tree query and one
-stacked solve serve the whole batch.
+The preimage census finds, per triangle with vertex values v_i, where
+the affine interpolant P is a positive multiple of the target n'.  With
+c_i = v_j x v_k (i, j, k cyclic) and S = n'.(c_0 + c_1 + c_2), the
+barycentrics are n'.c_i / S and P = (v0.c_0 / S) n' (Cramer's rule, as
+in Moller & Trumbore 1997).  S alone decides solvability and, the
+triangles being positively oriented, the sign of Phi(n_h) at the hit.
+A k-d tree over element centroid values prunes the candidate
+triangles, so a census costs O(hits), not O(elements), per target; one
+tree query serves a batch of targets.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fields import FOUR_PI, phi
+from .fields import FOUR_PI
 from .mesh import TRI7_BARY, TRI7_WEIGHTS, element_gradient
 from .sphere import spherical_areas
 
@@ -32,22 +34,13 @@ _CHUNK = 1 << 12
 # Targets per census batch of coarea_check (bounds the working memory).
 _CENSUS_CHUNK = 256
 # The reasons regular_filter gives, in the order it tests them.
-FILTER_REASONS = ("pole", "degenerate", "zero_jacobian", "count",
-                  "boundary", "separation", "integral")
+FILTER_REASONS = ("pole", "degenerate", "count", "boundary", "separation",
+                  "integral")
 
 
 def _norms(v):
     """Row norms of v (k, d), rounded as np.linalg.norm rounds one row."""
     return np.sqrt(np.vecdot(v, v))
-
-
-def _tangent_bases(nprimes):
-    """Unit t1 = e_i x n' / |e_i x n'|, for the axis e_i least aligned
-    with n' (the first such axis on a tie), and t2 = n' x t1; one row
-    per row of `nprimes`."""
-    t1 = np.cross(np.eye(3)[np.argmin(np.abs(nprimes), axis=1)], nprimes)
-    t1 /= _norms(t1)[:, None]
-    return t1, np.cross(nprimes, t1)
 
 
 def _near_earlier(owner, points, tol, targets):
@@ -67,9 +60,9 @@ def _near_earlier(owner, points, tol, targets):
 class PreimageCensus:
     """The hits of a batch of `targets` targets, ordered by target and
     then element: their target index in the batch `owner` (k,), points
-    (k, 2) and signs (k,); and the sorted pair codes
-    (see `PreimageSolver.candidates`) of the elements whose system is
-    singular or whose hit has zero sign (`degenerate`)."""
+    (k, 2) and signs (k,), the sign of Phi(n_h) at each hit; and the
+    sorted pair codes (see `PreimageSolver.candidates`) of the elements
+    whose system is singular, |S| <= 1e-12 (`degenerate`)."""
 
     owner: np.ndarray
     points: np.ndarray
@@ -93,7 +86,6 @@ class PreimageSolver:
 
     def __init__(self, fld):
         self.fld = fld
-        self.phi = phi(fld)
         # one vertex at a time: (nt, 3, 3) temporaries would raise the
         # peak memory of coarea_check
         self.radius = np.max([
@@ -120,23 +112,21 @@ class PreimageSolver:
 
     def census(self, nprimes):
         """Census of {X : n(X) = n'} for the element-affine interpolant,
-        for each row n' of `nprimes` (T, 3)."""
+        for each row n' of `nprimes` (T, 3), in the closed form of the
+        module docstring."""
         fld = self.fld
         nprimes = np.asarray(nprimes, dtype=float)
         nprimes = nprimes / _norms(nprimes)[:, None]
         codes = self.candidates(nprimes)
         owner, cand = np.divmod(codes, fld.mesh.triangle_count)
-        t1, t2 = _tangent_bases(nprimes)
         verts = fld.values[fld.mesh.triangles[cand]]  # (m, 3, 3)
-        A = np.empty((cand.size, 3, 3))
-        A[:, 0] = (verts @ t1[owner, :, None])[..., 0]
-        A[:, 1] = (verts @ t2[owner, :, None])[..., 0]
-        A[:, 2] = 1.0
-        solvable = np.abs(np.linalg.det(A)) > 1e-12
+        c = np.cross(verts[:, [1, 2, 0]], verts[:, [2, 0, 1]])
+        tp = (c @ nprimes[owner, :, None])[..., 0]
+        S = tp.sum(axis=1)
+        solvable = np.abs(S) > 1e-12
         idx = np.flatnonzero(solvable)
-        alpha = np.linalg.solve(A[idx], [0.0, 0.0, 1.0])
-        m = np.einsum("ki,kij->kj", alpha, verts[idx])
-        ray_ok = np.vecdot(m, nprimes[owner[idx]]) > 0.0
+        alpha = tp[idx] / S[idx, None]
+        ray_ok = np.vecdot(verts[idx, 0], c[idx, 0]) / S[idx] > 0.0
         # closed-element solutions; edge/vertex hits are duplicated by
         # the neighbouring elements and deduplicated below
         inside = np.flatnonzero(ray_ok & (alpha.min(axis=1) > -BARY_TOL))
@@ -149,12 +139,10 @@ class PreimageSolver:
         hits = idx[inside]
         first = ~_near_earlier(owner[hits], pts, 1e-9, nprimes.shape[0])
         hits = hits[first]
-        signs = np.sign(self.phi[cand[hits]]).astype(int)
         return PreimageCensus(
-            owner=owner[hits], points=pts[first], signs=signs,
-            degenerate=np.union1d(codes[~solvable],
-                                  codes[hits][signs == 0]),
-            targets=nprimes.shape[0],
+            owner=owner[hits], points=pts[first],
+            signs=np.sign(S[hits]).astype(int),
+            degenerate=codes[~solvable], targets=nprimes.shape[0],
         )
 
     def kernel_integral(self, nprime):
@@ -191,13 +179,14 @@ class PreimageSolver:
 def regular_filter(solver, nprimes, N):
     """Regular-value test of target directions for `solver`'s field.
 
-    Rejects targets near the poles, with degenerate or zero-sign hits,
-    with more than N hits, with hits too close to the boundary or to
-    each other (within one mesh width), or with a discrete kernel
-    integral of dX / |nbar - n'| above N.  Returns (flags, census) for
-    the rows of `nprimes` (T, 3): flags (T, len(FILTER_REASONS)) says
-    which reasons reject each target, so a row of False is an
-    accepted target; census is the batch's census.
+    Rejects targets near the poles, with a degenerate element (a
+    singular system, where a hit would have zero Jacobian), with more
+    than N hits, with hits too close to the boundary or to each other
+    (within one mesh width), or with a discrete kernel integral of
+    dX / |nbar - n'| above N.  Returns (flags, census) for the rows of
+    `nprimes` (T, 3): flags (T, 6), one column per FILTER_REASONS
+    entry, says which reasons reject each target, so a row of False is
+    an accepted target; census is the batch's census.
 
     The integral test is decided per target by
     `PreimageSolver.kernel_integral_exceeds`: the exact sum over the
@@ -223,7 +212,6 @@ def regular_filter(solver, nprimes, N):
         np.minimum(_norms(nprimes - k), _norms(nprimes + k)) < 1.0 / N,
         np.bincount(census.degenerate // mesh.triangle_count,
                     minlength=census.targets) > 0,
-        any_hit(census.signs == 0),
         census.cards > N,
         any_hit(np.linalg.norm(pts, axis=1) > 1.0 - mesh.h_max),
         any_hit(_near_earlier(census.owner, pts, mesh.h_max,

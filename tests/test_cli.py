@@ -65,8 +65,8 @@ def test_coarea_reports_rejections(tmp_path):
     _, out, summary = run(tmp_path, "coarea", "--level", "4",
                           "--sphere-level", "2")
     counts = summary["info"]["rejections"]
-    assert set(counts) == {"pole", "degenerate", "zero_jacobian", "count",
-                           "boundary", "separation", "integral"}
+    assert set(counts) == {"pole", "degenerate", "count", "boundary",
+                           "separation", "integral"}
     rows = (out / "coarea.csv").read_text().splitlines()[1:]
     rejected = sum(row.endswith(",0") for row in rows)
     assert rejected > 0
@@ -174,6 +174,8 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     ["self-intersect", "--eps", "-0.4"],
     ["convergence", "--eps", "nan", "--levels", "2,3"],   # eps not a number
     ["enneper-table", "--eps", "nan", "--level", "2"],
+    # the level-3 admissible region touches the level-2 field's image
+    ["decompose", "--eps", "0.04", "--level", "3", "--sphere-level", "3"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o" / "p")]) == 2
@@ -192,6 +194,10 @@ def test_parse_cap():
     center, rho = _parse_cap("1:1:0,0.25")
     assert np.allclose(center, [np.sqrt(0.5), np.sqrt(0.5), 0.0])
     assert rho == 0.25
+    for text in ("1:2,0.5", "k", "k,0.5,1"):
+        with pytest.raises(ValueError, match="expected center,rho with "
+                           "center k, -k or x:y:z"):
+            _parse_cap(text)
 
 
 def test_load_config_file(tmp_path):

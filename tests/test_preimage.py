@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ def field(mesh):
 @pytest.fixture(scope="module")
 def solver(field):
     return PreimageSolver(field)
+
+
+@pytest.fixture(scope="module")
+def folded(mesh):
+    # the field folded across x = 0: each target has the two preimages
+    # (x, y) and (-x, y), of opposite orientation
+    closure = enneper_gauss_closure(0.5)
+    return sample_field(lambda x, y: closure(np.abs(x), y), mesh)
+
+
+@pytest.fixture(scope="module")
+def solvers(solver, folded):
+    return {"enneper": solver, "folded": PreimageSolver(folded)}
 
 
 def test_south_pole_single_hit(field, solver):
@@ -112,6 +126,46 @@ def test_census_pruning_misses_no_hit(solver, v):
                           np.intersect1d(full.degenerate, near))
 
 
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(["enneper", "folded"]),
+       targets=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1), min_size=1, max_size=6))
+def test_census_hits_meet_the_definition(solvers, which, targets):
+    # each hit X checked against the definition of a preimage, not the
+    # census's method: in every element that holds X (disc barycentrics
+    # >= -1e-9), P(X) is a positive multiple of n'; at a hit strictly
+    # inside one element, the sign is that of Phi(n_h) = P.(d1 x d2) /
+    # |P|^3 there.  The folded field has elements of both orientations.
+    # The census runs as it is and with every element a candidate: the
+    # centroid tree keeps the elements that P maps near -n' out of the
+    # first, so only the second tests the ray side.
+    solver = solvers[which]
+    fld = solver.fld
+    mesh = fld.mesh
+    nprimes = np.array(targets)
+    nprimes /= np.linalg.norm(nprimes, axis=1)[:, None]
+    pruned = solver.census(nprimes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PreimageSolver, "candidates", lambda self, nprimes:
+                   np.arange(len(nprimes) * mesh.triangle_count))
+        full = solver.census(nprimes)
+    corners = mesh.nodes[mesh.triangles]
+    edges = np.stack([corners[:, 1] - corners[:, 0],
+                      corners[:, 2] - corners[:, 0]], axis=2)
+    for q, x, sign in chain(
+            *(zip(c.owner, c.points, c.signs) for c in (pruned, full))):
+        lam = np.linalg.solve(edges, (x - corners[:, 0])[..., None])[..., 0]
+        bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        holders = np.flatnonzero(bary.min(axis=1) >= -1e-9)
+        assert holders.size > 0
+        for e in holders:
+            p = bary[e] @ fld.values[mesh.triangles[e]]
+            assert p @ nprimes[q] > 0.0
+            assert np.linalg.norm(p / np.linalg.norm(p) - nprimes[q]) < 1e-10
+        if holders.size == 1 and bary[holders[0]].min() > 1e-9:
+            assert sign == np.sign(p @ fld.cross[holders[0]])
+
+
 def test_filter_rejects_poles(solver):
     reasons, _ = _reasons(solver, -K, 64)
     assert "pole" in reasons
@@ -126,15 +180,13 @@ def test_filter_rejects_boundary_targets(solver):
     assert "boundary" in reasons
 
 
-def test_filter_rejects_close_hits():
-    # folding the field across x = 0 gives each target two preimages,
-    # (x, y) and (-x, y); within one mesh width of each other only at
-    # the fold.  The batch holds a target of each kind.
+def test_filter_rejects_close_hits(solvers):
+    # the folded field's two preimages of a target lie within one mesh
+    # width of each other only at the fold.  The batch holds a target
+    # of each kind.
     closure = enneper_gauss_closure(0.5)
-    folded = sample_field(lambda x, y: closure(np.abs(x), y),
-                          build_disc_mesh(4))
     batch = [np.asarray(closure(x, 0.3), float) for x in (0.015, 0.5)]
-    flags, census = regular_filter(PreimageSolver(folded), batch, 64)
+    flags, census = regular_filter(solvers["folded"], batch, 64)
     separation = flags[:, FILTER_REASONS.index("separation")]
     assert separation.tolist() == [True, False]
     assert not flags[1].any()
@@ -197,10 +249,10 @@ def test_coarea_full_sphere(field):
 
 @pytest.mark.parametrize("N, rejections", [
     # the per-target filter's counts, before the census took batches
-    (4, {"pole": 48, "degenerate": 0, "zero_jacobian": 0, "count": 0,
-         "boundary": 28, "separation": 0, "integral": 156}),
-    (8, {"pole": 12, "degenerate": 0, "zero_jacobian": 0, "count": 0,
-         "boundary": 28, "separation": 0, "integral": 0}),
+    (4, {"pole": 48, "degenerate": 0, "count": 0, "boundary": 28,
+         "separation": 0, "integral": 156}),
+    (8, {"pole": 12, "degenerate": 0, "count": 0, "boundary": 28,
+         "separation": 0, "integral": 0}),
 ])
 def test_coarea_small_n_rejections(field, N, rejections):
     rep = coarea_check(field, full_sphere(3), N)
