@@ -3,7 +3,7 @@ for sphere-valued fields on the unit disc."""
 
 from .mesh import (DiscMesh, build_disc_mesh, element_gradient,
                    export_mesh, integrate)
-from .sphere import (SphereQuadrature, SphereRegion, cap,
+from .sphere import (Cap, SphereQuadrature, SphereRegion, cap,
                      complement_region, full_sphere,
                      region_from_predicate, sphere_quadrature)
 from .fields import (AreaResult, SphereField, area_functional,

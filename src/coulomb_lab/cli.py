@@ -30,15 +30,16 @@ import numpy as np
 
 from .divform import (admissible_region, averaged_omega, gamma_many, omega,
                       weak_identity_load)
-from .fields import dirichlet_energy, field_from_values, phi, sample_field
+from .fields import (FOUR_PI, dirichlet_energy, field_from_values, phi,
+                     sample_field)
 from .frames import coulomb_continuation, frame_residuals
 from .mesh import build_disc_mesh, export_mesh, integrate
 from .pde import (dual_norm, gradient_l2, smooth_test_functions,
                   solve_poisson_dirichlet, weak_residual)
 from .preimage import HOLOGRAPHY_TOL, coarea_check, holography_identity
-from .sphere import cap, full_sphere
+from .sphere import cap, sphere_quadrature
 from .surfaces import (closed_form_table, coincidence_radii,
-                       enneper_gauss_closure, enneper_psi_closure, lam,
+                       enneper_gauss_closure, enneper_psi_closure, f_eps,
                        self_intersections, zeta_eps)
 
 # Rows per format operation of _write_csv (bounds the working memory).
@@ -168,9 +169,7 @@ def _closed_form_errors(fld, eps, table):
     mesh = fld.mesh
     abs_phi = integrate(np.abs(phi(fld)), mesh)
     energy = dirichlet_energy(fld)
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    f = np.log(lam(eps, x, y)) - np.log(1.0 + eps ** 2)
-    grad_f2 = gradient_l2(f, mesh) ** 2
+    grad_f2 = gradient_l2(f_eps(eps, *mesh.nodes.T), mesh) ** 2
     errs = [
         abs(abs_phi - table.int_abs_phi) / table.int_abs_phi,
         abs(energy - table.int_grad_n2) / table.int_grad_n2,
@@ -326,14 +325,14 @@ def cmd_frame(args, outdir):
 def cmd_coarea(args, outdir):
     eps = args.eps[0]
     fld = _enneper_field(eps, args.level)
-    region = full_sphere(args.sphere_level)
-    rep = coarea_check(fld, region, N=args.filter_n)
+    quad = sphere_quadrature(args.sphere_level)
+    rep = coarea_check(fld, quad, N=args.filter_n)
     gap = abs(rep.gap) / rep.lhs
-    excl = rep.excluded_measure / region.measure
+    excl = rep.excluded_measure / FOUR_PI
     cap_height = (1.0 - eps ** 2) / (1.0 + eps ** 2)
-    margin = region.quadrature.face_diameter
-    inner = rep.accepted & (region.nodes[:, 2] < cap_height - margin)
-    outer = rep.accepted & (region.nodes[:, 2] > cap_height + margin)
+    margin = quad.face_diameter
+    inner = rep.accepted & (quad.nodes[:, 2] < cap_height - margin)
+    outer = rep.accepted & (quad.nodes[:, 2] > cap_height + margin)
     card1 = float(np.mean(rep.cards[inner] == 1)) if inner.any() else 0.0
     card0 = int(np.sum(rep.cards[outer] != 0))
     checks = [
@@ -343,7 +342,7 @@ def cmd_coarea(args, outdir):
         Check("card0_outside_image", card0, 0, None, "=="),
     ]
     _write_csv(outdir / "coarea.csv", "node,n1,n2,n3,card,signed_sum,accepted",
-               zip(range(region.nodes.shape[0]), *region.nodes.T, rep.cards,
+               zip(range(quad.nodes.shape[0]), *quad.nodes.T, rep.cards,
                    rep.signed_sums, rep.accepted.astype(int)))
     return checks, {"lhs": rep.lhs, "rhs": rep.rhs,
                     "rejections": rep.rejections}
@@ -351,7 +350,7 @@ def cmd_coarea(args, outdir):
 
 def cmd_holography(args, outdir):
     center, rho = _parse_cap(args.cap)
-    region = cap(center, rho, level=args.sphere_level)
+    region = cap(center, rho)
     levels = args.levels
     if len(levels) == 1:
         levels = levels * len(args.eps)

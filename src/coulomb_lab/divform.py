@@ -15,13 +15,15 @@ n', so Gamma does not depend on the rotation (identity 1):
 which also holds at n' = +-k.  Evaluating Gamma on the element
 derivatives of a field gives per-element potentials (omega_1, omega_2)
 whose curl reproduces the Jacobian density weakly; averaging over an
-admissible sphere region K gives square-integrable potentials with the
+admissible sphere region K, a set of quadrature nodes and weights
+(`sphere.SphereRegion`), gives square-integrable potentials with the
 8 pi / meas(K) certificate.  Every potential in the package has the form
 Omega_i = (n x d_i n).G(n) and differs only in the field G: the point
 mass above (`omega`), its quadrature average over K
-(`averaged_omega`) or the gradient q'(t) (c - t n) of a cap's
-logarithmic potential, t = n.c.  `gradient_pairing` forms it for the
-first two; the holography identity uses (c - t n) x n = c x n instead.
+(`averaged_omega`) or the gradient q'(t) (c - t n) of the logarithmic
+potential of a `sphere.Cap`, t = n.c.  `gradient_pairing` forms it for
+the first two; the holography identity uses (c - t n) x n = c x n
+instead.
 """
 
 from dataclasses import dataclass, field

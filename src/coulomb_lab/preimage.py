@@ -9,6 +9,9 @@ triangles being positively oriented, the sign of Phi(n_h) at the hit.
 A k-d tree over element centroid values prunes the candidate
 triangles, so a census costs O(hits), not O(elements), per target; one
 tree query serves a batch of targets.
+
+The coarea check counts hits at the nodes of a `SphereQuadrature`; the
+holography identity reads only the centre, radius and measure of a `Cap`.
 """
 
 from dataclasses import dataclass, field
@@ -235,7 +238,7 @@ class CoareaReport:
     rejections: dict = field(repr=False)
 
 
-def coarea_check(fld, region, N):
+def coarea_check(fld, quad, N):
     """Both sides of the coarea identity over the whole sphere.
 
     lhs integrates |Phi(n_h)| for n_h = P/|P|, the map whose preimages
@@ -243,34 +246,27 @@ def coarea_check(fld, region, N):
     triangle spanned by its vertex values, and Phi(n_h) = P.(d1 x d2) /
     |P|^3 has one sign there; so the element's integral is that
     triangle's solid angle, in closed form (`spherical_areas`).  rhs
-    sums, over accepted quadrature nodes, the weight times the number
-    of hits.  Nodes failing the regular filter contribute to the
-    reported excluded measure instead, and their reasons to
-    `rejections`.  The filter takes the nodes _CENSUS_CHUNK at a time.
-
-    The region must be the whole sphere, holding every node of its
-    quadrature, since lhs is the whole sphere's; others raise
-    ValueError.
+    sums, over the accepted nodes of the sphere quadrature `quad`, the
+    weight times the number of hits.  Nodes failing the regular filter
+    contribute to the reported excluded measure instead, and their
+    reasons to `rejections`.  The filter takes the nodes _CENSUS_CHUNK
+    at a time.
     """
-    if (region.nodes.shape[0] < region.quadrature.nodes.shape[0]
-            or not np.isclose(region.measure, FOUR_PI)):
-        raise ValueError("coarea_check needs the whole sphere")
     lhs = float(spherical_areas(fld.values[fld.mesh.triangles]).sum())
-    count = region.nodes.shape[0]
+    count = quad.nodes.shape[0]
     flags = np.zeros((count, len(FILTER_REASONS)), dtype=bool)
     cards = np.zeros(count, dtype=int)
     signed = np.zeros(count, dtype=int)
     solver = PreimageSolver(fld)
     for lo in range(0, count, _CENSUS_CHUNK):
         hi = min(lo + _CENSUS_CHUNK, count)
-        flags[lo:hi], census = regular_filter(solver, region.nodes[lo:hi],
-                                              N)
+        flags[lo:hi], census = regular_filter(solver, quad.nodes[lo:hi], N)
         cards[lo:hi] = census.cards
         signed[lo:hi] = np.bincount(census.owner, census.signs, hi - lo)
     accepted = ~flags.any(axis=1)
     # sequential sums, in node order
-    rhs = sum((region.weights * cards)[accepted].tolist(), 0.0)
-    excluded = sum(region.weights[~accepted].tolist(), 0.0)
+    rhs = sum((quad.weights * cards)[accepted].tolist(), 0.0)
+    excluded = sum(quad.weights[~accepted].tolist(), 0.0)
     return CoareaReport(
         lhs=lhs,
         rhs=rhs,
@@ -408,16 +404,11 @@ def holography_identity(fld, region, zeta):
     |P|^2 P.(d_i x c): the pairing is P.(d1 zeta (d2 x c) - d2 zeta
     (d1 x c)), d_i zeta constant per element, times q'(t) / |P|^2.
 
-    The region must have a closed-form potential and boundary: a cap;
-    the full sphere is the cap of radius pi.  Then |residual| <=
-    HOLOGRAPHY_TOL.  A bare node set raises ValueError.
+    The region is a `sphere.Cap`, whose potential and boundary have
+    closed forms; the full sphere is the cap of radius pi.  Then
+    |residual| <= HOLOGRAPHY_TOL.
     """
     mu = region.measure
-    if mu <= 0:
-        raise ValueError("region must have positive measure")
-    if region.center is None:
-        raise ValueError(
-            "holography_identity needs a cap, not a bare node set")
     mesh = fld.mesh
     zeta = np.asarray(zeta, dtype=float)
     gz = element_gradient(zeta, mesh)

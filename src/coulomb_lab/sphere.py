@@ -5,9 +5,13 @@ icosahedron is split into four by projected edge midpoints, and every
 face contributes its (normalized) centroid with the spherical-excess
 area as weight.  The weights tile the sphere, so they sum to 4*pi up
 to rounding at every level.
+
+A region is a `Cap`, its centre and radius with closed forms (the full
+sphere is the cap of radius pi), or a `SphereRegion`, a set of
+quadrature nodes with their weights.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -105,20 +109,26 @@ def sphere_quadrature(level):
 
 @dataclass(frozen=True, eq=False)
 class SphereRegion:
-    """Subset of S2 carried by filtered quadrature nodes.
+    """Subset of S2 carried by quadrature nodes: the selected nodes, the
+    rule's weights on them and their sum as measure."""
 
-    A cap {s : angle(s, center) <= rho} has an exact `measure`, its
-    weights rescaled to sum to it, and closed forms for membership,
-    the boundary distance and the logarithmic potential.  A bare node
-    set has no `center` and takes the weight sum as its measure.
-    """
-
-    quadrature: SphereQuadrature
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     measure: float
-    center: np.ndarray = field(repr=False, default=None)
-    rho: float = None
+
+
+@dataclass(frozen=True, eq=False)
+class Cap:
+    """Geodesic cap {s : angle(s, center) <= rho}, with closed forms for
+    its measure, boundary distance and logarithmic potential."""
+
+    center: np.ndarray = field(repr=False)
+    rho: float
+
+    @property
+    def measure(self):
+        """Exact measure 2 pi (1 - cos rho)."""
+        return 2.0 * np.pi * (1.0 - np.cos(self.rho))
 
     def boundary_distance(self, points):
         """Signed geodesic distance to the boundary, negative inside.
@@ -127,15 +137,13 @@ class SphereRegion:
         of angular radius r around p lies on one side of the boundary
         when |boundary_distance(p)| > r.
         """
-        if self.center is None:
-            raise ValueError("region is a bare node set, not a cap")
         t = np.atleast_2d(np.asarray(points, dtype=float)) @ self.center
         return np.arccos(np.clip(t, -1.0, 1.0)) - self.rho
 
     def potential_slope(self, t):
         """Membership t >= a and slope q'(t) at cosines t = n.c.
 
-        Q(n) = -(1/mu) integral over the region of log(1 - n.s) ds, so
+        Q(n) = -(1/mu) integral over the cap of log(1 - n.s) ds, so
         grad Q(n) is the tangential part of (1/mu) int_K s/(1 - n.s) ds.
         For a cap with centre c and cos(rho) = a, Q = q(n.c) with
         (1 - t^2) q'(t) = (1 + t) - (4 pi / mu) (t - a)_+: q' = 1/(1 - t)
@@ -151,48 +159,39 @@ class SphereRegion:
 
 
 def make_region(quad, mask):
-    """Bare node set: the quadrature nodes selected by `mask`, with the
-    rule's weights and their sum as measure."""
+    """The quadrature nodes selected by `mask`, with the rule's weights
+    and their sum as measure."""
     w = quad.weights[mask]
-    return SphereRegion(quadrature=quad, nodes=quad.nodes[mask], weights=w,
+    return SphereRegion(nodes=quad.nodes[mask], weights=w,
                         measure=float(w.sum()))
 
 
-def cap(center, rho, level):
-    """Geodesic cap {s : angle(s, center) <= rho}, 0 < rho <= pi, with
-    exact measure 2 pi (1 - cos rho)."""
-    return _cap(sphere_quadrature(level), center, rho)
-
-
-def _cap(quad, center, rho):
-    if not 0.0 < rho <= np.pi:
-        raise ValueError("cap radius must lie in (0, pi]")
+def cap(center, rho):
+    """Cap about the normalized `center`; rho must lie in (0, pi] with
+    a measure 2 pi (1 - cos rho) that does not round to 0."""
     center = np.asarray(center, dtype=float)
-    center = center / np.linalg.norm(center)
-    cos_rho = np.cos(rho)
-    bare = make_region(quad, quad.nodes @ center >= cos_rho)
-    measure = 2.0 * np.pi * (1.0 - cos_rho)
-    scale = measure / bare.measure if bare.measure > 0 else 1.0
-    return replace(bare, weights=bare.weights * scale, measure=measure,
-                   center=center, rho=float(rho))
+    region = Cap(center=center / np.linalg.norm(center), rho=float(rho))
+    if not (0.0 < rho <= np.pi and region.measure > 0.0):
+        raise ValueError(f"cap radius {rho!r} must lie in (0, pi] with "
+                         "positive measure")
+    return region
 
 
-def full_sphere(level):
+def full_sphere():
     """S2 as the cap of radius pi about -k: cos(pi) is exactly -1, so
     its measure is exactly 4 pi and its potential slope exactly 0
     away from k.  Its boundary is the single point k, which the Enneper
     images (z < (1 - eps^2)/(1 + eps^2)) stay away from, so no element
     straddles it."""
-    return cap(np.array([0.0, 0.0, -1.0]), np.pi, level)
+    return cap(np.array([0.0, 0.0, -1.0]), np.pi)
 
 
 def complement_region(region):
-    """Complement cap(-c, pi - rho) of a cap, on the same quadrature."""
-    return _cap(region.quadrature, -region.center, np.pi - region.rho)
+    """Complement cap(-c, pi - rho) of a cap."""
+    return cap(-region.center, np.pi - region.rho)
 
 
 def region_from_predicate(predicate, level):
-    """Bare node set of the level's quadrature nodes where `predicate`
-    holds."""
+    """The level's quadrature nodes where `predicate` holds."""
     quad = sphere_quadrature(level)
     return make_region(quad, predicate(quad.nodes))

@@ -82,14 +82,18 @@ def closed_form_table(eps):
     )
 
 
+def f_eps(eps, x, y):
+    """f_eps = log lambda - log(1 + eps^2): zero on the unit circle, with
+    Laplacian 4 eps^2 / lambda^2 = |Phi| of the Gauss map."""
+    return np.log(lam(eps, x, y)) - np.log(1.0 + eps ** 2)
+
+
 def zeta_eps(eps, mesh):
     """Normalized closed-form test function f_eps / Delta(eps)."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     table = closed_form_table(eps)
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    f = np.log(lam(eps, x, y)) - np.log(1.0 + eps ** 2)
-    return f / table.delta_norm
+    return f_eps(eps, *mesh.nodes.T) / table.delta_norm
 
 
 @dataclass(frozen=True)
@@ -165,17 +169,16 @@ def self_intersections(eps):
     return tuple(pairs)
 
 
-def _best_circle_pair(psi, r):
-    """Best-separated angle pair minimizing |Psi gap| on one circle."""
+def _best_circle_pair(psi, r, close):
+    """Angle pair, not `close`, minimizing the Psi gap on the circle of
+    radius r, from squared gaps |p_i|^2 + |p_j|^2 - 2 p_i.p_j."""
     ang = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
-    ca, sa = np.cos(ang), np.sin(ang)
-    pts = psi(r * ca, r * sa)  # (n_angles, 3)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    xy = np.stack([r * ca, r * sa], axis=1)
-    sep2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
-    d2[sep2 < (MIN_SEPARATION * r) ** 2] = np.inf
+    pts = psi(r * np.cos(ang), r * np.sin(ang))  # (n_angles, 3)
+    sq = np.vecdot(pts, pts)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    d2[close] = np.inf
     i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-    return float(np.sqrt(d2[i, j])), ang[i], ang[j]
+    return ang[i], ang[j]
 
 
 def refine_intersection(eps, r, phi_hat, phi_tilde):
@@ -219,9 +222,14 @@ def coincidence_radii(eps):
         raise ValueError("eps must be positive")
     psi = enneper_psi_closure(eps)
     radii = np.linspace(1.0 / N_RADII, 1.0, N_RADII)
+    # angle pairs closer than MIN_SEPARATION * r on any circle: their
+    # chord over r is 2 |sin(pi (i - j) / N_ANGLES)|
+    k = np.arange(N_ANGLES)
+    steps = np.subtract.outer(k, k) % N_ANGLES
+    close = 2.0 * np.abs(np.sin(np.pi * steps / N_ANGLES)) < MIN_SEPARATION
     hits = []
     for r in radii:
-        _, a, b = _best_circle_pair(psi, r)
+        a, b = _best_circle_pair(psi, r, close)
         gap = refine_intersection(eps, r, a, b)
         if gap is not None and gap <= GAP_TOL:
             hits.append(r)

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from coulomb_lab import surfaces
 from coulomb_lab.cli import _load_config_file, _parse_cap, main
 
 # The rules of summary.json, each from the fields it reads: a copy of
@@ -82,11 +81,10 @@ def test_summary_structure(tmp_path):
     assert summary["config"]["seed"] == 1234
 
 
-def test_rules_decide_every_check(tmp_path, monkeypatch):
+def test_rules_decide_every_check(tmp_path):
     # every subcommand at small flags (self-intersect, which has none
-    # that shrink its sweep, on fewer circles); at these levels some
+    # that shrink its sweep, at its defaults); at these levels some
     # checks fail, so both outcomes are recomputed
-    monkeypatch.setattr(surfaces, "N_RADII", 12)
     runs = [
         ["mesh-info", "--level", "2"],
         ["enneper-table", "--level", "3", "--eps", "1.0,0.5"],
@@ -176,6 +174,8 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     ["enneper-table", "--eps", "nan", "--level", "2"],
     # the level-3 admissible region touches the level-2 field's image
     ["decompose", "--eps", "0.04", "--level", "3", "--sphere-level", "3"],
+    # cos(1e-9) rounds to 1, so the cap has measure 0
+    ["holography", "--cap=k,1e-9", "--eps", "0.3", "--levels", "2"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o" / "p")]) == 2

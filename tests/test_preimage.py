@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import chain
 
 import numpy as np
@@ -14,7 +13,7 @@ from coulomb_lab.mesh import (TRI7_BARY, TRI7_WEIGHTS, build_disc_mesh,
 from coulomb_lab.preimage import (FILTER_REASONS, HOLOGRAPHY_TOL,
                                   PreimageSolver, coarea_check,
                                   holography_identity, regular_filter)
-from coulomb_lab.sphere import cap, full_sphere, region_from_predicate
+from coulomb_lab.sphere import cap, full_sphere, sphere_quadrature
 from coulomb_lab.surfaces import (closed_form_table, enneper_gauss_closure,
                                   zeta_eps)
 
@@ -230,8 +229,7 @@ def test_signed_census_is_degree(solver):
 
 
 def test_coarea_full_sphere(field):
-    region = full_sphere(3)
-    rep = coarea_check(field, region, 64)
+    rep = coarea_check(field, sphere_quadrature(3), 64)
     table = closed_form_table(0.5)
     assert rep.lhs == pytest.approx(table.int_abs_phi, rel=5e-3)
     assert abs(rep.gap) <= 0.05 * rep.lhs
@@ -255,18 +253,18 @@ def test_coarea_full_sphere(field):
          "separation": 0, "integral": 0}),
 ])
 def test_coarea_small_n_rejections(field, N, rejections):
-    rep = coarea_check(field, full_sphere(3), N)
+    rep = coarea_check(field, sphere_quadrature(3), N)
     assert rep.rejections == rejections
 
 
 def test_coarea_is_chunk_invariant(field, monkeypatch):
     # the census takes the nodes in batches; the batch size must not
     # change any decision, count or (sequentially summed) side
-    region = full_sphere(2)
+    quad = sphere_quadrature(2)
     reports = []
-    for chunk in (1, 7, region.nodes.shape[0]):
+    for chunk in (1, 7, quad.nodes.shape[0]):
         monkeypatch.setattr(preimage, "_CENSUS_CHUNK", chunk)
-        reports.append(coarea_check(field, region, 8))
+        reports.append(coarea_check(field, quad, 8))
     first = reports[0]
     assert not first.accepted.all()
     for rep in reports[1:]:
@@ -301,14 +299,15 @@ def test_coarea_lhs_is_the_solid_angle_sum(mesh, field3, eps, level, seed):
     # zeta = 1 is the same rule's signed integral: Phi < 0 here.
     fld = sample_field(enneper_gauss_closure(eps),
                        {3: field3.mesh, 4: mesh}[level])
-    lhs = coarea_check(fld, full_sphere(0), 64).lhs
+    quad = sphere_quadrature(0)
+    lhs = coarea_check(fld, quad, 64).lhs
     rule = _abs_phi_rule(fld)
     assert abs(lhs - rule) <= 2e-6 * lhs
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
     turned = field_from_values(fld.values @ q.T, fld.mesh)
-    assert coarea_check(turned, full_sphere(0), 64).lhs == pytest.approx(
+    assert coarea_check(turned, quad, 64).lhs == pytest.approx(
         lhs, rel=1e-12, abs=0.0)
-    raw = holography_identity(fld, full_sphere(2),
+    raw = holography_identity(fld, full_sphere(),
                               np.ones(fld.mesh.node_count)).raw_term
     assert raw == pytest.approx(-rule, rel=1e-12, abs=0.0)
     assert abs(raw + lhs) <= 2e-6 * lhs
@@ -333,24 +332,14 @@ def test_filter_decides_integral_from_bound(solver, monkeypatch):
         raise AssertionError("kernel_integral called")
 
     monkeypatch.setattr(PreimageSolver, "kernel_integral", exact)
-    flags, _ = regular_filter(solver, full_sphere(2).nodes, 64)
+    flags, _ = regular_filter(solver, sphere_quadrature(2).nodes, 64)
     assert not flags[:, FILTER_REASONS.index("integral")].any()
-
-
-def test_coarea_needs_whole_sphere(field):
-    # lhs is the whole sphere's, so a proper cap or a node set holding
-    # half the nodes would pair it with a partial rhs
-    half = region_from_predicate(lambda p: p[:, 2] >= 0.0, 2)
-    assert 0 < half.nodes.shape[0] < half.quadrature.nodes.shape[0]
-    for region in (cap(-K, np.pi / 4.0, level=2), half):
-        with pytest.raises(ValueError, match="whole sphere"):
-            coarea_check(field, region, 64)
 
 
 def test_holography_full_sphere_f_term(field):
     # over the whole sphere mu = 4 pi, so the f-term equals the raw
     # term and the residual is exactly minus the potential term
-    region = full_sphere(3)
+    region = full_sphere()
     zeta = zeta_eps(0.5, field.mesh)
     rep = holography_identity(field, region, zeta)
     assert rep.f_term == pytest.approx(rep.raw_term, rel=1e-12)
@@ -359,7 +348,7 @@ def test_holography_full_sphere_f_term(field):
 
 
 def test_holography_cap(field):
-    region = cap(-K, np.pi / 4.0, level=3)
+    region = cap(-K, np.pi / 4.0)
     zeta = zeta_eps(0.5, field.mesh)
     rep = holography_identity(field, region, zeta)
     table = closed_form_table(0.5)
@@ -373,7 +362,7 @@ def test_holography_terms_match_rule_loop():
     # loop over the 7 rule points, with np.cross for the products,
     # reproduces them
     fld = sample_field(enneper_gauss_closure(0.5), build_disc_mesh(3))
-    region = cap(-K, np.pi / 4.0, level=3)
+    region = cap(-K, np.pi / 4.0)
     zeta = zeta_eps(0.5, fld.mesh)
     rep = holography_identity(fld, region, zeta)
     mesh = fld.mesh
@@ -393,21 +382,6 @@ def test_holography_terms_match_rule_loop():
         omega_sq += w * (mesh.areas * (om1 ** 2 + om2 ** 2)).sum()
     assert rep.raw_term == pytest.approx(raw, rel=1e-12)
     assert rep.omega_l2 == pytest.approx(np.sqrt(omega_sq), rel=1e-12)
-
-
-def test_holography_needs_measure(field):
-    region = full_sphere(2)
-    zero = dataclasses.replace(region, measure=0.0)
-    with pytest.raises(ValueError):
-        holography_identity(field, zero, zeta_eps(0.5, field.mesh))
-
-
-def test_holography_needs_closed_form(field):
-    # the same cap as test_holography_cap, known only by its predicate
-    cos_rho = np.cos(np.pi / 4.0)
-    region = region_from_predicate(lambda p: p @ -K >= cos_rho, level=3)
-    with pytest.raises(ValueError, match="needs a cap"):
-        holography_identity(field, region, zeta_eps(0.5, field.mesh))
 
 
 _DIRECTIONS = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi))
@@ -438,7 +412,7 @@ def test_holography_kernel_matches_point_oracle(field3, center, rho):
     # the rule sum of |term| / (1 + t).
     fld = field3
     mesh = fld.mesh
-    region = cap(_unit(*center), rho, level=2)
+    region = cap(_unit(*center), rho)
     zeta = zeta_eps(0.5, mesh)
     gz = element_gradient(zeta, mesh)
     elems = np.arange(mesh.triangle_count)
@@ -479,7 +453,7 @@ def test_holography_kernel_matches_point_oracle(field3, center, rho):
 def test_holography_is_chunk_invariant(field, monkeypatch):
     # the whole pass takes _CHUNK elements, and the split pass
     # _CHUNK >> SPLIT_DEPTH straddling ones, at a time
-    region = cap(-K, np.pi / 4.0, level=3)
+    region = cap(-K, np.pi / 4.0)
     zeta = zeta_eps(0.5, field.mesh)
     reports = []
     for chunk in (64, 4096, field.mesh.triangle_count):
@@ -503,7 +477,7 @@ def test_straddle_test_certifies_one_side(field3, center, rho, depth,
     # rule points on one side of the boundary; the sub-triangles are
     # drawn from the elements whose image comes near the boundary
     fld = field3
-    region = cap(_unit(*center), rho, level=2)
+    region = cap(_unit(*center), rho)
     rng = np.random.default_rng(seed)
     verts = fld.values[fld.mesh.triangles]
     spread = np.linalg.norm(verts - fld.nbar[:, None], axis=2).max(axis=1)

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coulomb_lab.sphere import (cap, complement_region, full_sphere,
-                                region_from_predicate, sphere_quadrature,
-                                spherical_areas, subdivide_faces)
+                                make_region, region_from_predicate,
+                                sphere_quadrature, spherical_areas,
+                                subdivide_faces)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -13,6 +14,13 @@ FOUR_PI = 4.0 * np.pi
 def contains(region, points):
     """Membership oracle: the cosine to the centre is at least cos(rho)."""
     return np.asarray(points) @ region.center >= np.cos(region.rho)
+
+
+def cap_nodes(region, level):
+    """Node-set oracle of a cap: the level's quadrature nodes inside it,
+    with the rule's weights."""
+    quad = sphere_quadrature(level)
+    return make_region(quad, contains(region, quad.nodes))
 
 
 def potential_gradient(region, points):
@@ -63,51 +71,57 @@ def test_smooth_integrand_accuracy():
 
 
 def test_cap_measure_exact():
-    region = cap(np.array([0.0, 0.0, 1.0]), np.pi / 3, level=3)
+    region = cap(np.array([0.0, 0.0, 1.0]), np.pi / 3)
     exact = 2.0 * np.pi * (1.0 - np.cos(np.pi / 3))
     assert region.measure == pytest.approx(exact, abs=1e-14)
-    assert region.weights.sum() == pytest.approx(exact, abs=1e-12)
-    # the rule's own (unscaled) weight sum over the cap approaches the
-    # exact measure under refinement
-    def empirical(level):
-        quad = sphere_quadrature(level)
-        return quad.weights[quad.nodes[:, 2] >= np.cos(np.pi / 3)].sum()
-
-    coarse = abs(empirical(1) - exact)
-    fine = abs(empirical(5) - exact)
+    # the rule's weight sum over the cap's nodes approaches the exact
+    # measure under refinement
+    coarse = abs(cap_nodes(region, 1).measure - exact)
+    fine = abs(cap_nodes(region, 5).measure - exact)
     assert fine < coarse
     assert fine < 0.02 * exact
 
 
 def test_cap_membership():
-    region = cap(np.array([0.0, 0.0, -1.0]), np.pi / 4, level=4)
+    region = cap(np.array([0.0, 0.0, -1.0]), np.pi / 4)
     # the cosines of -k and k to the centre -k are 1 and -1
     inside, _ = region.potential_slope(np.array([1.0, -1.0]))
     assert inside.tolist() == [True, False]
     assert contains(region, [[0.0, 0.0, -1.0]])[0]
     assert not contains(region, [[0.0, 0.0, 1.0]])[0]
-    assert np.all(region.nodes[:, 2] <= -np.cos(np.pi / 4) + 1e-12)
+    nodes = cap_nodes(region, 4).nodes
+    assert np.all(nodes[:, 2] <= -np.cos(np.pi / 4) + 1e-12)
 
 
 def test_cap_radius_guard():
     with pytest.raises(ValueError):
-        cap([0, 0, 1.0], 0.0, level=4)
+        cap([0, 0, 1.0], 0.0)
     with pytest.raises(ValueError):
-        cap([0, 0, 1.0], 3.5, level=4)
+        cap([0, 0, 1.0], 3.5)
     # rho = pi is the full sphere: cos(pi) is exactly -1, so its measure
     # is exactly 4 pi and its potential gradient exactly 0 off k
-    assert cap([0, 0, 1.0], np.pi, level=4).measure == FOUR_PI
-    region = full_sphere(3)
-    assert region.nodes.shape[0] == sphere_quadrature(3).nodes.shape[0]
+    assert cap([0, 0, 1.0], np.pi).measure == FOUR_PI
+    region = full_sphere()
+    quad = sphere_quadrature(3)
+    assert cap_nodes(region, 3).nodes.shape[0] == quad.nodes.shape[0]
     assert region.measure == FOUR_PI
-    assert np.all(potential_gradient(region, region.nodes) == 0.0)
+    assert np.all(potential_gradient(region, quad.nodes) == 0.0)
+
+
+def test_cap_of_zero_measure_is_rejected():
+    # cos(1e-9) rounds to 1, so 2 pi (1 - cos rho) is 0; at 1e-7 it is
+    # about 3e-14
+    with pytest.raises(ValueError, match="positive measure"):
+        cap([0, 0, 1.0], 1e-9)
+    assert cap([0, 0, 1.0], 1e-7).measure > 0.0
 
 
 def test_complement_region():
-    region = cap(np.array([1.0, 0.0, 0.0]), 0.6, level=3)
+    region = cap(np.array([1.0, 0.0, 0.0]), 0.6)
     comp = complement_region(region)
     assert comp.measure == pytest.approx(FOUR_PI - region.measure)
-    assert comp.nodes.shape[0] + region.nodes.shape[0] == 20 * 4 ** 3
+    counts = [cap_nodes(c, 3).nodes.shape[0] for c in (region, comp)]
+    assert sum(counts) == 20 * 4 ** 3
     assert not contains(comp, [[1.0, 0.0, 0.0]])[0]
 
 
@@ -135,8 +149,8 @@ def test_potential_gradient_matches_quadrature(n, center, rho, kind):
     # over S2, so when n lies in K the rule sums -int over K^c instead,
     # which stays 0.2 away from the singularity at s = n
     n = _unit(*n)
-    base = cap(_unit(*center), rho, level=7)
-    region = {"cap": base, "sphere": full_sphere(7),
+    base = cap(_unit(*center), rho)
+    region = {"cap": base, "sphere": full_sphere(),
               "complement": complement_region(base)}[kind]
     dist = region.boundary_distance(n)[0]
     assume(abs(dist) >= 0.2)
@@ -148,6 +162,7 @@ def test_potential_gradient_matches_quadrature(n, center, rho, kind):
     assert abs(grad @ n) <= 1e-12
     part, sign = (complement_region(region), -1.0) if dist < 0 \
         else (region, 1.0)
+    part = cap_nodes(part, 7)
     a = np.zeros(3)
     a[int(np.argmin(np.abs(n)))] = 1.0
     t1 = np.cross(n, a)
@@ -167,18 +182,18 @@ def test_complement_is_the_opposite_cap(center, rho):
     # mu_c grad Q_c = -mu grad Q is checked to 1e-12 relative; for rho
     # within 0.05 of 0 or pi, 1 - cos(rho) loses about 1e-16 / rho^2 of
     # its relative accuracy to cancellation
-    region = cap(_unit(*center), rho, level=3)
+    region = cap(_unit(*center), rho)
     comp = complement_region(region)
     assert region.measure + comp.measure == pytest.approx(FOUR_PI,
                                                           abs=1e-12)
-    nodes = region.quadrature.nodes
+    nodes = sphere_quadrature(3).nodes
     assert np.allclose(comp.boundary_distance(nodes),
                        -region.boundary_distance(nodes), rtol=0, atol=1e-12)
     mu_grad = region.measure * potential_gradient(region, nodes)
     diff = comp.measure * potential_gradient(comp, nodes) + mu_grad
     assert np.abs(diff).max() <= 1e-12 * np.abs(mu_grad).max()
-    inside = {tuple(p) for p in region.nodes}
-    outside = {tuple(p) for p in comp.nodes}
+    inside = {tuple(p) for p in cap_nodes(region, 3).nodes}
+    outside = {tuple(p) for p in cap_nodes(comp, 3).nodes}
     assert not inside & outside
     off_plane = np.abs(nodes @ region.center - np.cos(rho)) > 1e-12
     assert {tuple(p) for p in nodes[off_plane]} <= inside | outside

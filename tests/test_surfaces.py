@@ -173,6 +173,33 @@ def test_coincidence_radii_threshold():
     assert hits.min() ** 2 >= 3.0 * eps ** 2 - 1e-6
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
+def test_best_circle_pair_matches_direct_gaps(eps):
+    # reference: squared gaps from coordinate differences, and the
+    # separation test on each circle's own points.  That test is the
+    # same on every circle, 2 |sin(pi (i - j) / N)| < MIN_SEPARATION;
+    # the Gram form rounds differently, so on a symmetric tie the pair
+    # may move, but its direct gap is the least to rounding
+    n = surfaces.N_ANGLES
+    ang = 2.0 * np.pi * np.arange(n) / n
+    steps = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    closed_form = 2.0 * np.abs(np.sin(np.pi * steps / n)) \
+        < surfaces.MIN_SEPARATION
+    psi = enneper_psi_closure(eps)
+    for r in (0.1, 0.45, 0.8, 1.0):
+        xy = r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        sep2 = ((xy[:, None] - xy[None]) ** 2).sum(axis=2)
+        close = sep2 < (surfaces.MIN_SEPARATION * r) ** 2
+        assert np.array_equal(close, closed_form)
+        pts = psi(*xy.T)
+        d2 = ((pts[:, None] - pts[None]) ** 2).sum(axis=2)
+        d2[close] = np.inf
+        a, b = surfaces._best_circle_pair(psi, r, close)
+        i, j = (int(round(t * n / (2.0 * np.pi))) for t in (a, b))
+        scale = (pts ** 2).sum(axis=1).max()
+        assert d2[i, j] <= d2.min() + 1e-14 * scale
+
+
 def test_refine_intersection_behavior():
     eps = 0.5
     # on a circle that truly carries intersections the local solver
