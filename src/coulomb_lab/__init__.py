@@ -9,7 +9,7 @@ from .sphere import (Cap, SphereQuadrature, SphereRegion, cap,
 from .fields import (AreaResult, SphereField, area_functional,
                      dirichlet_energy, field_from_values, phi,
                      sample_field)
-from .pde import (PoissonSolution, dual_norm, solve_gauge_neumann,
+from .pde import (PoissonSolution, solve_gauge_neumann,
                   solve_poisson_dirichlet)
 from .divform import (DivergenceForm, admissible_region, averaged_omega,
                       omega)

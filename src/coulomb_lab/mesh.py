@@ -3,14 +3,21 @@
 The mesh is a concentric-ring layout: ring j (of m rings) sits at radius
 j/m and carries 6j nodes, so triangles are near-equilateral and the
 outermost ring lies exactly on |X| = 1.  Refinement doubles the ring
-count, which halves the longest edge.
+count, which halves the longest edge; `prolongation` carries nodal
+values from m/2 rings to m by the ring indices alone.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-MAX_REFINEMENT_LEVEL = 10
+# Peak bytes per triangle, over the imports, of the heaviest
+# subcommand: `frame`, whose pinned LU fill grows a little faster than
+# the mesh (1.50, 1.61 and 1.65 KB at levels 6, 7 and 8; `holography`
+# 0.7 KB).  `build_disc_mesh` refuses a mesh of 6 m^2 triangles that
+# would need more than the physical memory.
+BYTES_PER_TRIANGLE = 2048
 
 
 def _radon_rule():
@@ -33,7 +40,7 @@ TRI7_BARY, TRI7_WEIGHTS = _radon_rule()
 
 
 class MeshResourceError(ValueError):
-    """Requested refinement level exceeds the configured guard."""
+    """The requested mesh would not fit in physical memory."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +76,11 @@ class DiscMesh:
         return np.flatnonzero(~self.boundary_mask)
 
     @property
+    def rings(self):
+        # ring m, the boundary, carries 6m nodes
+        return int(np.count_nonzero(self.boundary_mask)) // 6
+
+    @property
     def area(self):
         return float(self.areas.sum())
 
@@ -76,6 +88,11 @@ class DiscMesh:
 def _ring_offset(j):
     # center node + 6*1 + 6*2 + ... + 6*(j-1)
     return 1 + 3 * j * (j - 1)
+
+
+def physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def build_disc_mesh(refinement_level):
@@ -86,10 +103,16 @@ def build_disc_mesh(refinement_level):
     """
     if refinement_level < 0:
         raise ValueError("refinement_level must be nonnegative")
-    if refinement_level > MAX_REFINEMENT_LEVEL:
+    # the mesh has 6 m^2 triangles, m = 2^(level + 1); the bit length
+    # test rejects a huge level before its power is formed
+    memory = physical_memory()
+    fits = memory // (6 * BYTES_PER_TRIANGLE)  # the largest m^2
+    if (refinement_level >= fits.bit_length()
+            or 4 ** (refinement_level + 1) > fits):
         raise MeshResourceError(
-            f"refinement_level {refinement_level} exceeds guard "
-            f"{MAX_REFINEMENT_LEVEL}"
+            f"refinement_level {refinement_level} needs more than the "
+            f"{memory / 2 ** 30:.3g} GiB of physical memory "
+            f"({BYTES_PER_TRIANGLE} bytes per triangle)"
         )
     m = 2 * 2 ** refinement_level
 
@@ -154,6 +177,41 @@ def build_disc_mesh(refinement_level):
         grad_y=grad_y,
         h_max=h_max,
     )
+
+
+def prolongation(rings):
+    """Nodal interpolation from the mesh of rings // 2 rings to the mesh
+    of `rings` rings, as a sparse (fine nodes, coarse nodes) matrix.
+
+    Coarse ring c sits at the radius of fine ring 2c and holds its even
+    nodes.  A fine node on ring i takes half of the angular linear
+    interpolation on coarse ring i // 2 and half of that on ring
+    (i + 1) // 2, the same ring when i is even; ring 0 is the centre.
+    Every row sums to 1, and the interior nodes of either mesh are a
+    prefix of its node order.
+    """
+    # pde loads scipy.sparse; importing it here keeps the import order
+    import scipy.sparse as sp
+
+    count = np.maximum(6 * np.arange(rings + 1), 1)  # nodes per ring
+    start = np.cumsum(count) - count
+    ring = np.repeat(np.arange(rings + 1), count)
+    pos = np.arange(ring.size) - start[ring]
+    span = np.maximum(ring, 1)
+    cols, vals = [], []
+    for c in (ring // 2, (ring + 1) // 2):
+        # angle pos / (6 ring) is position pos c / ring on coarse ring c
+        lo, rem = np.divmod(pos * c, span)
+        for col, w in ((lo, 1.0 - rem / span), (lo + 1, rem / span)):
+            cols.append(start[c] + col % count[c])
+            vals.append(0.5 * w)
+    P = sp.coo_matrix(
+        (np.concatenate(vals),
+         (np.tile(np.arange(ring.size), 4), np.concatenate(cols))),
+        shape=(ring.size, start[rings // 2 + 1]),
+    ).tocsr()
+    P.eliminate_zeros()
+    return P
 
 
 def element_gradient(values, mesh):

@@ -197,13 +197,14 @@ def test_criterion_10_self_intersection(tmp_path):
 
 
 def test_criterion_11_determinism(tmp_path):
-    # convergence, holography (the rule kernel) and coarea (the census
-    # and the solid-angle lhs; at eps 0.5, level 3 is too coarse for
-    # the gap check)
+    # convergence, holography (the rule kernel, and at level 4 the
+    # multigrid-preconditioned CG of the dual norm) and coarea (the
+    # census and the solid-angle lhs; at eps 0.5, level 3 is too coarse
+    # for the gap check)
     runs = {
         "convergence": (["--levels", "3,4", "--eps", "0.5"],
                         "convergence.csv"),
-        "holography": (["--eps", "0.3", "--levels", "3",
+        "holography": (["--eps", "0.3", "--levels", "4",
                         "--sphere-level", "2"], "holography.csv"),
         "coarea": (["--level", "3", "--eps", "0.3"], "coarea.csv"),
     }

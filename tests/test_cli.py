@@ -176,6 +176,7 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     ["decompose", "--eps", "0.04", "--level", "3", "--sphere-level", "3"],
     # cos(1e-9) rounds to 1, so the cap has measure 0
     ["holography", "--cap=k,1e-9", "--eps", "0.3", "--levels", "2"],
+    ["mesh-info", "--level", "12"],            # about 770 GiB
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o" / "p")]) == 2

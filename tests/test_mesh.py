@@ -3,9 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from coulomb_lab.mesh import (MAX_REFINEMENT_LEVEL, MeshResourceError,
+import coulomb_lab.mesh as mesh_module
+from coulomb_lab.mesh import (BYTES_PER_TRIANGLE, MeshResourceError,
                               build_disc_mesh, element_gradient,
-                              export_mesh, integrate)
+                              export_mesh, integrate, prolongation)
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +124,36 @@ def test_shape_mismatch_raises(mesh3):
         integrate(np.zeros(3), mesh3)
 
 
-def test_refinement_guard():
-    with pytest.raises(MeshResourceError):
-        build_disc_mesh(MAX_REFINEMENT_LEVEL + 1)
+def test_refinement_guard(monkeypatch):
+    # a machine one byte short of a level-6 mesh (6 * 128^2 triangles)
+    # refuses level 6 and still builds level 5
+    short = BYTES_PER_TRIANGLE * 6 * 128 ** 2 - 1
+    monkeypatch.setattr(mesh_module, "physical_memory", lambda: short)
+    with pytest.raises(MeshResourceError, match="physical memory"):
+        build_disc_mesh(6)
+    assert build_disc_mesh(5).triangle_count == 6 * 64 ** 2
     with pytest.raises(ValueError):
         build_disc_mesh(-1)
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_prolongation(level):
+    fine, coarse = build_disc_mesh(level), build_disc_mesh(level - 1)
+    P = prolongation(fine.rings)
+    assert P.shape == (fine.node_count, coarse.node_count)
+    assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-15
+    assert P.min() >= 0.0
+    # polar-linear: radii interpolate exactly, and each coarse node is
+    # injected into the fine node at its place
+    assert np.allclose(P @ np.hypot(*coarse.nodes.T),
+                       np.hypot(*fine.nodes.T), rtol=0.0, atol=1e-15)
+    rows, cols = (P == 1.0).nonzero()
+    assert np.array_equal(np.sort(cols), np.arange(coarse.node_count))
+    assert np.array_equal(fine.nodes[rows], coarse.nodes[cols])
+    # coarse functions vanishing on the boundary prolong to such fine
+    # ones, so the Dirichlet restriction drops the boundary columns
+    nf, nc = fine.interior_nodes.size, coarse.interior_nodes.size
+    assert P[nf:, :nc].count_nonzero() == 0
 
 
 def test_export_mesh_format():
