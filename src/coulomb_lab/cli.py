@@ -159,6 +159,13 @@ def _report(checks):
     return 0 if all(c.ok for c in checks) else 1
 
 
+def _one_eps(args):
+    """The eps of a command that reads one; several are a usage error."""
+    if len(args.eps) > 1:
+        raise ValueError(f"this command reads one eps, not {len(args.eps)}")
+    return args.eps[0]
+
+
 def _enneper_field(eps, level):
     return sample_field(enneper_gauss_closure(eps), build_disc_mesh(level))
 
@@ -233,7 +240,7 @@ def cmd_enneper_table(args, outdir):
 
 
 def cmd_decompose(args, outdir):
-    eps = args.eps[0]
+    eps = _one_eps(args)
     rng = np.random.default_rng(args.seed)
     fld = _enneper_field(eps, args.level)
     report = admissible_region(fld, level=args.sphere_level)
@@ -294,7 +301,7 @@ def _cg_report(sol):
 
 
 def cmd_frame(args, outdir):
-    eps = args.eps[0]
+    eps = _one_eps(args)
     residuals = {}
     frame = None
     for level in (args.level - 2, args.level - 1, args.level):
@@ -329,7 +336,7 @@ def cmd_frame(args, outdir):
 
 
 def cmd_coarea(args, outdir):
-    eps = args.eps[0]
+    eps = _one_eps(args)
     fld = _enneper_field(eps, args.level)
     quad = sphere_quadrature(args.sphere_level)
     rep = coarea_check(fld, quad, N=args.filter_n)
@@ -398,7 +405,7 @@ def cmd_holography(args, outdir):
 
 
 def cmd_self_intersect(args, outdir):
-    eps = args.eps[0]
+    eps = _one_eps(args)
     pairs = self_intersections(eps)
     psi = enneper_psi_closure(eps)
     rows = []
@@ -421,7 +428,7 @@ def cmd_self_intersect(args, outdir):
 
 
 def cmd_convergence(args, outdir):
-    eps = args.eps[0]
+    eps = _one_eps(args)
     table = closed_form_table(eps)
     rows = []
     fields = []

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fields import (FOUR_PI, HypothesisViolationError, area_functional,
-                     phi)
+from .fields import FOUR_PI, HypothesisViolationError, area_margin, phi
 from .mesh import integrate
 from .pde import element_load, flux_load
 from .sphere import SphereRegion, make_region, sphere_quadrature
@@ -117,11 +116,7 @@ def admissible_region(fld, level):
     discarded.  Requires a positive area margin delta = 4 pi - area,
     and reports the achieved sigma.
     """
-    area = area_functional(fld)
-    if area.delta <= 0:
-        raise HypothesisViolationError(
-            f"area functional {area.value:.6f} leaves no margin below 4 pi"
-        )
+    delta = area_margin(fld)
     quad = sphere_quadrature(level)
     tree = cKDTree(fld.nbar)
     dist, _ = tree.query(quad.nodes, k=1)
@@ -138,7 +133,7 @@ def admissible_region(fld, level):
     return AdmissibleRegionReport(
         region=make_region(quad, mask),
         sigma=float(dist[mask].min()),
-        delta=area.delta,
+        delta=delta,
     )
 
 

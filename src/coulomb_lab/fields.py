@@ -1,4 +1,5 @@
-"""Sphere-valued fields on the disc: sampling, Jacobian density, energies."""
+"""Sphere-valued fields on the disc: sampling, Jacobian density, energies
+and the area margin that the paper's hypothesis needs."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,3 +116,13 @@ def area_functional(fld):
     value = integrate(dens, fld.mesh)
     return AreaResult(value=value, delta=FOUR_PI - value)
 
+
+def area_margin(fld):
+    """The margin delta = 4 pi - area that the paper's hypothesis needs;
+    raises HypothesisViolationError unless it is positive."""
+    area = area_functional(fld)
+    if area.delta <= 0:
+        raise HypothesisViolationError(
+            f"area functional {area.value:.6f} leaves no margin below 4 pi"
+        )
+    return area.delta

@@ -5,16 +5,16 @@ n_lambda(X) = n(lambda X) is walked from lambda = 0 to 1.  Each step
 projects the previous frame onto the new tangent planes, Gram-Schmidt
 orthonormalizes, solves the gauge Neumann problem for the rotation
 angle that kills the divergence of e1 de2, rotates, and recovers the
-log-conformal factor f from the rotated connection form.
+log-conformal factor f from the rotated connection form.  The frame
+vectors are read as unit fields (`frame_fields`), so their element
+derivatives and centroid directions come from `fields.SphereField`.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (HypothesisViolationError, SphereField,
-                     area_functional, sample_field)
-from .mesh import element_gradient
+from .fields import SphereField, area_functional, area_margin, sample_field
 from .pde import (curl_load, element_load, flux_load, gradient_l2,
                   smooth_test_functions, solve_gauge_neumann, solve_pinned,
                   stiffness_matrix, weak_residual)
@@ -80,18 +80,18 @@ def gauge_rotate(e1, e2, theta):
     return c * e1 - s * e2, s * e1 + c * e2
 
 
-def frame_h(e1, e2, mesh):
-    """Connection form h = (e1 . d1 e2, e1 . d2 e2) per element."""
-    g = element_gradient(e2, mesh)  # (nt, 2, 3)
-    e1c = e1[mesh.triangles].mean(axis=1)
-    e1c /= np.linalg.norm(e1c, axis=1, keepdims=True)
-    return np.stack(
-        [
-            np.einsum("ti,ti->t", e1c, g[:, 0]),
-            np.einsum("ti,ti->t", e1c, g[:, 1]),
-        ],
-        axis=1,
-    )
+def frame_fields(e1, e2, mesh):
+    """The frame vectors as unit fields, whose element derivatives and
+    centroid directions are derived on first read."""
+    return tuple(SphereField(mesh=mesh, values=e, closure=None)
+                 for e in (e1, e2))
+
+
+def frame_h(f1, f2):
+    """Connection form h = (e1 . d1 e2, e1 . d2 e2) per element, with e1
+    at the normalized centroid, from the `frame_fields` f1, f2."""
+    return np.stack([np.einsum("ti,ti->t", f1.nbar, f2.d1),
+                     np.einsum("ti,ti->t", f1.nbar, f2.d2)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,7 @@ def coulomb_continuation(fld, seed):
         raise ValueError(
             "continuation needs a field with an analytic closure"
         )
-    area = area_functional(fld)
-    if area.delta <= 0:
-        raise HypothesisViolationError(
-            f"area functional {area.value:.6f} leaves no margin below 4 pi"
-        )
+    area_margin(fld)
     mesh = fld.mesh
     closure = fld.closure
 
@@ -182,11 +178,11 @@ def coulomb_continuation(fld, seed):
             if step < MIN_STEP:
                 raise ContinuationError("continuation step underflow")
             continue
-        h = frame_h(e1s, e2s, mesh)
+        h = frame_h(*frame_fields(e1s, e2s, mesh))
         theta = solve_gauge_neumann(h, mesh)
         e1, e2 = gauge_rotate(e1s, e2s, theta)
         cur, lam = new, target
-        h = frame_h(e1, e2, mesh)
+        h = frame_h(*frame_fields(e1, e2, mesh))
         rec = recover_f(h, mesh)
         od, _ = _orth_defect(e1, e2, cur.values)
         log.append(
@@ -221,13 +217,10 @@ def frame_residuals(frame, seed):
     mesh = frame.field_n.mesh
     e1, e2, f = frame.e1, frame.e2, frame.f
     od, td = _orth_defect(e1, e2, frame.field_n.values)
-    h = frame_h(e1, e2, mesh)
-    g1 = element_gradient(e1, mesh)
-    g2 = element_gradient(e2, mesh)
-    rhs = (
-        np.einsum("ti,ti->t", g1[:, 0], g2[:, 1])
-        - np.einsum("ti,ti->t", g1[:, 1], g2[:, 0])
-    )
+    f1, f2 = frame_fields(e1, e2, mesh)
+    h = frame_h(f1, f2)
+    rhs = (np.einsum("ti,ti->t", f1.d1, f2.d2)
+           - np.einsum("ti,ti->t", f1.d2, f2.d1))
     tests = smooth_test_functions(mesh, seed)
     poisson_load = stiffness_matrix(mesh) @ f - element_load(rhs, mesh)
     return FrameReport(

@@ -85,9 +85,11 @@ class DiscMesh:
         return float(self.areas.sum())
 
 
-def _ring_offset(j):
-    # center node + 6*1 + 6*2 + ... + 6*(j-1)
-    return 1 + 3 * j * (j - 1)
+def _ring_index(rings):
+    """Node count and first node of each ring, from ring 0 (the centre
+    node) to ring `rings`: the node order of the ring mesh."""
+    count = np.maximum(6 * np.arange(rings + 1), 1)
+    return count, np.cumsum(count) - count
 
 
 def physical_memory():
@@ -115,24 +117,25 @@ def build_disc_mesh(refinement_level):
             f"({BYTES_PER_TRIANGLE} bytes per triangle)"
         )
     m = 2 * 2 ** refinement_level
+    count, start = _ring_index(m)
 
     coords = [np.zeros((1, 2))]
     for j in range(1, m + 1):
-        ang = 2.0 * np.pi * np.arange(6 * j) / (6 * j)
+        ang = 2.0 * np.pi * np.arange(count[j]) / count[j]
         r = j / m
         coords.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
     nodes = np.vstack(coords)
 
     # innermost fan around the center node
-    k = _ring_offset(1) + np.arange(6)
+    k = start[1] + np.arange(6)
     tris = [np.column_stack([k, np.roll(k, -1), np.zeros(6, np.int64)])]
     # strips between ring j-1 and ring j: per sextant s, the j triangles
     # on an edge of ring j, then the j-1 on an edge of ring j-1
     s = np.arange(6)[:, None]
     for j in range(2, m + 1):
         i = np.arange(j + 1)[None, :]
-        outer = _ring_offset(j) + (s * j + i) % (6 * j)
-        inner = _ring_offset(j - 1) + (s * (j - 1) + i) % (6 * (j - 1))
+        outer = start[j] + (s * j + i) % count[j]
+        inner = start[j - 1] + (s * (j - 1) + i) % count[j - 1]
         strip = np.concatenate([
             np.stack([outer[:, :-1], outer[:, 1:], inner[:, :-1]], axis=2),
             np.stack([inner[:, :-2], outer[:, 1:-1], inner[:, 1:-1]],
@@ -159,7 +162,7 @@ def build_disc_mesh(refinement_level):
     ) * inv2a[:, None]
 
     boundary_mask = np.zeros(nodes.shape[0], dtype=bool)
-    boundary_mask[_ring_offset(m):] = True
+    boundary_mask[start[m]:] = True
 
     edges = np.concatenate(
         [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]
@@ -193,8 +196,7 @@ def prolongation(rings):
     # pde loads scipy.sparse; importing it here keeps the import order
     import scipy.sparse as sp
 
-    count = np.maximum(6 * np.arange(rings + 1), 1)  # nodes per ring
-    start = np.cumsum(count) - count
+    count, start = _ring_index(rings)
     ring = np.repeat(np.arange(rings + 1), count)
     pos = np.arange(ring.size) - start[ring]
     span = np.maximum(ring, 1)

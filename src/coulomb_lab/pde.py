@@ -4,9 +4,10 @@ Stiffness matrices are assembled once per mesh and cached on it, keyed
 weakly so meshes can be garbage collected, with the solvers built from
 them.  The Dirichlet problem is solved by conjugate gradients
 preconditioned by one multigrid V-cycle: the coarse operators are
-Galerkin products P^T A P with the ring `prolongation` of `mesh`, the
-smoother is damped Jacobi, and the coarsest level (16 rings, mesh level
-3) is a sparse LU, so a mesh at or below level 3 is that direct solve.
+Galerkin products P^T A P with the ring `prolongation` of `mesh`, two
+damped-Jacobi sweeps on either side of the coarse correction keep the
+cycle symmetric, and the coarsest level (16 rings, mesh level 3) is a
+sparse LU, so a mesh at or below level 3 is that direct solve.
 The pinned Neumann system keeps a sparse LU, which `frames` reuses for
 many right-hand sides.  A weak identity is checked as its load vector
 b: `weak_residual` takes max |b . zeta| / |grad zeta| over one block of
@@ -126,12 +127,14 @@ def _multigrid(mesh):
 
 
 def _v_cycle(levels, coarsest, r):
-    """One V-cycle on A x = r from x = 0: a damped-Jacobi sweep, the
-    coarse correction, then two more sweeps."""
+    """One V-cycle on A x = r from x = 0: two damped-Jacobi sweeps, the
+    coarse correction, then two more sweeps.  The sweeps after mirror
+    those before, so the cycle is a symmetric operator, as CG needs."""
     if not levels:
         return coarsest.solve(r)
     A, dinv, P = levels[0]
     x = dinv * r
+    x += dinv * (r - A @ x)
     x += P @ _v_cycle(levels[1:], coarsest, P.T @ (r - A @ x))
     for _ in range(2):
         x += dinv * (r - A @ x)

@@ -72,7 +72,6 @@ def spherical_areas(faces):
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:
-    faces: np.ndarray = field(repr=False)  # (nf, 3, 3)
     nodes: np.ndarray = field(repr=False)  # (nf, 3) face centroids
     weights: np.ndarray = field(repr=False)  # (nf,) spherical areas
     face_diameter: float  # max vertex-to-vertex distance
@@ -96,12 +95,11 @@ def sphere_quadrature(level):
     weights = spherical_areas(faces)
     d = np.linalg.norm(faces - faces[:, [1, 2, 0]], axis=2)
     quad = SphereQuadrature(
-        faces=faces,
         nodes=nodes,
         weights=weights,
         face_diameter=float(d.max()),
     )
-    for arr in (quad.faces, quad.nodes, quad.weights):
+    for arr in (quad.nodes, quad.weights):
         arr.setflags(write=False)
     _quadrature_cache[level] = quad
     return quad

@@ -19,10 +19,6 @@ MIN_SEPARATION = 0.1
 GAP_TOL = 1e-10
 
 
-class ClosureCheckError(Exception):
-    """A closed-form self-intersection pair fails its check under Psi_eps."""
-
-
 def lam(eps, x, y):
     return eps ** 2 + x ** 2 + y ** 2
 
@@ -112,9 +108,9 @@ def self_intersections(eps):
     pi/2, and pi vs 0), plus the reflection curves phi -> -phi with
     sin^2 phi = (3/4)(1 + eps^2/r^2) and phi -> pi - phi with
     cos^2 phi = (3/4)(1 + eps^2/r^2), sampled at the representative
-    radius r = (sqrt(3) eps + 1) / 2, at least sqrt(3) eps.  Every
-    returned pair is verified under Psi_eps to 1e-10.  Returns the
-    tuple of pairs, empty when sqrt(3) eps exceeds the disc radius 1.
+    radius r = (sqrt(3) eps + 1) / 2, at least sqrt(3) eps.  Returns the
+    tuple of pairs, empty when sqrt(3) eps exceeds the disc radius 1;
+    criterion 10 (`self-intersect`) checks each gap under Psi_eps.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -157,15 +153,6 @@ def self_intersections(eps):
                 radius=r,
             )
         )
-    psi = enneper_psi_closure(eps)
-    for p in pairs:
-        gap = np.linalg.norm(
-            psi(*p.x_hat) - psi(*p.x_tilde)
-        )
-        if gap > 1e-10:
-            raise ClosureCheckError(
-                f"family {p.family} pair fails closure check: gap {gap:g}"
-            )
     return tuple(pairs)
 
 

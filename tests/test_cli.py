@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+from coulomb_lab import cli
 from coulomb_lab.cli import _load_config_file, _parse_cap, main
 
 # The rules of summary.json, each from the fields it reads: a copy of
@@ -108,6 +110,27 @@ def test_rules_decide_every_check(tmp_path):
     assert outcomes == {True, False}
 
 
+def test_self_intersect_records_failing_pair(tmp_path, monkeypatch):
+    # criterion 10's pair_gap_max is the one check of the pairs: a pair
+    # that misses under Psi is a recorded FAIL with its row
+    exact = cli.self_intersections
+
+    def perturbed(eps):
+        first, *rest = exact(eps)
+        return (dataclasses.replace(first, x_tilde=first.x_tilde + 1e-6),
+                *rest)
+
+    monkeypatch.setattr(cli, "self_intersections", perturbed)
+    code, out, summary = run(tmp_path, "self-intersect")
+    assert code == 1 and not summary["pass"]
+    failed = [c for c in summary["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["pair_gap_max"]
+    assert failed[0]["value"] > failed[0]["tol"] == 1e-10
+    rows = (out / "self_intersect.csv").read_text().splitlines()
+    family, *_, gap = rows[1].split(",")
+    assert family == "vertical_axis" and float(gap) == failed[0]["value"]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("level = 2  # coarse\nseed = 99\n")
@@ -177,6 +200,12 @@ def test_bad_value_is_usage_error(tmp_path, capsys):
     # cos(1e-9) rounds to 1, so the cap has measure 0
     ["holography", "--cap=k,1e-9", "--eps", "0.3", "--levels", "2"],
     ["mesh-info", "--level", "12"],            # about 770 GiB
+    # several eps where the command reads one
+    ["decompose", "--eps", "0.5,0.3", "--level", "3", "--sphere-level", "2"],
+    ["frame", "--eps", "0.5,0.3", "--level", "2"],
+    ["coarea", "--eps", "0.5,0.3", "--level", "2"],
+    ["self-intersect", "--eps", "0.4,0.3"],
+    ["convergence", "--eps", "0.5,0.3", "--levels", "2,3"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o" / "p")]) == 2

@@ -4,8 +4,8 @@ import pytest
 from coulomb_lab import frames
 from coulomb_lab.frames import (ContinuationError, Frame,
                                 StepTooLargeError, coulomb_continuation,
-                                frame_h, frame_residuals, gauge_rotate,
-                                project_frame, recover_f)
+                                frame_fields, frame_h, frame_residuals,
+                                gauge_rotate, project_frame, recover_f)
 from coulomb_lab.fields import (HypothesisViolationError, field_from_values,
                                 sample_field)
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
@@ -104,7 +104,7 @@ def test_continuation_gradient_residuals(frame):
     rep = frame_residuals(frame, seed=11)
     # d1 f = -h2 and d2 f = h1 up to discretization
     mesh = frame.field_n.mesh
-    h = frame_h(frame.e1, frame.e2, mesh)
+    h = frame_h(*frame_fields(frame.e1, frame.e2, mesh))
     gf = element_gradient(frame.f, mesh)
     for r in (gf[:, 0] + h[:, 1], gf[:, 1] - h[:, 0]):
         assert np.sqrt(integrate(r ** 2, mesh)) < 0.1
@@ -112,7 +112,7 @@ def test_continuation_gradient_residuals(frame):
 
 
 def test_frame_h_shape(frame):
-    h = frame_h(frame.e1, frame.e2, frame.field_n.mesh)
+    h = frame_h(*frame_fields(frame.e1, frame.e2, frame.field_n.mesh))
     assert h.shape == (frame.field_n.mesh.triangle_count, 2)
 
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coulomb_lab.sphere import (cap, complement_region, full_sphere,
-                                make_region, region_from_predicate,
-                                sphere_quadrature, spherical_areas,
-                                subdivide_faces)
+from coulomb_lab.sphere import (_icosahedron_faces, cap, complement_region,
+                                full_sphere, make_region,
+                                region_from_predicate, sphere_quadrature,
+                                spherical_areas, subdivide_faces)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -36,7 +36,7 @@ def potential_gradient(region, points):
 def test_face_counts_and_weight_sum():
     for level in (0, 1, 2, 3):
         quad = sphere_quadrature(level)
-        assert quad.faces.shape[0] == 20 * 4 ** level
+        assert quad.weights.shape == (20 * 4 ** level,)
         assert quad.weights.sum() == pytest.approx(FOUR_PI, abs=1e-12)
         assert np.allclose(np.linalg.norm(quad.nodes, axis=1), 1.0)
 
@@ -49,12 +49,19 @@ def test_quadrature_guards():
 
 
 def test_subdivision_preserves_total_area():
-    quad = sphere_quadrature(1)
-    children = subdivide_faces(quad.faces)
-    assert children.shape[0] == 4 * quad.faces.shape[0]
+    faces = subdivide_faces(_icosahedron_faces())
+    children = subdivide_faces(faces)
+    assert children.shape[0] == 4 * faces.shape[0]
     assert spherical_areas(children).sum() == pytest.approx(
         FOUR_PI, abs=1e-12
     )
+    # the level-2 rule is these faces' centroids and areas
+    quad = sphere_quadrature(2)
+    centroids = children.mean(axis=1)
+    assert np.array_equal(
+        quad.nodes, centroids / np.linalg.norm(centroids, axis=1,
+                                                keepdims=True))
+    assert np.array_equal(quad.weights, spherical_areas(children))
 
 
 def test_face_diameter_shrinks():

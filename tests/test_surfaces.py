@@ -4,8 +4,8 @@ import pytest
 from coulomb_lab.mesh import build_disc_mesh
 from coulomb_lab import surfaces
 from coulomb_lab.pde import gradient_l2
-from coulomb_lab.surfaces import (ClosureCheckError, closed_form_table,
-                                  coincidence_radii, enneper_gauss_closure,
+from coulomb_lab.surfaces import (closed_form_table, coincidence_radii,
+                                  enneper_gauss_closure,
                                   enneper_psi_closure, lam,
                                   refine_intersection,
                                   self_intersections, zeta_eps)
@@ -152,18 +152,6 @@ def test_self_intersections_need_positive_eps(eps):
         self_intersections(eps)
     with pytest.raises(ValueError, match="eps must be positive"):
         coincidence_radii(eps)
-
-
-def test_self_intersections_closure_check(monkeypatch):
-    exact = surfaces.enneper_psi_closure
-
-    def perturbed(eps):
-        psi = exact(eps)
-        return lambda x, y: psi(x, y) + np.array([1e-6 * x, 0.0, 0.0])
-
-    monkeypatch.setattr(surfaces, "enneper_psi_closure", perturbed)
-    with pytest.raises(ClosureCheckError, match="closure check"):
-        self_intersections(0.3)
 
 
 def test_coincidence_radii_threshold():
