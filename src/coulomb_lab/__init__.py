@@ -14,7 +14,7 @@ from .pde import (PoissonSolution, solve_gauge_neumann,
 from .divform import (DivergenceForm, admissible_region, averaged_omega,
                       omega)
 from .frames import (Frame, coulomb_continuation, frame_residuals,
-                     gauge_rotate, project_frame, recover_f)
+                     gauge_rotate, recover_f)
 from .preimage import (PreimageCensus, PreimageSolver, coarea_check,
                        holography_identity, regular_filter)
 from .surfaces import closed_form_table, self_intersections, zeta_eps

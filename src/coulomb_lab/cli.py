@@ -331,7 +331,7 @@ def cmd_frame(args, outdir):
     return checks, {"boundary_std": frame.boundary_std,
                     "delta": final.delta,
                     "poisson": _cg_report(poisson),
-                    "steps": len(frame.log),
+                    "gauge_residuals": frame.gauge_residuals,
                     "weak_poisson_residual": final.weak_poisson_residual}
 
 

@@ -3,7 +3,7 @@ and the area margin that the paper's hypothesis needs."""
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SphereField:
-    """Unit vectors at mesh nodes, with the sampling closure retained.
+    """Unit vectors at mesh nodes.
 
     Derived per-element data is computed once, on first read, and is
     read-only:
@@ -30,7 +30,6 @@ class SphereField:
 
     mesh: DiscMesh
     values: np.ndarray
-    closure: Optional[Callable]
 
     @cached_property
     def _gradient(self):
@@ -60,7 +59,7 @@ class SphereField:
         return cross
 
 
-def field_from_values(values, mesh, closure=None):
+def field_from_values(values, mesh):
     """Wrap nodal vectors as a SphereField, normalizing to unit length."""
     values = np.array(values, dtype=float)
     if values.shape != (mesh.node_count, 3):
@@ -71,14 +70,14 @@ def field_from_values(values, mesh, closure=None):
         raise SamplingError(f"zero vector at node {bad[0]}")
     values /= norms[:, None]
     values.setflags(write=False)
-    return SphereField(mesh=mesh, values=values, closure=closure)
+    return SphereField(mesh=mesh, values=values)
 
 
 def sample_field(closure, mesh):
     """Evaluate a closure (X1, X2) -> R^3 at the nodes and normalize.
 
     The closure must be vectorized over numpy arrays and nonzero at
-    every node; the raw closure is retained for exact resampling.
+    every node.
     """
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     raw = np.asarray(closure(x, y), dtype=float)
@@ -86,7 +85,7 @@ def sample_field(closure, mesh):
         raw = raw.T
     if raw.shape != (mesh.node_count, 3):
         raise ValueError("closure must return one 3-vector per node")
-    return field_from_values(raw, mesh, closure=closure)
+    return field_from_values(raw, mesh)
 
 
 def phi(fld):

@@ -171,6 +171,9 @@ def _best_circle_pair(psi, r, close):
 def refine_intersection(eps, r, phi_hat, phi_tilde):
     """Locally minimize the pair gap over angles at fixed radius.
 
+    On the circle, psi(a) = s (eps^2 r cos a - r^3 cos 3a / 3,
+    -eps^2 r sin a - r^3 sin 3a / 3, eps r^2 cos 2a), s = 1 / (1 + eps^2),
+    so the Jacobian of the gap psi(a) - psi(b) is [psi'(a), -psi'(b)].
     Returns the converged gap, or None when the optimizer collapses
     onto a pair closer than the separation floor.
     """
@@ -184,8 +187,18 @@ def refine_intersection(eps, r, phi_hat, phi_tilde):
             r * np.cos(b), r * np.sin(b)
         )
 
-    sol = least_squares(res, [phi_hat, phi_tilde],
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    s = 1.0 / (1.0 + eps ** 2)
+
+    def dpsi(a):
+        return s * np.array([
+            -eps ** 2 * r * np.sin(a) + r ** 3 * np.sin(3 * a),
+            -eps ** 2 * r * np.cos(a) - r ** 3 * np.cos(3 * a),
+            -2.0 * eps * r ** 2 * np.sin(2 * a)])
+
+    sol = least_squares(
+        res, [phi_hat, phi_tilde],
+        jac=lambda v: np.stack([dpsi(v[0]), -dpsi(v[1])], axis=1),
+        xtol=1e-15, ftol=1e-15, gtol=1e-15)
     sep = r * np.hypot(
         np.cos(sol.x[0]) - np.cos(sol.x[1]),
         np.sin(sol.x[0]) - np.sin(sol.x[1]),

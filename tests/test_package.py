@@ -23,8 +23,6 @@ ALLOWED_UNREFERENCED = {
 # module constant or comes from the CLI's `_DEFAULTS`.
 ALLOWED_DEFAULTS = {
     "cli.main(argv)": "entry point: None reads sys.argv",
-    "fields.field_from_values(closure)":
-        "rotated copies of a field have no closure",
 }
 
 # Dataclass fields that nothing in the package reads, and why each stays.
