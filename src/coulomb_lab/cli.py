@@ -302,23 +302,21 @@ def _cg_report(sol):
 
 def cmd_frame(args, outdir):
     eps = _one_eps(args)
-    residuals = {}
-    frame = None
-    for level in (args.level - 2, args.level - 1, args.level):
-        fld = _enneper_field(eps, level)
-        frame = coulomb_continuation(fld, seed=args.seed)
-        rep = frame_residuals(frame, seed=args.seed)
-        residuals[level] = rep
+    # each coarser frame is dropped, with its mesh, once its Coulomb
+    # residual (the last gauge residual) is read
+    r_lo, r_mid = (coulomb_continuation(_enneper_field(eps, level),
+                                        seed=args.seed).gauge_residuals[-1]
+                   for level in (args.level - 2, args.level - 1))
+    fld = _enneper_field(eps, args.level)
+    frame = coulomb_continuation(fld, seed=args.seed)
+    final = frame_residuals(frame)
     keys = ("lambda", "step", "orth_defect", "coulomb_residual", "f_max",
             "grad_f_norm")
     _write_csv(outdir / "frame_log.csv", ",".join(keys),
                ([row[k] for k in keys] for row in frame.log))
-    final = residuals[args.level]
     table = closed_form_table(eps)
     poisson = solve_poisson_dirichlet(phi(fld), fld.mesh)
     f_gap = float(np.abs(frame.f - poisson.f).max())
-    r_lo = residuals[args.level - 2].coulomb_residual
-    r_mid = residuals[args.level - 1].coulomb_residual
     r_hi = final.coulomb_residual
     checks = [
         Check("orthonormality_defect", final.orth_defect, 0.0, 1e-10, "<="),

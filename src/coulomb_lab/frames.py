@@ -22,9 +22,9 @@ import numpy as np
 
 from .fields import (HypothesisViolationError, SphereField, area_functional,
                      area_margin)
-from .pde import (curl_load, element_load, flux_load, gradient_l2,
-                  smooth_test_functions, solve_gauge_neumann, solve_pinned,
-                  stiffness_matrix, weak_residual)
+from .pde import (SmoothTestFunctions, curl_load, element_load, flux_load,
+                  gradient_l2, smooth_test_functions, solve_gauge_neumann,
+                  solve_neumann, stiffness_matrix, weak_residual)
 from .preimage import PreimageSolver
 
 # Gauge solves per frame.  After two, the Coulomb residual falls about
@@ -36,11 +36,15 @@ GAUGE_SOLVES = 2
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """A Coulomb frame of `field_n` and its recovered f.  `gauge_residuals`
-    holds the Coulomb weak residual before the first gauge solve and
-    after each one; `log` is the one row of frame_log.csv."""
+    """A Coulomb frame of `field_n` and its recovered f.  `fields` are
+    (e1, e2) as `frame_fields` and `tests` the smooth test functions
+    that the residuals were taken against.  `gauge_residuals` holds the
+    Coulomb weak residual before the first gauge solve and after each
+    one; `log` is the one row of frame_log.csv."""
     e1: np.ndarray = field(repr=False)
     e2: np.ndarray = field(repr=False)
+    fields: tuple = field(repr=False)
+    tests: SmoothTestFunctions = field(repr=False)
     field_n: SphereField
     f: np.ndarray = field(repr=False)
     boundary_std: float
@@ -97,11 +101,11 @@ def recover_f(h, mesh):
     """Scalar potential with (d2 f, -d1 f) matching h in least squares.
 
     Solves the weak curl equation with natural boundary conditions
-    (pinned node), then shifts so the boundary mean is zero; the
-    standard deviation of the pre-shift boundary values measures how
-    far h is from an exact rotated gradient.
+    (`solve_neumann`, up to a constant), then shifts so the boundary
+    mean is zero; the standard deviation of the boundary values
+    measures how far h is from an exact rotated gradient.
     """
-    f = solve_pinned(curl_load(h, mesh), mesh)
+    f = solve_neumann(curl_load(h, mesh), mesh)
     bvals = f[mesh.boundary_mask]
     f = f - bvals.mean()
     return RecoveredF(f=f, boundary_std=float(bvals.std()))
@@ -145,11 +149,13 @@ def coulomb_continuation(fld, seed):
     mesh = fld.mesh
     tests = smooth_test_functions(mesh, seed)
     e1, e2 = stereographic_frame(fld.values)
-    h = frame_h(*frame_fields(e1, e2, mesh))
+    fields = frame_fields(e1, e2, mesh)
+    h = frame_h(*fields)
     residuals = [coulomb_weak_residual(h, mesh, tests)]
     for _ in range(GAUGE_SOLVES):
         e1, e2 = gauge_rotate(e1, e2, solve_gauge_neumann(h, mesh))
-        h = frame_h(*frame_fields(e1, e2, mesh))
+        fields = frame_fields(e1, e2, mesh)
+        h = frame_h(*fields)
         residuals.append(coulomb_weak_residual(h, mesh, tests))
     rec = recover_f(h, mesh)
     for arr in (e1, e2, rec.f):
@@ -162,8 +168,8 @@ def coulomb_continuation(fld, seed):
         "f_max": float(np.abs(rec.f).max()),
         "grad_f_norm": gradient_l2(rec.f, mesh),
     }
-    return Frame(e1=e1, e2=e2, field_n=fld, f=rec.f,
-                 boundary_std=rec.boundary_std,
+    return Frame(e1=e1, e2=e2, fields=fields, tests=tests, field_n=fld,
+                 f=rec.f, boundary_std=rec.boundary_std,
                  gauge_residuals=tuple(residuals), log=(row,))
 
 
@@ -177,24 +183,23 @@ class FrameReport:
     delta: float                  # 4 pi - area, the paper's margin
 
 
-def frame_residuals(frame, seed):
-    """Pointwise defects and PDE residuals of a frame."""
+def frame_residuals(frame):
+    """Pointwise defects and PDE residuals of a frame, against the test
+    functions of its continuation; the Coulomb residual is its last
+    gauge residual."""
     mesh = frame.field_n.mesh
-    e1, e2, f = frame.e1, frame.e2, frame.f
-    od, td = _orth_defect(e1, e2, frame.field_n.values)
-    f1, f2 = frame_fields(e1, e2, mesh)
-    h = frame_h(f1, f2)
+    f1, f2 = frame.fields
+    od, td = _orth_defect(frame.e1, frame.e2, frame.field_n.values)
     rhs = (np.einsum("ti,ti->t", f1.d1, f2.d2)
            - np.einsum("ti,ti->t", f1.d2, f2.d1))
-    tests = smooth_test_functions(mesh, seed)
-    poisson_load = stiffness_matrix(mesh) @ f - element_load(rhs, mesh)
+    poisson_load = (stiffness_matrix(mesh) @ frame.f
+                    - element_load(rhs, mesh))
     return FrameReport(
         orth_defect=od,
         tangency_defect=td,
-        coulomb_residual=coulomb_weak_residual(h, mesh, tests),
-        weak_poisson_residual=weak_residual(poisson_load, tests,
+        coulomb_residual=frame.gauge_residuals[-1],
+        weak_poisson_residual=weak_residual(poisson_load, frame.tests,
                                             boundary_zero=True),
-        f_max=float(np.abs(f).max()),
+        f_max=float(np.abs(frame.f).max()),
         delta=area_functional(frame.field_n).delta,
     )
-

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Peak bytes per triangle, over the imports, of the heaviest
-# subcommand: `frame`, whose pinned LU fill grows a little faster than
-# the mesh (1.50, 1.61 and 1.65 KB at levels 6, 7 and 8; `holography`
-# 0.7 KB).  `build_disc_mesh` refuses a mesh of 6 m^2 triangles that
-# would need more than the physical memory.
-BYTES_PER_TRIANGLE = 2048
+# Peak bytes per triangle, over the imports, with 18% to spare over
+# the heaviest subcommand: `decompose`, 858 and 864 at levels 7 and 8
+# (`frame` 843 and 798, `holography` 703 at its defaults).
+# `build_disc_mesh` refuses a mesh of 6 m^2 triangles that would need
+# more than the physical memory.
+BYTES_PER_TRIANGLE = 1024
 
 
 def _radon_rule():

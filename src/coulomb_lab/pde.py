@@ -2,16 +2,20 @@
 
 Stiffness matrices are assembled once per mesh and cached on it, keyed
 weakly so meshes can be garbage collected, with the solvers built from
-them.  The Dirichlet problem is solved by conjugate gradients
-preconditioned by one multigrid V-cycle: the coarse operators are
-Galerkin products P^T A P with the ring `prolongation` of `mesh`, two
+them.  The Dirichlet and the Neumann problem are both solved by
+conjugate gradients preconditioned by one multigrid V-cycle of one
+cached hierarchy: the coarse operators are Galerkin products P^T K P of
+the whole stiffness matrix with the ring `prolongation` of `mesh`, two
 damped-Jacobi sweeps on either side of the coarse correction keep the
 cycle symmetric, and the coarsest level (16 rings, mesh level 3) is a
 sparse LU, so a mesh at or below level 3 is that direct solve.
-The pinned Neumann system keeps a sparse LU, which `frames` reuses for
-many right-hand sides.  A weak identity is checked as its load vector
-b: `weak_residual` takes max |b . zeta| / |grad zeta| over one block of
-smooth test functions.
+The Dirichlet cycle keeps the boundary entries at 0, so it reads the
+leading interior blocks of the operators.  The Neumann cycle reads the
+whole operators, and its coarsest solve pins the centre node and
+projects out the constant on both sides (Bochev & Lehoucq, SIAM Rev.
+47(1), 2005), the pseudo-inverse of the singular coarse operator.  A
+weak identity is checked as its load vector b: `weak_residual` takes
+max |b . zeta| / |grad zeta| over one block of smooth test functions.
 """
 
 import weakref
@@ -82,63 +86,100 @@ def _spd_lu(A):
                      options={"SymmetricMode": True})
 
 
-def _pinned_factor(mesh):
-    """Cached LU of the stiffness matrix without the centre node."""
-    entry = _mesh_cache(mesh)
-    if "pinned" not in entry:
-        entry["pinned"] = _spd_lu(stiffness_matrix(mesh)[1:, 1:])
-    return entry["pinned"]
-
-
-def solve_pinned(b, mesh):
-    """Nodal u with u = 0 at the centre node solving K u = b at every
-    other node: the Neumann system, made definite by the pin."""
-    u = np.zeros(mesh.node_count)
-    u[1:] = _pinned_factor(mesh).solve(b[1:])
-    return u
-
-
 def _multigrid(mesh):
-    """Cached Dirichlet restriction A and its V-cycle preconditioner.
+    """Cached Galerkin hierarchy of the full stiffness matrix, and the
+    coarsest solves of both boundary conditions.
 
-    Each level holds its operator, its Jacobi scaling and the
-    prolongation from the next coarser level.  The interior nodes of a
-    ring mesh are a prefix of its nodes, so each level keeps the leading
-    block of the full operators.
+    Each level holds its operator, its Jacobi scaling, the prolongation
+    from the next coarser level and its interior node count.  The
+    interior nodes of a ring mesh are a prefix of its nodes, and no
+    interior coarse column of `prolongation` reaches a boundary fine
+    row, so the leading interior block of each coarse operator is the
+    Galerkin operator of the Dirichlet restriction.
     """
     entry = _mesh_cache(mesh)
     if "mg" not in entry:
         m = mesh.rings
         n = mesh.interior_nodes.size
-        fine = A = stiffness_matrix(mesh)[:n, :n]
+        A = stiffness_matrix(mesh)
         levels = []
         while m > COARSEST_RINGS:
             P = prolongation(m)
-            nc = P.shape[1] - 3 * m  # less the 6 (m / 2) boundary nodes
-            P = P[:n, :nc]
-            levels.append((A, JACOBI_WEIGHT / A.diagonal(), P))
+            levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, n))
             A = (P.T @ A @ P).tocsr()
-            m, n = m // 2, nc
-        # a given dtype spares the V-cycle that would infer it
-        entry["mg"] = (fine, spla.LinearOperator(
-            fine.shape, matvec=partial(_v_cycle, levels, _spd_lu(A)),
-            dtype=float))
+            m, n = m // 2, P.shape[1] - 3 * m  # less 6 (m / 2) boundary
+        entry["mg"] = (levels, {
+            True: partial(_coarse_dirichlet, _spd_lu(A[:n, :n]), n),
+            False: partial(_coarse_neumann, _spd_lu(A[1:, 1:])),
+        })
     return entry["mg"]
 
 
-def _v_cycle(levels, coarsest, r):
-    """One V-cycle on A x = r from x = 0: two damped-Jacobi sweeps, the
+def _coarse_dirichlet(lu, n, r):
+    """The interior block's solve, with the boundary entries 0."""
+    x = np.zeros_like(r)
+    x[:n] = lu.solve(r[:n])
+    return x
+
+
+def _coarse_neumann(lu, r):
+    """Q Z Q r, with Z the inverse of the system pinned at the centre
+    node and Q the projection out of the constants: the pseudo-inverse
+    of the singular coarse operator, and symmetric."""
+    x = np.zeros_like(r)
+    x[1:] = lu.solve(r[1:] - r.mean())
+    return x - x.mean()
+
+
+def _v_cycle(levels, coarsest, dirichlet, r):
+    """One V-cycle on K x = r from x = 0: two damped-Jacobi sweeps, the
     coarse correction, then two more sweeps.  The sweeps after mirror
-    those before, so the cycle is a symmetric operator, as CG needs."""
+    those before, so the cycle is a symmetric operator, as CG needs.
+    For the Dirichlet problem each sweep keeps the boundary entries of
+    x at 0, so the cycle reads only the interior entries of r."""
     if not levels:
-        return coarsest.solve(r)
-    A, dinv, P = levels[0]
+        return coarsest(r)
+    A, dinv, P, n = levels[0]
+    if not dirichlet:
+        n = r.size
     x = dinv * r
+    x[n:] = 0.0
     x += dinv * (r - A @ x)
-    x += P @ _v_cycle(levels[1:], coarsest, P.T @ (r - A @ x))
+    x[n:] = 0.0
+    x += P @ _v_cycle(levels[1:], coarsest, dirichlet, P.T @ (r - A @ x))
     for _ in range(2):
         x += dinv * (r - A @ x)
+        x[n:] = 0.0
     return x
+
+
+def _preconditioner(mesh, dirichlet):
+    """One V-cycle of the shared hierarchy, for either boundary
+    condition."""
+    levels, coarsest = _multigrid(mesh)
+    # a given dtype spares the V-cycle that would infer it
+    return spla.LinearOperator(
+        (mesh.node_count,) * 2, dtype=float,
+        matvec=partial(_v_cycle, levels, coarsest[dirichlet], dirichlet))
+
+
+def _cg(A, b, M):
+    """CG on A x = b to CG_RTOL; returns x and the iterations taken."""
+    steps = []
+    x, info = spla.cg(A, b, rtol=CG_RTOL, atol=0.0, M=M,
+                      callback=steps.append)
+    if info != 0:
+        raise ArithmeticError(f"CG stopped unconverged (info {info})")
+    return x, len(steps)
+
+
+def solve_neumann(b, mesh):
+    """Nodal u solving K u = b - mean(b), determined up to a constant:
+    the natural-boundary-condition problem, for a load b that sums to
+    zero up to rounding."""
+    u, _ = _cg(stiffness_matrix(mesh), b - b.mean(),
+               _preconditioner(mesh, dirichlet=False))
+    return u
 
 
 def element_load(rhs, mesh):
@@ -188,31 +229,36 @@ class PoissonSolution:
     residual: float
 
 
+def _interior_rows(K, n, x):
+    """K x with the boundary rows zeroed: the Dirichlet operator on
+    vectors that vanish on the boundary."""
+    y = K @ x
+    y[n:] = 0.0
+    return y
+
+
 def solve_poisson_dirichlet(rhs, mesh):
     """Weak solution of -Laplace(f) = rhs with f = 0 on the boundary."""
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side must be finite")
-    A, v_cycle = _multigrid(mesh)
-    n = A.shape[0]
-    bi = element_load(rhs, mesh)[:n]
-    steps = []
-    fi, info = spla.cg(A, bi, rtol=CG_RTOL, atol=0.0, M=v_cycle,
-                       callback=steps.append)
-    if info != 0:
-        raise ArithmeticError(f"CG stopped unconverged (info {info})")
-    r = bi - A @ fi
-    bnorm = float(np.linalg.norm(bi))
-    f = np.zeros(mesh.node_count)
-    f[:n] = fi
+    K = stiffness_matrix(mesh)
+    n = mesh.interior_nodes.size
+    b = element_load(rhs, mesh)
+    b[n:] = 0.0
+    A = spla.LinearOperator(K.shape, matvec=partial(_interior_rows, K, n),
+                            dtype=float)
+    f, iterations = _cg(A, b, _preconditioner(mesh, dirichlet=True))
+    r = b - A @ f
+    bnorm = float(np.linalg.norm(b))
     # energy: with error e = K^-1 b - f and r = K e, b^T K^-1 b equals
     # f^T (b + r) + e^T K e, so f^T (b + r) is off only to second order
-    grad2 = max(float(fi @ (bi + r)), 0.0)
+    grad2 = max(float(f @ (b + r)), 0.0)
     return PoissonSolution(
         f=f,
         gradient_norm=float(np.sqrt(grad2)),
         max_abs=float(np.abs(f).max()),
-        iterations=len(steps),
+        iterations=iterations,
         residual=float(np.linalg.norm(r)) / bnorm if bnorm else 0.0,
     )
 
@@ -221,14 +267,13 @@ def solve_gauge_neumann(h, mesh):
     """Zero-mean theta minimizing the integral of |grad(theta) + h|^2.
 
     Weak form: (grad theta, grad zeta) = -(h, grad zeta) for all zeta,
-    the natural-boundary-condition problem.  The singular Neumann
-    system is made definite by pinning the center node, then theta is
-    shifted to zero area-weighted mean.
+    the natural-boundary-condition problem (`solve_neumann`), whose
+    solution is shifted to zero area-weighted mean.
     """
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("h must be finite")
-    theta = solve_pinned(-flux_load(h, mesh), mesh)
+    theta = solve_neumann(-flux_load(h, mesh), mesh)
     w = lumped_mass(mesh)
     theta -= (w @ theta) / w.sum()
     return theta

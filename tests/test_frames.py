@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from coulomb_lab import frames
 from coulomb_lab.cli import main
 from coulomb_lab.frames import (GAUGE_SOLVES, coulomb_continuation,
-                                frame_fields, frame_h, frame_residuals,
-                                gauge_rotate, recover_f,
-                                stereographic_frame)
+                                coulomb_weak_residual, frame_fields,
+                                frame_h, frame_residuals, gauge_rotate,
+                                recover_f, stereographic_frame)
 from coulomb_lab.fields import (HypothesisViolationError, area_margin,
                                 sample_field)
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
@@ -72,7 +72,7 @@ def test_recover_f_oracle(mesh):
 
 
 def test_continuation_defects(frame):
-    rep = frame_residuals(frame, seed=11)
+    rep = frame_residuals(frame)
     assert rep.orth_defect <= 1e-10
     assert rep.tangency_defect <= 1e-10
     assert rep.delta > 0
@@ -129,7 +129,7 @@ def test_continuation_f_matches_closed_form(frame):
 
 
 def test_continuation_gradient_residuals(frame):
-    rep = frame_residuals(frame, seed=11)
+    rep = frame_residuals(frame)
     # d1 f = -h2 and d2 f = h1 up to discretization
     mesh = frame.field_n.mesh
     h = frame_h(*frame_fields(frame.e1, frame.e2, mesh))
@@ -182,8 +182,13 @@ def test_test_functions_built_once_per_call(monkeypatch):
     frame = coulomb_continuation(fld, seed=5)
     assert len(frame.log) == 1
     assert seeds == [5]
-    frame_residuals(frame, seed=6)
-    assert seeds == [5, 6]
+    # the residuals reuse the continuation's test functions, and agree
+    # exactly with a fresh derivation from the frame vectors
+    rep = frame_residuals(frame)
+    assert seeds == [5]
+    h = frame_h(*frame_fields(frame.e1, frame.e2, fld.mesh))
+    tests = smooth_test_functions(fld.mesh, 5)
+    assert rep.coulomb_residual == coulomb_weak_residual(h, fld.mesh, tests)
 
 
 def test_frame_output_passes_the_benchmark_check(tmp_path):

@@ -126,6 +126,7 @@ def test_census_pruning_misses_no_hit(solver, v):
 
 
 @settings(max_examples=60, deadline=None)
+@example(which="folded", targets=[(1e-10, 0.0, -1.0)])
 @given(which=st.sampled_from(["enneper", "folded"]),
        targets=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda v: np.linalg.norm(v) > 0.1), min_size=1, max_size=6))
@@ -135,6 +136,12 @@ def test_census_hits_meet_the_definition(solvers, which, targets):
     # >= -1e-9), P(X) is a positive multiple of n'; at a hit strictly
     # inside one element, the sign is that of Phi(n_h) = P.(d1 x d2) /
     # |P|^3 there.  The folded field has elements of both orientations.
+    # An element admitted by the slack alone holds X only up to a
+    # barycentric excess s = max(0, -min bary); extrapolated there, P
+    # moves from the hit by up to 2 s max|v_i - v_j|, so the direction
+    # bound grows by that much.  The pinned example is a hit 2.5e-11
+    # from the folded field's centre node, where a fan element with
+    # s = 8e-10 points 2e-10 from n'.
     # The census runs as it is and with every element a candidate: the
     # centroid tree keeps the elements that P maps near -n' out of the
     # first, so only the second tests the ray side.
@@ -158,9 +165,13 @@ def test_census_hits_meet_the_definition(solvers, which, targets):
         holders = np.flatnonzero(bary.min(axis=1) >= -1e-9)
         assert holders.size > 0
         for e in holders:
-            p = bary[e] @ fld.values[mesh.triangles[e]]
+            v = fld.values[mesh.triangles[e]]
+            p = bary[e] @ v
+            spread = np.linalg.norm(v[:, None] - v[None], axis=2).max()
+            slack = 2.0 * max(0.0, -bary[e].min()) * spread
             assert p @ nprimes[q] > 0.0
-            assert np.linalg.norm(p / np.linalg.norm(p) - nprimes[q]) < 1e-10
+            assert (np.linalg.norm(p / np.linalg.norm(p) - nprimes[q])
+                    < 1e-10 + slack)
         if holders.size == 1 and bary[holders[0]].min() > 1e-9:
             assert sign == np.sign(p @ fld.cross[holders[0]])
 
