@@ -369,10 +369,11 @@ def cmd_holography(args, outdir):
         raise ValueError("need one refinement level per eps")
     rows = []
     raws, resids, duals, refs = [], [], [], []
-    poisson = {}
+    poisson, boundary = {}, {}
     for eps, level in zip(args.eps, levels):
         fld = _enneper_field(eps, level)
         rep = holography_identity(fld, region, zeta_eps(eps, fld.mesh))
+        boundary[f"{eps:g}"] = rep.boundary_elements
         sol = solve_poisson_dirichlet(phi(fld), fld.mesh)
         duals.append(sol.gradient_norm)
         poisson[f"{eps:g}"] = _cg_report(sol)
@@ -399,7 +400,8 @@ def cmd_holography(args, outdir):
     ]
     _write_csv(outdir / "holography.csv",
                "eps,mu,raw_term,corrected_residual,omega_l2", rows)
-    return checks, {"levels": levels, "poisson": poisson}
+    return checks, {"levels": levels, "poisson": poisson,
+                    "boundary_elements": boundary}
 
 
 def cmd_self_intersect(args, outdir):

@@ -40,7 +40,8 @@ TRI7_BARY, TRI7_WEIGHTS = _radon_rule()
 
 
 class MeshResourceError(ValueError):
-    """The requested mesh would not fit in physical memory."""
+    """The requested disc mesh or sphere quadrature would not fit in
+    physical memory."""
 
 
 @dataclass(frozen=True, eq=False)

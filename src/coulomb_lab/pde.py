@@ -48,16 +48,22 @@ def _mesh_cache(mesh):
 
 
 def stiffness_matrix(mesh):
-    """Assemble the P1 stiffness matrix (CSR)."""
+    """Assemble the P1 stiffness matrix (CSR).
+
+    The local matrices are summed in place, and the COO indices are
+    int32, the index type of the CSR: `build_disc_mesh` keeps the node
+    count far below 2^31, and scipy would otherwise copy int64 indices
+    down to int32 before the conversion.
+    """
     entry = _mesh_cache(mesh)
     if "K" not in entry:
         gx, gy, a = mesh.grad_x, mesh.grad_y, mesh.areas
-        local = (
-            np.einsum("ti,tj->tij", gx, gx)
-            + np.einsum("ti,tj->tij", gy, gy)
-        ) * a[:, None, None]
-        rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
-        cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
+        local = np.einsum("ti,tj->tij", gx, gx)
+        local += np.einsum("ti,tj->tij", gy, gy)
+        local *= a[:, None, None]
+        tri = mesh.triangles.astype(np.int32)
+        rows = np.repeat(tri, 3, axis=1).reshape(-1)
+        cols = np.tile(tri, (1, 3)).reshape(-1)
         K = sp.coo_matrix(
             (local.reshape(-1), (rows, cols)),
             shape=(mesh.node_count, mesh.node_count),

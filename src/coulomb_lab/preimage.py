@@ -12,6 +12,10 @@ tree query serves a batch of targets.
 
 The coarea check counts hits at the nodes of a `SphereQuadrature`; the
 holography identity reads only the centre, radius and measure of a `Cap`.
+It takes each element whole by one 7-point rule, except where the image
+meets the cap boundary: there a ray rule sweeps the element from one
+vertex and splits each ray exactly at the boundary, whose preimage is a
+conic in the element (see `holography_identity`).
 """
 
 from dataclasses import dataclass, field
@@ -28,11 +32,12 @@ BARY_TOL = 1e-9
 # Accuracy that holography_identity promises for caps (the full sphere
 # is the cap of radius pi): |residual| stays below it.
 HOLOGRAPHY_TOL = 1e-4
-# Recursive splits of elements whose image straddles the region boundary.
-SPLIT_DEPTH = 10
+# Gauss-Legendre points per theta interval and per u segment of the
+# ray rule for elements whose image meets the region boundary.
+RAY_RULE_POINTS = 12
 # Elements per vectorized batch of holography_identity (bounds the
-# working memory); elements met by the region boundary go
-# _CHUNK >> SPLIT_DEPTH at a time.
+# working memory); elements met by the region boundary go _CHUNK >> 6
+# at a time, each with up to 5 x 3 x RAY_RULE_POINTS^2 points.
 _CHUNK = 1 << 12
 # Targets per census batch of coarea_check (bounds the working memory).
 _CENSUS_CHUNK = 256
@@ -287,6 +292,7 @@ class HolographyReport:
     residual: float
     mu: float
     omega_l2: float
+    boundary_elements: int
 
 
 def _straddles(region, images):
@@ -324,54 +330,120 @@ def _vertex_values(fld, region, zeta, gz, elems, whole):
     return np.dstack([verts, verts @ w, zeta[fld.mesh.triangles[elems]]])
 
 
-def _rule_sums(region, values, points, whole):
-    """Element-rule averages on sub-triangles with `_vertex_values`
-    (k, 3, S) and rule points `points` (k, 7, 3) or (7, 3), in element
-    barycentrics: 1_K Phi zeta and the pairing, with `whole` also
-    Phi zeta and |Omega|^2."""
-    s = np.moveaxis(points @ values, 2, 0)
+def _rule_sums(region, values):
+    """Element-rule averages on elements with `_vertex_values` (k, 3, S)
+    of 1_K Phi zeta, the pairing, Phi zeta and |Omega|^2."""
+    s = np.moveaxis(TRI7_BARY @ values, 2, 0)
     r = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
     inside, slope = region.potential_slope(s[3] / r)
     scale = slope / r ** 2
     pz = s[4] / r ** 3 * s[-1]
-    terms = [np.where(inside, pz, 0.0), scale * s[5]]
-    if whole:
-        terms += [pz, scale ** 2 * (s[6] ** 2 + s[7] ** 2)]
+    terms = [np.where(inside, pz, 0.0), scale * s[5], pz,
+             scale ** 2 * (s[6] ** 2 + s[7] ** 2)]
     return [v @ TRI7_WEIGHTS for v in terms]
 
 
-def _split_integral(fld, region, zeta, gz, elems):
-    """Integrals of 1_K Phi zeta and the pairing over elements met by
-    the boundary.
+def _smoothstep_rule(points):
+    """Gauss-Legendre nodes and weights on [0, 1], mapped through the
+    smoothstep 3 x^2 - 2 x^3.  Its derivative vanishes at both ends, so
+    an integrand that behaves like the square root of the distance to
+    an end becomes smooth."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x = 0.5 * (x + 1.0)
+    return x * x * (3.0 - 2.0 * x), 3.0 * x * (1.0 - x) * w
 
-    Sub-triangles whose image may meet the region boundary are split
-    SPLIT_DEPTH times; the others take the element rule whole, and the
-    leaves use the pointwise indicator.  Splitting resolves both the
-    indicator and the kink of the pairing across the boundary
-    preimage.
+
+def _rule_points(cuts, x, w):
+    """Rule nodes `x` and weights `w` (n,) on [0, 1] placed on each
+    interval of positive width into which the row of `cuts` (k, p),
+    each in [0, 1], cuts [0, 1]: the row of each interval (K,), and its
+    points and weights (K, n)."""
+    breaks = np.sort(np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0, 1)),
+                     axis=1)
+    lo, hi = breaks[:, :-1], breaks[:, 1:]
+    row, col = np.nonzero(hi > lo)
+    width = (hi - lo)[row, col, None]
+    return row, lo[row, col, None] + width * x, width * w
+
+
+def _cone_roots(c, a, p, q):
+    """(k, 2) parameters x in (0, 1) where the lines P = p + x q, rows
+    of (k, 3), meet the cone (P.c)^2 = a^2 |P|^2, and 1 in place of
+    each other root.
+
+    On a line (P.c)^2 - a^2 |P|^2 is C + 2 B x + A x^2, and B^2 - A C
+    = a^2 ((1 - a^2) |n|^2 - (c.n)^2) with n = p x q: formed so, it
+    keeps its digits where the two nappes P.c = +-a|P| meet (a -> 0).
+    With s = -(B + sign(B) sqrt(B^2 - A C)) the roots are s / A and
+    C / s.
     """
-    verts = fld.values[fld.mesh.triangles[elems]]
+    pc, qc, n = p @ c, q @ c, np.cross(p, q)
+    a2 = a * a
+    C = pc * pc - a2 * np.vecdot(p, p)
+    B = pc * qc - a2 * np.vecdot(p, q)
+    A = qc * qc - a2 * np.vecdot(q, q)
+    disc = a2 * ((1.0 - a2) * np.vecdot(n, n) - (n @ c) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -(B + np.copysign(np.sqrt(disc), B))
+        roots = np.stack([s / A, C / s], axis=-1)
+    return np.where((roots > 0.0) & (roots < 1.0), roots, 1.0)
+
+
+def _ray_roots(c, a, v0, ray):
+    """(R, 2) parameters u in (0, 1) where the rays P = v0 + u ray,
+    rows of (R, 3), meet the cap boundary P.c = a|P|, and 1 in place of
+    each other root.  A root on the mirror nappe, P.c = -a|P|, has P.c
+    of the sign of -a; it is dropped unless |P.c| <= 1e-12 |P|, where
+    the nappes cannot be told apart and a split does no harm."""
+    roots = _cone_roots(c, a, v0, ray)
+    P = v0[:, None] + roots[..., None] * ray[:, None]
+    mirror = np.copysign(1.0, a) * (P @ c) < -1e-12 * np.sqrt(
+        np.vecdot(P, P))
+    return np.where(mirror, 1.0, roots)
+
+
+def _boundary_sums(fld, region, zeta, gz, elems, rule):
+    """Integrals of 1_K Phi zeta and the pairing over each of the
+    elements `elems` (m, 2), whose image may meet the cap boundary,
+    by the ray rule of `holography_identity` with the nodes and weights
+    `rule` of `_smoothstep_rule`."""
+    x, w = rule
+    c, a = region.center, np.cos(region.rho)
+    m = elems.size
     values = _vertex_values(fld, region, zeta, gz, elems, False)
-
-    def integral(local, bary):
-        kept = _rule_sums(region, values[local], TRI7_BARY @ bary, False)
-        return np.array([fld.mesh.areas[elems[local]] @ v for v in kept])
-
-    local = np.arange(elems.size)
-    bary = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
-    sums = 0.0
-    frac = 1.0
-    for _ in range(SPLIT_DEPTH):
-        bary = (_CHILDREN @ bary).reshape(-1, 3, 3)
-        local = np.repeat(local, 4)
-        frac *= 0.25
-        images = bary @ verts[local]
-        images /= np.sqrt(images[..., 0] ** 2 + images[..., 1] ** 2
-                          + images[..., 2] ** 2)[..., None]
-        straddles = _straddles(region, images)
-        sums += frac * integral(local[~straddles], bary[~straddles])
-        bary, local = bary[straddles], local[straddles]
-    return sums + frac * integral(local, bary)
+    # sweep from the vertex farthest from the boundary (the vertex
+    # values are unit vectors), the others in cyclic order
+    far = np.argmax(np.abs(values[..., 3] - a), axis=1)
+    values = values[np.arange(m)[:, None], (far[:, None] + np.arange(3)) % 3]
+    v0 = values[:, 0]
+    d, e = values[:, 1] - v0, values[:, 2] - values[:, 1]
+    # theta breaks where the boundary crosses the opposite edge v1 +
+    # theta e, and at the tangent rays, whose discriminant vanishes
+    # where the normal n = v0 x (d + theta e) of the ray's plane has
+    # (n.c)^2 = sin^2 rho |n|^2.  A break from the mirror nappe is
+    # harmless.
+    normals = np.cross(v0[:, :3], d[:, :3]), np.cross(v0[:, :3], e[:, :3])
+    elem, theta, w_theta = _rule_points(np.hstack([
+        _cone_roots(c, a, values[:, 1, :3], e[:, :3]),
+        _cone_roots(c, np.sin(region.rho), *normals)]), x, w)
+    elem, theta, w_theta = (np.repeat(elem, x.size), theta.ravel(),
+                            w_theta.ravel())
+    ray = d[elem] + theta[:, None] * e[elem]
+    seg, u, w_u = _rule_points(_ray_roots(c, a, v0[elem, :3], ray[:, :3]),
+                               x, w)
+    s = v0[elem[seg]].T[:, :, None] + u * ray[seg].T[:, :, None]
+    r = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
+    t = s[3] / r
+    # a segment lies on one side; read which at its middle node
+    inside = t[:, x.size // 2, None] >= a
+    slope = region.branch_slope(t, inside)
+    # the collapsed map (theta, u) -> X has Jacobian 2 |T| u
+    weight = w_theta[seg, None] * w_u * u
+    terms = (np.where(inside, s[4] / r ** 3 * s[-1], 0.0),
+             slope / r ** 2 * s[5])
+    sums = np.column_stack([
+        np.bincount(elem[seg], (weight * v).sum(axis=1), m) for v in terms])
+    return 2.0 * fld.mesh.areas[elems, None] * sums
 
 
 def holography_identity(fld, region, zeta):
@@ -387,14 +459,11 @@ def holography_identity(fld, region, zeta):
 
     holds exactly, with Omega_i = grad Q(n_h).(n_h x d_i n_h) and Q
     the logarithmic potential of the region.  raw = int Phi zeta;
-    f_term and omega_term are the two right-hand terms, all three from
-    the same 7-point degree-5 element rule, each element's rule average
-    times its area.  Raw and |Omega|^2 take every element whole; the
-    other two terms take the elements whose image stays on one side of
-    the boundary whole, and split the others recursively SPLIT_DEPTH
-    times (`_split_integral`), to resolve the indicator and the kink
-    of Omega there.  Elements go _CHUNK, and those met by the boundary
-    _CHUNK >> SPLIT_DEPTH, at a time.
+    f_term and omega_term are the two right-hand terms.  Raw and
+    |Omega|^2 take every element whole, and the other two terms every
+    element whose image stays on one side of the boundary, by the
+    7-point degree-5 element rule: each element's rule average times
+    its area.  Elements go _CHUNK at a time.
 
     Each integrand comes from scalars affine on each element, known at
     the rule points from their vertex values.  With d_i the derivatives
@@ -404,33 +473,54 @@ def holography_identity(fld, region, zeta):
     |P|^2 P.(d_i x c): the pairing is P.(d1 zeta (d2 x c) - d2 zeta
     (d1 x c)), d_i zeta constant per element, times q'(t) / |P|^2.
 
+    An element whose image may meet the boundary (`_straddles`) takes
+    the ray rule (`_boundary_sums`), _CHUNK >> 6 at a time.  It sweeps
+    the element from the vertex V farthest from the boundary, along
+    the rays b(u) = e_V + u (W(theta) - e_V) to the points W(theta) of
+    the opposite edge: a collapsed map with Jacobian 2 |T| u (Duffy,
+    SIAM J. Numer. Anal. 19(6), 1982).  P is affine, so on each ray the
+    boundary (P.c)^2 = a^2 |P|^2, a = cos rho, is a quadratic in u;
+    its roots on the mirror nappe P.c = -a|P| are dropped.  theta
+    breaks where the boundary crosses the opposite edge and at the
+    tangent rays, the zeros of the ray discriminant: both are roots of
+    quadratics in theta.  On each theta interval, and on each of the
+    at most 3 u segments between a ray's roots, the rule is
+    RAY_RULE_POINTS Gauss-Legendre points through the smoothstep
+    (`_smoothstep_rule`), which also smooths the square-root
+    behaviour of the roots at a tangent ray.  Each segment lies on one
+    side, and 1_K Phi zeta and the pairing with that side's branch of
+    q' are smooth there: Omega is continuous across the boundary, and
+    only its derivative jumps.
+
     The region is a `sphere.Cap`, whose potential and boundary have
     closed forms; the full sphere is the cap of radius pi.  Then
-    |residual| <= HOLOGRAPHY_TOL.
+    |residual| <= HOLOGRAPHY_TOL.  `boundary_elements` counts the
+    elements that took the ray rule.
     """
     mu = region.measure
     mesh = fld.mesh
     zeta = np.asarray(zeta, dtype=float)
     gz = element_gradient(zeta, mesh)
-    whole = split = 0.0
+    whole = kept = 0.0
     straddling = []
     for lo in range(0, mesh.triangle_count, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, mesh.triangle_count))
         values = _vertex_values(fld, region, zeta, gz, elems, True)
-        terms = _rule_sums(region, values, TRI7_BARY, True)
+        terms = _rule_sums(region, values)
         straddles = _straddles(region, fld.values[mesh.triangles[elems]])
         a = mesh.areas[elems]
         whole += np.array([a @ v for v in terms[2:]])
-        split += np.array([a[~straddles] @ v[~straddles]
-                           for v in terms[:2]])
+        kept += np.array([a[~straddles] @ v[~straddles]
+                          for v in terms[:2]])
         straddling.append(elems[straddles])
     straddling = np.concatenate(straddling)
-    step = max(_CHUNK >> SPLIT_DEPTH, 1)
+    rule = _smoothstep_rule(RAY_RULE_POINTS)
+    step = max(_CHUNK >> 6, 1)
     for lo in range(0, straddling.size, step):
-        split += _split_integral(fld, region, zeta, gz,
-                                 straddling[lo:lo + step])
+        kept += _boundary_sums(fld, region, zeta, gz,
+                               straddling[lo:lo + step], rule).sum(axis=0)
     raw, omega_sq = float(whole[0]), float(whole[1])
-    f_term, omega_term = float(split[0]), float(split[1])
+    f_term, omega_term = float(kept[0]), float(kept[1])
     f_term *= FOUR_PI / mu
     return HolographyReport(
         raw_term=raw,
@@ -439,4 +529,5 @@ def holography_identity(fld, region, zeta):
         residual=raw - f_term - omega_term,
         mu=mu,
         omega_l2=float(np.sqrt(omega_sq)),
+        boundary_elements=int(straddling.size),
     )

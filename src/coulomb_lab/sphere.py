@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-MAX_SPHERE_LEVEL = 9
+from .mesh import MeshResourceError, physical_memory
+
+# Peak bytes per face of `sphere_quadrature`, with 19% to spare over
+# the 296 it measured (tracemalloc) at levels 4-8.  A level of 20 4^level
+# faces that would need more than the physical memory is refused.
+BYTES_PER_FACE = 352
 
 
 def _normalize_rows(v):
@@ -84,8 +89,15 @@ def sphere_quadrature(level):
     """Centroid nodes and spherical-excess weights at a subdivision level."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if level > MAX_SPHERE_LEVEL:
-        raise ValueError(f"level {level} exceeds guard {MAX_SPHERE_LEVEL}")
+    # the bit length test rejects a huge level before its power is formed
+    memory = physical_memory()
+    fits = memory // (20 * BYTES_PER_FACE)  # the largest 4^level
+    if level >= fits.bit_length() or 4 ** level > fits:
+        raise MeshResourceError(
+            f"sphere level {level} needs more than the "
+            f"{memory / 2 ** 30:.3g} GiB of physical memory "
+            f"({BYTES_PER_FACE} bytes per face)"
+        )
     if level in _quadrature_cache:
         return _quadrature_cache[level]
     faces = _icosahedron_faces()
@@ -149,11 +161,16 @@ class Cap:
         q'(t) (c - t n).  As (c - t n) x n = c x n, grad Q.(n x xi) =
         q'(t) n.(xi x c).  On the full sphere (a = -1) q' is 0 off -c.
         """
+        inside = t >= np.cos(self.rho)
+        return inside, self.branch_slope(t, inside)
+
+    def branch_slope(self, t, inside):
+        """q'(t) from the branch of the side `inside` (see
+        `potential_slope`).  Both branches equal 1/(1 - a) at t = a, and
+        each extends smoothly past it."""
         a = np.cos(self.rho)
-        inside = t >= a
-        slope = np.where(inside, (1.0 + a) / (1.0 - a), 1.0) / np.where(
+        return np.where(inside, (1.0 + a) / (1.0 - a), 1.0) / np.where(
             inside, 1.0 + t, 1.0 - t)
-        return inside, slope
 
 
 def make_region(quad, mask):

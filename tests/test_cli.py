@@ -74,6 +74,14 @@ def test_coarea_reports_rejections(tmp_path):
     assert max(counts.values()) <= rejected <= sum(counts.values())
 
 
+def test_holography_reports_boundary_elements(tmp_path):
+    # per eps, the elements whose image may meet the cap boundary, which
+    # the ray rule integrates
+    _, _, summary = run(tmp_path, "holography", "--eps", "0.3,0.1",
+                        "--levels", "4,5", "--cap=-k,0.7853981633974483")
+    assert summary["info"]["boundary_elements"] == {"0.3": 78, "0.1": 42}
+
+
 def test_summary_structure(tmp_path):
     _, _, summary = run(tmp_path, "mesh-info", "--level", "2")
     assert set(summary) == {"command", "config", "checks", "pass", "info"}

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,24 @@ def test_stiffness_energy_identity(mesh):
     assert float(z @ (K @ z)) == pytest.approx(
         gradient_l2(z, mesh) ** 2, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("level", range(3, 7))
+def test_stiffness_matrix_matches_int64_assembly(level):
+    # int32 COO indices leave K as the int64 ones built it, to the bit
+    mesh = build_disc_mesh(level)
+    K = stiffness_matrix(mesh)
+    local = (np.einsum("ti,tj->tij", mesh.grad_x, mesh.grad_x)
+             + np.einsum("ti,tj->tij", mesh.grad_y, mesh.grad_y)
+             ) * mesh.areas[:, None, None]
+    ref = sp.coo_matrix(
+        (local.reshape(-1),
+         (np.repeat(mesh.triangles, 3, axis=1).reshape(-1),
+          np.tile(mesh.triangles, (1, 3)).reshape(-1))),
+        shape=K.shape).tocsr()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(K, name), getattr(ref, name))
+        assert getattr(K, name).dtype == getattr(ref, name).dtype
 
 
 def test_lumped_mass_total(mesh):

@@ -429,8 +429,7 @@ def test_holography_kernel_matches_point_oracle(field3, center, rho):
     elems = np.arange(mesh.triangle_count)
     verts = fld.values[mesh.triangles]
     values = preimage._vertex_values(fld, region, zeta, gz, elems, True)
-    f, pairing, pz, omega_sq = preimage._rule_sums(region, values,
-                                                   TRI7_BARY, True)
+    f, pairing, pz, omega_sq = preimage._rule_sums(region, values)
     want = np.zeros((4, mesh.triangle_count))
     slack = np.zeros((4, mesh.triangle_count))
     for b, w in zip(TRI7_BARY, TRI7_WEIGHTS):
@@ -451,19 +450,11 @@ def test_holography_kernel_matches_point_oracle(field3, center, rho):
         + 8.0 * np.finfo(float).eps * slack
     for got, ref, bound in zip((pz, f, pairing, omega_sq), want, bounds):
         assert np.all(np.abs(got - ref) <= bound)
-    # the split pass reads only the scalars of its two terms; on the
-    # whole elements, as sub-triangles, they give the same sums
-    values = preimage._vertex_values(fld, region, zeta, gz, elems, False)
-    whole = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
-    kept = preimage._rule_sums(region, values, TRI7_BARY @ whole, False)
-    assert len(kept) == 2
-    for got, ref, bound in zip(kept, (f, pairing), bounds[1:3]):
-        assert np.all(np.abs(got - ref) <= bound)
 
 
 def test_holography_is_chunk_invariant(field, monkeypatch):
-    # the whole pass takes _CHUNK elements, and the split pass
-    # _CHUNK >> SPLIT_DEPTH straddling ones, at a time
+    # the whole pass takes _CHUNK elements, and the ray rule
+    # _CHUNK >> 6 straddling ones, at a time: one at a time at 64
     region = cap(-K, np.pi / 4.0)
     zeta = zeta_eps(0.5, field.mesh)
     reports = []
@@ -479,6 +470,13 @@ def test_holography_is_chunk_invariant(field, monkeypatch):
         assert abs(rep.residual - first.residual) <= 1e-13 * scale
 
 
+# Barycentrics of the vertices of a triangle's four midpoint children.
+_CHILDREN = 0.5 * np.array([[2, 0, 0], [1, 1, 0], [1, 0, 1],
+                            [1, 1, 0], [0, 2, 0], [0, 1, 1],
+                            [1, 0, 1], [0, 1, 1], [0, 0, 2],
+                            [1, 1, 0], [0, 1, 1], [1, 0, 1]])
+
+
 @settings(max_examples=30, deadline=None)
 @given(center=_DIRECTIONS, rho=st.floats(0.05, np.pi),
        depth=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
@@ -487,6 +485,7 @@ def test_straddle_test_certifies_one_side(field3, center, rho, depth,
     # a sub-triangle that _straddles clears has its vertices and its
     # rule points on one side of the boundary; the sub-triangles are
     # drawn from the elements whose image comes near the boundary
+    # (holography_identity asks about whole elements, depth 0)
     fld = field3
     region = cap(_unit(*center), rho)
     rng = np.random.default_rng(seed)
@@ -499,7 +498,7 @@ def test_straddle_test_certifies_one_side(field3, center, rho, depth,
     elems = rng.choice(near, 512)
     bary = np.broadcast_to(np.eye(3), (elems.size, 3, 3))
     for _ in range(depth):
-        children = (preimage._CHILDREN @ bary).reshape(-1, 4, 3, 3)
+        children = (_CHILDREN @ bary).reshape(-1, 4, 3, 3)
         bary = children[np.arange(elems.size),
                         rng.integers(0, 4, elems.size)]
     P = np.concatenate([bary, TRI7_BARY @ bary], axis=1) @ verts[elems]

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coulomb_lab.sphere import (_icosahedron_faces, cap, complement_region,
-                                full_sphere, make_region,
+from coulomb_lab import sphere as sphere_module
+from coulomb_lab.mesh import MeshResourceError
+from coulomb_lab.sphere import (BYTES_PER_FACE, _icosahedron_faces, cap,
+                                complement_region, full_sphere, make_region,
                                 region_from_predicate, sphere_quadrature,
                                 spherical_areas, subdivide_faces)
 
@@ -44,8 +46,19 @@ def test_face_counts_and_weight_sum():
 def test_quadrature_guards():
     with pytest.raises(ValueError):
         sphere_quadrature(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MeshResourceError):
         sphere_quadrature(99)
+
+
+def test_quadrature_memory_guard(monkeypatch):
+    # a machine one byte short of a level-6 quadrature (20 * 4^6 faces)
+    # refuses level 6, cached or not, and still builds level 5
+    sphere_quadrature(6)
+    short = BYTES_PER_FACE * 20 * 4 ** 6 - 1
+    monkeypatch.setattr(sphere_module, "physical_memory", lambda: short)
+    with pytest.raises(MeshResourceError, match="physical memory"):
+        sphere_quadrature(6)
+    assert sphere_quadrature(5).weights.shape == (20 * 4 ** 5,)
 
 
 def test_subdivision_preserves_total_area():
