@@ -24,8 +24,12 @@ class SphereField:
     read-only:
 
     d1, d2 : (nt, 3) derivatives of the affine interpolant
-    nbar   : (nt, 3) normalized triangle-centroid value
+    nbar   : (nt, 3) normalized triangle-centroid value, formed on one
+             contiguous row (nt,) per component
     cross  : (nt, 3) d1 x d2
+
+    nbar and the gradient are derived separately, so reading nbar
+    alone, as `coarea_check` does, never forms the gradient.
     """
 
     mesh: DiscMesh
@@ -47,8 +51,12 @@ class SphereField:
 
     @cached_property
     def nbar(self):
-        nbar = self.values[self.mesh.triangles].mean(axis=1)
-        nbar /= np.linalg.norm(nbar, axis=1, keepdims=True)
+        # one contiguous row (nt,) per component: the mean of the three
+        # vertex values, then its Euclidean norm, summed in axis order
+        i, j, k = self.mesh.triangles.T
+        s = [(u[i] + u[j] + u[k]) / 3 for u in self.values.T]
+        nbar = np.stack(s, axis=1)
+        nbar /= np.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])[:, None]
         nbar.setflags(write=False)
         return nbar
 

@@ -54,6 +54,11 @@ class DiscMesh:
     areas, grad_x, grad_y : per-element P1 data; grad_x[t, i] is the
         coefficient of vertex i in d/dx of the linear interpolant on
         triangle t (similarly grad_y).
+    h_max          : the longest edge
+
+    `build_disc_mesh` forms the per-element data from the vertex
+    coordinates gathered by corner, one contiguous row (nt,) per
+    coordinate and corner.
     """
 
     nodes: np.ndarray
@@ -145,30 +150,29 @@ def build_disc_mesh(refinement_level):
         tris.append(strip.reshape(-1, 3))
     triangles = np.concatenate(tris, dtype=np.int64)
 
-    p = nodes[triangles]  # (nt, 3, 2)
-    u = p[:, 1] - p[:, 0]
-    v = p[:, 2] - p[:, 0]
-    areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    # vertex coordinates as contiguous rows (3, nt), one per corner
+    x, y = nodes[:, 0][triangles.T], nodes[:, 1][triangles.T]
+    areas = 0.5 * ((x[1] - x[0]) * (y[2] - y[0])
+                   - (y[1] - y[0]) * (x[2] - x[0]))
     if np.any(areas <= 0):
         raise RuntimeError("degenerate or inverted triangle in disc mesh "
                            "construction")
 
-    x, y = p[..., 0], p[..., 1]
     inv2a = 1.0 / (2.0 * areas)
     grad_x = np.stack(
-        [y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1
+        [y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1
     ) * inv2a[:, None]
     grad_y = np.stack(
-        [x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1
+        [x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1
     ) * inv2a[:, None]
 
     boundary_mask = np.zeros(nodes.shape[0], dtype=bool)
     boundary_mask[start[m]:] = True
 
-    edges = np.concatenate(
-        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]
-    )
-    h_max = float(np.sqrt((edges ** 2).sum(axis=1)).max())
+    # edges V1 - V0, V2 - V1, V0 - V2; sqrt is monotone and correctly
+    # rounded, so the root of the largest square is the largest norm
+    dx, dy = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y
+    h_max = float(np.sqrt((dx * dx + dy * dy).max()))
 
     for arr in (nodes, triangles, boundary_mask, areas, grad_x, grad_y):
         arr.setflags(write=False)

@@ -296,51 +296,61 @@ class HolographyReport:
 
 
 def _straddles(region, images):
-    """Sub-triangles whose image may meet the region boundary.
+    """Elements whose image may meet the region boundary.
 
-    `images` (k, 3, 3) are the unit images of the vertices; n_h maps a
-    sub-triangle onto the geodesic triangle they span, which lies in
-    the cap of angular radius r about their normalized mean m.  The
-    image stays on one side when |boundary_distance(m)| > r.
+    `images` (3, 3, k) are the unit images of the vertices, one row
+    (k,) per component and vertex; n_h maps an element onto the
+    geodesic triangle they span, which lies in the cap of angular
+    radius r about their normalized mean m.  The image stays on one
+    side when |boundary_distance(m)| > r.
     """
     m = images[:, 0] + images[:, 1] + images[:, 2]
-    m /= np.sqrt(m[:, 0] ** 2 + m[:, 1] ** 2 + m[:, 2] ** 2)[:, None]
-    cos_r = (images @ m[:, :, None])[..., 0].min(axis=1)
+    m /= np.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2)
+    cos = images[0] * m[0] + images[1] * m[1] + images[2] * m[2]
+    cos_r = np.minimum(np.minimum(cos[0], cos[1]), cos[2])
     radius = np.arccos(np.clip(cos_r, -1.0, 1.0))
-    return (np.abs(region.boundary_distance(m)) <= radius) | (cos_r <= 0.0)
+    return (np.abs(region.boundary_distance(m.T)) <= radius) \
+        | (cos_r <= 0.0)
 
 
-# Barycentrics of the vertices of a triangle's four midpoint children.
-_CHILDREN = 0.5 * np.array([[2, 0, 0], [1, 1, 0], [1, 0, 1],
-                            [1, 1, 0], [0, 2, 0], [0, 1, 1],
-                            [1, 0, 1], [0, 1, 1], [0, 0, 2],
-                            [1, 1, 0], [0, 1, 1], [1, 0, 1]])
-
-
-def _vertex_values(fld, region, zeta, gz, elems, whole):
-    """(m, 3, S) vertex values on `elems` of P, P.c, P.(d1 x d2), the
-    pairing P.(d1 zeta (d2 x c) - d2 zeta (d1 x c)), with `whole` also
-    P.(d1 x c) and P.(d2 x c), and zeta; `gz` (nt, 2) is grad zeta."""
-    verts = fld.values[fld.mesh.triangles[elems]]
+def _vertex_values(fld, region, zeta, gz, elems):
+    """Vertex values on `elems` (m,) as channels (9, 3, m), one
+    contiguous row (m,) per channel and vertex: P, P.c, P.(d1 x d2),
+    the pairing P.(d1 zeta (d2 x c) - d2 zeta (d1 x c)), zeta, and for
+    |Omega|^2 P.(d1 x c) and P.(d2 x c); the ray rule reads the first
+    7.  `gz` (nt, 2) is grad zeta."""
+    tri = fld.mesh.triangles[elems].T
     cx = np.cross(np.eye(3), region.center)  # d @ cx = d x c
-    d1c, d2c = fld.d1[elems] @ cx, fld.d2[elems] @ cx
-    pair = gz[elems, 0, None] * d2c - gz[elems, 1, None] * d1c
-    w = np.dstack([np.broadcast_to(region.center, (elems.size, 3)),
-                   fld.cross[elems], pair, *((d1c, d2c) if whole else ())])
-    return np.dstack([verts, verts @ w, zeta[fld.mesh.triangles[elems]]])
+    d1c, d2c = (fld.d1[elems] @ cx).T, (fld.d2[elems] @ cx).T
+    pair = gz[elems, 0] * d2c - gz[elems, 1] * d1c
+    # (3, 5, 1, m): per component, the rows of c, d1 x d2, the pairing
+    # vector, d1 x c and d2 x c
+    w = np.stack([np.broadcast_to(region.center[:, None], d1c.shape),
+                  fld.cross[elems].T, pair, d1c, d2c], axis=1)[:, :, None]
+    channels = np.empty((9, 3, elems.size))
+    channels[:3] = fld.values.T[:, tri]
+    P = channels[:3]
+    channels[[3, 4, 5, 7, 8]] = P[0] * w[0] + P[1] * w[1] + P[2] * w[2]
+    channels[6] = zeta[tri]
+    return channels
 
 
-def _rule_sums(region, values):
-    """Element-rule averages on elements with `_vertex_values` (k, 3, S)
-    of 1_K Phi zeta, the pairing, Phi zeta and |Omega|^2."""
-    s = np.moveaxis(TRI7_BARY @ values, 2, 0)
+def _element_sums(fld, region, zeta, gz, elems):
+    """Element-rule averages on `elems` (m,) of 1_K Phi zeta, the
+    pairing, Phi zeta and |Omega|^2, and whether each element's image
+    may meet the region boundary (`_straddles`).  `TRI7_BARY @
+    _vertex_values(...)` gives every channel at the rule points as
+    contiguous rows (9, 7, m)."""
+    channels = _vertex_values(fld, region, zeta, gz, elems)
+    s = TRI7_BARY @ channels
     r = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
     inside, slope = region.potential_slope(s[3] / r)
     scale = slope / r ** 2
-    pz = s[4] / r ** 3 * s[-1]
+    pz = s[4] / r ** 3 * s[6]
     terms = [np.where(inside, pz, 0.0), scale * s[5], pz,
-             scale ** 2 * (s[6] ** 2 + s[7] ** 2)]
-    return [v @ TRI7_WEIGHTS for v in terms]
+             scale ** 2 * (s[7] ** 2 + s[8] ** 2)]
+    return ([TRI7_WEIGHTS @ v for v in terms],
+            _straddles(region, channels[:3]))
 
 
 def _smoothstep_rule(points):
@@ -410,7 +420,7 @@ def _boundary_sums(fld, region, zeta, gz, elems, rule):
     x, w = rule
     c, a = region.center, np.cos(region.rho)
     m = elems.size
-    values = _vertex_values(fld, region, zeta, gz, elems, False)
+    values = _vertex_values(fld, region, zeta, gz, elems)[:7].T
     # sweep from the vertex farthest from the boundary (the vertex
     # values are unit vectors), the others in cyclic order
     far = np.argmax(np.abs(values[..., 3] - a), axis=1)
@@ -466,12 +476,16 @@ def holography_identity(fld, region, zeta):
     its area.  Elements go _CHUNK at a time.
 
     Each integrand comes from scalars affine on each element, known at
-    the rule points from their vertex values.  With d_i the derivatives
-    of P, Phi(n_h) = P.(d1 x d2) / |P|^3; t = P.c / |P| gives 1_K(n_h)
-    and q'(t), with grad Q = q'(t) (c - t n_h).  As n_h x d_i n_h =
-    n_h x d_i / |P| and (c - t n_h) x n_h = c x n_h, Omega_i = q'(t) /
-    |P|^2 P.(d_i x c): the pairing is P.(d1 zeta (d2 x c) - d2 zeta
-    (d1 x c)), d_i zeta constant per element, times q'(t) / |P|^2.
+    the rule points from their vertex values (`_vertex_values`).  These
+    are laid out by component: one contiguous row of _CHUNK elements
+    per channel and vertex, so every product, the rule points
+    (`_element_sums`) and the straddle test run on whole rows.  With d_i
+    the derivatives of P, Phi(n_h) = P.(d1 x d2) / |P|^3; t = P.c / |P|
+    gives 1_K(n_h) and q'(t), with grad Q = q'(t) (c - t n_h).  As
+    n_h x d_i n_h = n_h x d_i / |P| and (c - t n_h) x n_h = c x n_h,
+    Omega_i = q'(t) / |P|^2 P.(d_i x c): the pairing is P.(d1 zeta
+    (d2 x c) - d2 zeta (d1 x c)), d_i zeta constant per element, times
+    q'(t) / |P|^2.
 
     An element whose image may meet the boundary (`_straddles`) takes
     the ray rule (`_boundary_sums`), _CHUNK >> 6 at a time.  It sweeps
@@ -505,9 +519,7 @@ def holography_identity(fld, region, zeta):
     straddling = []
     for lo in range(0, mesh.triangle_count, _CHUNK):
         elems = np.arange(lo, min(lo + _CHUNK, mesh.triangle_count))
-        values = _vertex_values(fld, region, zeta, gz, elems, True)
-        terms = _rule_sums(region, values)
-        straddles = _straddles(region, fld.values[mesh.triangles[elems]])
+        terms, straddles = _element_sums(fld, region, zeta, gz, elems)
         a = mesh.areas[elems]
         whole += np.array([a @ v for v in terms[2:]])
         kept += np.array([a[~straddles] @ v[~straddles]

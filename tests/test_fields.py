@@ -140,3 +140,22 @@ def test_orthogonal_symmetry(field, mesh, entries, flip):
 def test_resampling_matches_closure(field, mesh):
     resampled = sample_field(enneper_gauss_closure(0.5), mesh)
     assert np.array_equal(resampled.values, field.values)
+
+
+@pytest.fixture(scope="module")
+def meshes():
+    return [build_disc_mesh(level) for level in range(5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_nbar_matches_gathered_mean(meshes, level, seed):
+    # nbar is formed on per-component rows; the mean of the (nt, 3, 3)
+    # vertex gather over its norm gives the same bits
+    mesh = meshes[level]
+    raw = np.random.default_rng(seed).normal(size=(mesh.node_count, 3))
+    fld = field_from_values(raw, mesh)
+    want = fld.values[mesh.triangles].mean(axis=1)
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert fld.nbar.shape == want.shape
+    assert fld.nbar.tobytes() == want.tobytes()

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from coulomb_lab import preimage
 from coulomb_lab.fields import sample_field
-from coulomb_lab.mesh import build_disc_mesh, element_gradient
+from coulomb_lab.mesh import (TRI7_BARY, TRI7_WEIGHTS, build_disc_mesh,
+                              element_gradient)
 from coulomb_lab.preimage import holography_identity
 from coulomb_lab.sphere import cap, spherical_areas
 from coulomb_lab.surfaces import enneper_gauss_closure, zeta_eps
@@ -145,7 +146,7 @@ def test_ray_rule_f_term_is_the_image_area_in_the_cap(field_sweep, center,
     fld, mesh = field_sweep, field_sweep.mesh
     region = cap(_unit(*center), rho)
     tris = fld.values[mesh.triangles]
-    elems = np.flatnonzero(preimage._straddles(region, tris))
+    elems = np.flatnonzero(preimage._straddles(region, tris.T))
     got = preimage._boundary_sums(
         fld, region, np.ones(mesh.node_count),
         np.zeros((mesh.triangle_count, 2)), elems,
@@ -163,7 +164,7 @@ def test_gauss_bonnet_oracle_matches_the_clip():
     fld = sample_field(enneper_gauss_closure(0.5), build_disc_mesh(3))
     region = cap(_unit(0.3, 1.0), np.pi / 2)
     tris = fld.values[fld.mesh.triangles]
-    elems = np.flatnonzero(preimage._straddles(region, tris))
+    elems = np.flatnonzero(preimage._straddles(region, tris.T))
     assert elems.size > 20
     for e in elems:
         assert _cap_area(tris[e], region) == pytest.approx(
@@ -185,7 +186,7 @@ def test_ray_roots_lie_on_the_cap_boundary(field_sweep, center, gap, theta):
     region = cap(_unit(*center), np.pi / 2 + gap)
     a = np.cos(region.rho)
     tris = field_sweep.values[field_sweep.mesh.triangles]
-    tris = tris[preimage._straddles(region, tris)]
+    tris = tris[preimage._straddles(region, tris.T)]
     v0 = tris[:, 0]
     ray = tris[:, 1] + theta * (tris[:, 2] - tris[:, 1]) - v0
     roots = preimage._ray_roots(region.center, a, v0, ray)
@@ -210,7 +211,7 @@ def sweep_points():
         zeta = zeta_eps(eps, fld.mesh)
         rep = holography_identity(fld, region, zeta)
         elems = np.flatnonzero(preimage._straddles(
-            region, fld.values[fld.mesh.triangles]))
+            region, fld.values[fld.mesh.triangles].T))
         gz = element_gradient(zeta, fld.mesh)
         f = [preimage._boundary_sums(
             fld, region, zeta, gz, elems,
@@ -230,3 +231,72 @@ def test_ray_rule_order_converges(sweep_points):
 def test_holography_residuals_meet_the_stop_rule(sweep_points):
     for point, bound in SPLIT_RESIDUALS.items():
         assert abs(sweep_points[point][0].residual) <= bound, point
+
+
+def _element_major_pass(fld, region, zeta, gz, elems):
+    """The whole-element pass on element-major vertex values (m, 3, S),
+    formed by one 3 x 3 by 3 x 5 product per element and read at the
+    rule points through np.moveaxis: the rule averages of 1_K Phi zeta,
+    the pairing, Phi zeta and |Omega|^2, and the straddle mask."""
+    tri = fld.mesh.triangles[elems]
+    verts = fld.values[tri]
+    cx = np.cross(np.eye(3), region.center)
+    d1c, d2c = fld.d1[elems] @ cx, fld.d2[elems] @ cx
+    pair = gz[elems, 0, None] * d2c - gz[elems, 1, None] * d1c
+    w = np.dstack([np.broadcast_to(region.center, (elems.size, 3)),
+                   fld.cross[elems], pair, d1c, d2c])
+    values = np.dstack([verts, verts @ w, zeta[tri]])
+    s = np.moveaxis(TRI7_BARY @ values, 2, 0)
+    r = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
+    inside, slope = region.potential_slope(s[3] / r)
+    scale = slope / r ** 2
+    pz = s[4] / r ** 3 * s[-1]
+    terms = [np.where(inside, pz, 0.0), scale * s[5], pz,
+             scale ** 2 * (s[6] ** 2 + s[7] ** 2)]
+    m = verts[:, 0] + verts[:, 1] + verts[:, 2]
+    m /= np.sqrt(m[:, 0] ** 2 + m[:, 1] ** 2 + m[:, 2] ** 2)[:, None]
+    cos_r = (verts @ m[:, :, None])[..., 0].min(axis=1)
+    radius = np.arccos(np.clip(cos_r, -1.0, 1.0))
+    straddles = (np.abs(region.boundary_distance(m)) <= radius) \
+        | (cos_r <= 0.0)
+    return [v @ TRI7_WEIGHTS for v in terms], straddles
+
+
+@pytest.mark.parametrize("eps, level", list(SPLIT_RESIDUALS)[:3])
+def test_channel_kernel_matches_element_major_pass(eps, level):
+    # at the holography-sweep points, the identity assembled from the
+    # element-major pass, chunk by chunk as holography_identity sums,
+    # takes the ray rule on the same elements and agrees within 4 ulp
+    region = cap(*SWEEP_CAP)
+    fld = sample_field(enneper_gauss_closure(eps), build_disc_mesh(level))
+    zeta = zeta_eps(eps, fld.mesh)
+    gz = element_gradient(zeta, fld.mesh)
+    nt = fld.mesh.triangle_count
+    whole = kept = 0.0
+    straddling = []
+    for lo in range(0, nt, preimage._CHUNK):
+        elems = np.arange(lo, min(lo + preimage._CHUNK, nt))
+        terms, straddles = _element_major_pass(fld, region, zeta, gz, elems)
+        a = fld.mesh.areas[elems]
+        whole += np.array([a @ v for v in terms[2:]])
+        kept += np.array([a[~straddles] @ v[~straddles]
+                          for v in terms[:2]])
+        straddling.append(elems[straddles])
+    straddling = np.concatenate(straddling)
+    np.testing.assert_array_equal(
+        straddling,
+        np.flatnonzero(preimage._straddles(
+            region, fld.values[fld.mesh.triangles].T)))
+    rule = preimage._smoothstep_rule(preimage.RAY_RULE_POINTS)
+    for lo in range(0, straddling.size, 64):
+        kept += preimage._boundary_sums(fld, region, zeta, gz,
+                                        straddling[lo:lo + 64],
+                                        rule).sum(axis=0)
+    rep = holography_identity(fld, region, zeta)
+    assert rep.boundary_elements == straddling.size
+    want = {"raw_term": whole[0], "f_term": kept[0] * (4 * np.pi / rep.mu),
+            "omega_term": kept[1], "omega_l2": np.sqrt(whole[1])}
+    for name, value in want.items():
+        got = getattr(rep, name)
+        assert abs(got - value) <= 4 * np.finfo(float).eps * abs(value), \
+            name

@@ -90,6 +90,33 @@ def test_h_max_halves_per_level():
     assert h[2] == pytest.approx(h[1] / 2, rel=0.05)
 
 
+@pytest.mark.parametrize("level", range(7))
+def test_geometry_matches_gathered_formulas(level):
+    # the geometry is formed on per-corner rows (3, nt); the same
+    # formulas on the (nt, 3, 2) vertex gather give the same bits
+    mesh = build_disc_mesh(level)
+    p = mesh.nodes[mesh.triangles]
+    u = p[:, 1] - p[:, 0]
+    v = p[:, 2] - p[:, 0]
+    areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    x, y = p[..., 0], p[..., 1]
+    inv2a = 1.0 / (2.0 * areas)
+    grad_x = np.stack(
+        [y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1
+    ) * inv2a[:, None]
+    grad_y = np.stack(
+        [x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1
+    ) * inv2a[:, None]
+    edges = np.concatenate(
+        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+    h_max = float(np.sqrt((edges ** 2).sum(axis=1)).max())
+    for got, want in ((mesh.areas, areas), (mesh.grad_x, grad_x),
+                      (mesh.grad_y, grad_y)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert mesh.h_max == h_max
+
+
 def test_gradient_exact_for_affine(mesh3):
     x, y = mesh3.nodes[:, 0], mesh3.nodes[:, 1]
     g = element_gradient(2.0 * x - 3.0 * y + 1.0, mesh3)

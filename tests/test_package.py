@@ -6,6 +6,7 @@ nothing from it."""
 
 import ast
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coulomb_lab"
@@ -40,16 +41,24 @@ def _modules():
 
 
 def _definitions(tree):
-    """(qualified name, node) of each top-level function and class and
-    of each method; dunder methods are called implicitly."""
+    """(qualified name, name, node) of each top-level function, class
+    and assigned name and of each method; dunder methods and names are
+    used implicitly."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and \
                         not item.name.startswith("__"):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item.name, item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for name in chain.from_iterable(map(ast.walk, targets)):
+                if isinstance(name, ast.Name) and \
+                        not name.id.startswith("__"):
+                    yield name.id, name.id, node
 
 
 def _references(tree):
@@ -68,9 +77,10 @@ def test_every_definition_is_referenced():
     unreferenced = [
         f"{module}.{qualname}"
         for module, tree in modules.items()
-        for qualname, node in _definitions(tree)
-        # uses inside the definition itself (recursion) do not count
-        if used[node.name] == _references(node)[node.name]
+        for qualname, name, node in _definitions(tree)
+        # uses inside the definition itself (recursion, or the target
+        # of an assignment) do not count
+        if used[name] == _references(node)[name]
         and f"{module}.{qualname}" not in ALLOWED_UNREFERENCED
     ]
     assert unreferenced == []
@@ -80,7 +90,7 @@ def test_allow_list_is_current():
     modules = _modules()
     defined = {f"{module}.{qualname}"
                for module, tree in modules.items()
-               for qualname, _ in _definitions(tree)}
+               for qualname, _, _ in _definitions(tree)}
     assert set(ALLOWED_UNREFERENCED) <= defined
 
 

@@ -428,8 +428,8 @@ def test_holography_kernel_matches_point_oracle(field3, center, rho):
     gz = element_gradient(zeta, mesh)
     elems = np.arange(mesh.triangle_count)
     verts = fld.values[mesh.triangles]
-    values = preimage._vertex_values(fld, region, zeta, gz, elems, True)
-    f, pairing, pz, omega_sq = preimage._rule_sums(region, values)
+    (f, pairing, pz, omega_sq), _ = preimage._element_sums(
+        fld, region, zeta, gz, elems)
     want = np.zeros((4, mesh.triangle_count))
     slack = np.zeros((4, mesh.triangle_count))
     for b, w in zip(TRI7_BARY, TRI7_WEIGHTS):
@@ -503,6 +503,6 @@ def test_straddle_test_certifies_one_side(field3, center, rho, depth,
                         rng.integers(0, 4, elems.size)]
     P = np.concatenate([bary, TRI7_BARY @ bary], axis=1) @ verts[elems]
     n = P / np.linalg.norm(P, axis=2, keepdims=True)
-    cleared = ~preimage._straddles(region, n[:, :3])
+    cleared = ~preimage._straddles(region, n[:, :3].T)
     inside = n[cleared] @ region.center >= np.cos(rho)
     assert np.all(inside.all(axis=1) | ~inside.any(axis=1))
