@@ -280,11 +280,12 @@ def cmd_decompose(args, outdir):
         rng.integers(0, report.region.nodes.shape[0], size=5)
     ]
     bad = 0
+    g1 = 2.0 * np.linalg.norm(fld.d1, axis=1)
+    g2 = 2.0 * np.linalg.norm(fld.d2, axis=1)
     for t in targets:
         w1, w2 = omega(fld, t)
         dist = np.linalg.norm(fld.nbar - t, axis=1)
-        b1 = 2.0 * np.linalg.norm(fld.d1, axis=1) / dist
-        b2 = 2.0 * np.linalg.norm(fld.d2, axis=1) / dist
+        b1, b2 = g1 / dist, g2 / dist
         bad += int(np.sum(np.abs(w1) > b1 + 1e-12))
         bad += int(np.sum(np.abs(w2) > b2 + 1e-12))
     checks.append(Check("omega_bound_violations", bad, 0, None, "=="))
@@ -356,7 +357,8 @@ def cmd_coarea(args, outdir):
                zip(range(quad.nodes.shape[0]), *quad.nodes.T, rep.cards,
                    rep.signed_sums, rep.accepted.astype(int)))
     return checks, {"lhs": rep.lhs, "rhs": rep.rhs,
-                    "rejections": rep.rejections}
+                    "rejections": rep.rejections,
+                    "exact_kernel_sums": rep.exact_kernel_sums}
 
 
 def cmd_holography(args, outdir):

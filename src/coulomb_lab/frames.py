@@ -139,7 +139,7 @@ def coulomb_continuation(fld, seed):
     with the benchmark.
     """
     area_margin(fld)
-    census = PreimageSolver(fld).census(np.array([[0.0, 0.0, 1.0]]))
+    census = PreimageSolver(fld).census(np.array([[0.0, 0.0, 1.0]]), None)
     if census.card or census.degenerate.size:
         raise HypothesisViolationError(
             f"k has {census.card} preimages and {census.degenerate.size} "

@@ -8,7 +8,9 @@ cached hierarchy: the coarse operators are Galerkin products P^T K P of
 the whole stiffness matrix with the ring `prolongation` of `mesh`, two
 damped-Jacobi sweeps on either side of the coarse correction keep the
 cycle symmetric, and the coarsest level (16 rings, mesh level 3) is a
-sparse LU, so a mesh at or below level 3 is that direct solve.
+sparse LU, so a mesh at or below level 3 is that direct solve.  Each
+boundary condition's coarsest LU is factored when that condition is
+first solved on the mesh.
 The Dirichlet cycle keeps the boundary entries at 0, so it reads the
 leading interior blocks of the operators.  The Neumann cycle reads the
 whole operators, and its coarsest solve pins the centre node and
@@ -92,9 +94,26 @@ def _spd_lu(A):
                      options={"SymmetricMode": True})
 
 
+class _CoarsestSolves(dict):
+    """The coarsest level's solve of each boundary condition, keyed by
+    `dirichlet`; each is factored the first time it is asked for, since
+    many meshes solve one boundary condition only."""
+
+    def __init__(self, A, n):
+        super().__init__()
+        self.A, self.n = A, n
+
+    def __missing__(self, dirichlet):
+        A, n = self.A, self.n
+        self[dirichlet] = (
+            partial(_coarse_dirichlet, _spd_lu(A[:n, :n]), n) if dirichlet
+            else partial(_coarse_neumann, _spd_lu(A[1:, 1:])))
+        return self[dirichlet]
+
+
 def _multigrid(mesh):
     """Cached Galerkin hierarchy of the full stiffness matrix, and the
-    coarsest solves of both boundary conditions.
+    coarsest solves of both boundary conditions (`_CoarsestSolves`).
 
     Each level holds its operator, its Jacobi scaling, the prolongation
     from the next coarser level and its interior node count.  The
@@ -114,10 +133,7 @@ def _multigrid(mesh):
             levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, n))
             A = (P.T @ A @ P).tocsr()
             m, n = m // 2, P.shape[1] - 3 * m  # less 6 (m / 2) boundary
-        entry["mg"] = (levels, {
-            True: partial(_coarse_dirichlet, _spd_lu(A[:n, :n]), n),
-            False: partial(_coarse_neumann, _spd_lu(A[1:, 1:])),
-        })
+        entry["mg"] = (levels, _CoarsestSolves(A, n))
     return entry["mg"]
 
 

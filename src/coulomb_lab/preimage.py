@@ -8,7 +8,9 @@ in Moller & Trumbore 1997).  S alone decides solvability and, the
 triangles being positively oriented, the sign of Phi(n_h) at the hit.
 A k-d tree over element centroid values prunes the candidate
 triangles, so a census costs O(hits), not O(elements), per target; one
-tree query serves a batch of targets.
+tree query serves a batch of targets.  The regular-value filter takes
+its census candidates and its bound on the kernel integral from the
+same query (`regular_filter`).
 
 The coarea check counts hits at the nodes of a `SphereQuadrature`; the
 holography identity reads only the centre, radius and measure of a `Cap`.
@@ -19,7 +21,6 @@ conic in the element (see `holography_identity`).
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -39,8 +40,10 @@ RAY_RULE_POINTS = 12
 # working memory); elements met by the region boundary go _CHUNK >> 6
 # at a time, each with up to 5 x 3 x RAY_RULE_POINTS^2 points.
 _CHUNK = 1 << 12
-# Targets per census batch of coarea_check (bounds the working memory).
-_CENSUS_CHUNK = 256
+# Most (target, element) pairs of regular_filter's tree query per block
+# of coarea_check (bounds the working memory); a block holds at least
+# one target.
+_PAIR_BLOCK = 1 << 13
 # The reasons regular_filter gives, in the order it tests them.
 FILTER_REASONS = ("pole", "degenerate", "count", "boundary", "separation",
                   "integral")
@@ -102,30 +105,44 @@ class PreimageSolver:
         self.max_radius = float(self.radius.max())
         self.tree = cKDTree(fld.nbar)
         self.area = fld.mesh.area
+        self.reach = 2.0 * self.max_radius + 1e-9
+        # exact kernel integrals summed so far (see kernel_integral)
+        self.kernel_sums = 0
 
-    def candidates(self, nprimes):
+    def near(self, nprimes, r):
+        """The (target, element) pairs whose centroid value lies within
+        r of a row of `nprimes` (T, 3), in no set order: the target
+        index `owner`, the element `elems` and the distance `d`, each
+        (k,).  One traversal of a tree of the targets against the
+        centroid tree finds the pairs and their distances, which it
+        rounds as np.linalg.norm rounds a row of length 3, and lists
+        them as arrays."""
+        pairs = cKDTree(nprimes).sparse_distance_matrix(
+            self.tree, r, output_type="ndarray")
+        return pairs["i"], pairs["j"], pairs["v"]
+
+    def candidates(self, nprimes, near):
         """Codes q * triangle_count + e of the (target, element) pairs
         to solve: element e lies within twice its radius of target q
         of `nprimes` (T, 3).  The codes are sorted, so the pairs come
-        by target and then element."""
-        lists = self.tree.query_ball_point(
-            nprimes, 2.0 * self.max_radius + 1e-9, return_sorted=True)
-        sizes = np.fromiter(map(len, lists), np.int64, len(lists))
-        owner = np.repeat(np.arange(len(lists)), sizes)
-        elems = np.fromiter(chain.from_iterable(lists), np.int64,
-                            int(sizes.sum()))
-        d = np.linalg.norm(self.fld.nbar[elems] - nprimes[owner], axis=1)
-        near = d <= 2.0 * self.radius[elems] + 1e-9
-        return owner[near] * self.fld.mesh.triangle_count + elems[near]
+        by target and then element.  `near` is the caller's `near`
+        query of these targets at a radius of at least `reach`, or
+        None to make that query at `reach`."""
+        if near is None:
+            near = self.near(nprimes, self.reach)
+        owner, elems, d = near
+        keep = d <= 2.0 * self.radius[elems] + 1e-9
+        return np.sort(owner[keep] * self.fld.mesh.triangle_count
+                       + elems[keep])
 
-    def census(self, nprimes):
+    def census(self, nprimes, near):
         """Census of {X : n(X) = n'} for the element-affine interpolant,
         for each row n' of `nprimes` (T, 3), in the closed form of the
-        module docstring."""
+        module docstring; `near` goes to `candidates`."""
         fld = self.fld
         nprimes = np.asarray(nprimes, dtype=float)
         nprimes = nprimes / _norms(nprimes)[:, None]
-        codes = self.candidates(nprimes)
+        codes = self.candidates(nprimes, near)
         owner, cand = np.divmod(codes, fld.mesh.triangle_count)
         verts = fld.values[fld.mesh.triangles[cand]]  # (m, 3, 3)
         c = np.cross(verts[:, [1, 2, 0]], verts[:, [2, 0, 1]])
@@ -155,33 +172,20 @@ class PreimageSolver:
 
     def kernel_integral(self, nprime):
         """Discrete integral of dX / |nbar(X) - n'| over the disc."""
+        self.kernel_sums += 1
         d = np.linalg.norm(self.fld.nbar - nprime, axis=1)
         d = np.maximum(d, 1e-300)
         return float((self.fld.mesh.areas / d).sum())
 
-    def kernel_integral_exceeds(self, nprime, N):
-        """Whether kernel_integral(nprime) > N, decided from a bound.
 
-        With r = 2 area / N, the elements with |nbar - n'| > r add less
-        than their area over r, so at most N / 2 in all.  The exact sum
-        over the near elements (those within r, from the centroid tree)
-        plus (area - near area) / r bounds the integral from above;
-        when the bound, widened by 1e-12 against rounding, is at most
-        N, the answer is no.  Otherwise the exact sum decides; so it
-        does at once when r >= 2, where every element is near and the
-        bound is the exact sum.
-        """
-        r = 2.0 * self.area / N
-        if r < 2.0:
-            near = np.asarray(self.tree.query_ball_point(nprime, r),
-                              dtype=np.int64)
-            d = np.linalg.norm(self.fld.nbar[near] - nprime, axis=1)
-            a = self.fld.mesh.areas[near]
-            bound = float((a / np.maximum(d, 1e-300)).sum()) \
-                + (self.area - float(a.sum())) / r
-            if bound * (1.0 + 1e-12) <= N:
-                return False
-        return self.kernel_integral(nprime) > N
+def _filter_radius(solver, N):
+    """The bound radius r = 2 area / N of `regular_filter`, and the
+    radius of its one tree query: the census reach, widened to r while
+    r < 2."""
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    r = 2.0 * solver.area / N
+    return r, max(solver.reach, r) if r < 2.0 else solver.reach
 
 
 def regular_filter(solver, nprimes, N):
@@ -196,19 +200,36 @@ def regular_filter(solver, nprimes, N):
     entry, says which reasons reject each target, so a row of False is
     an accepted target; census is the batch's census.
 
-    The integral test is decided per target by
-    `PreimageSolver.kernel_integral_exceeds`: the exact sum over the
-    elements within r = 2 area / N of n' plus (far area) / r bounds
-    the integral, and only a target whose bound exceeds N pays for
-    the exact sum over every element.  Either way the decision is the
-    exact one.
+    One tree query (`PreimageSolver.near`) serves the census and the
+    integral test.  With r = 2 area / N, the elements with |nbar - n'|
+    > r add less than their area over r to the integral, so at most
+    N / 2 in all.  The exact sum over the elements within r plus (area
+    - their area) / r bounds the integral from above, for every target
+    at once; when the bound, widened by 1e-12 against rounding, is at
+    most N, the answer is no.  Only a target whose bound exceeds N
+    pays for the exact sum over every element, and so does every
+    target when r >= 2, where every element is within r and the bound
+    is the exact sum.  Either way the decision is the exact one.  The
+    query radius (`_filter_radius`) covers both the census candidates
+    and, while r < 2, the elements within r.
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    r, radius = _filter_radius(solver, N)
     nprimes = np.asarray(nprimes, dtype=float)
     nprimes = nprimes / _norms(nprimes)[:, None]
-    census = solver.census(nprimes)
+    owner, elems, d = near = solver.near(nprimes, radius)
+    census = solver.census(nprimes, near)
     mesh = solver.fld.mesh
+    count = nprimes.shape[0]
+    undecided = np.arange(count)
+    if r < 2.0:
+        close = d <= r
+        at, a = owner[close], mesh.areas[elems[close]]
+        bound = np.bincount(at, a / np.maximum(d[close], 1e-300), count) \
+            + (solver.area - np.bincount(at, a, count)) / r
+        undecided = np.flatnonzero(bound * (1.0 + 1e-12) > N)
+    integral = np.zeros(count, dtype=bool)
+    integral[undecided] = [solver.kernel_integral(nprimes[q]) > N
+                           for q in undecided]
     k = np.array([0.0, 0.0, 1.0])
 
     def any_hit(mask):
@@ -224,7 +245,7 @@ def regular_filter(solver, nprimes, N):
         any_hit(np.linalg.norm(pts, axis=1) > 1.0 - mesh.h_max),
         any_hit(_near_earlier(census.owner, pts, mesh.h_max,
                               census.targets)),
-        [solver.kernel_integral_exceeds(n, N) for n in nprimes],
+        integral,
     ])
     return flags, census
 
@@ -241,6 +262,9 @@ class CoareaReport:
     # How many quadrature nodes the filter rejected for each reason of
     # FILTER_REASONS (a node may have several).
     rejections: dict = field(repr=False)
+    # Targets whose kernel-integral bound left the decision to the exact
+    # sum over every element (see regular_filter).
+    exact_kernel_sums: int
 
 
 def coarea_check(fld, quad, N):
@@ -254,8 +278,10 @@ def coarea_check(fld, quad, N):
     sums, over the accepted nodes of the sphere quadrature `quad`, the
     weight times the number of hits.  Nodes failing the regular filter
     contribute to the reported excluded measure instead, and their
-    reasons to `rejections`.  The filter takes the nodes _CENSUS_CHUNK
-    at a time.
+    reasons to `rejections`.  The filter takes the nodes in blocks of
+    consecutive nodes whose tree query holds at most _PAIR_BLOCK pairs,
+    or of one node; the block sizes come from a query that counts the
+    pairs without listing them.
     """
     lhs = float(spherical_areas(fld.values[fld.mesh.triangles]).sum())
     count = quad.nodes.shape[0]
@@ -263,11 +289,18 @@ def coarea_check(fld, quad, N):
     cards = np.zeros(count, dtype=int)
     signed = np.zeros(count, dtype=int)
     solver = PreimageSolver(fld)
-    for lo in range(0, count, _CENSUS_CHUNK):
-        hi = min(lo + _CENSUS_CHUNK, count)
+    # pairs of the nodes up to and including each node
+    pairs = np.cumsum(solver.tree.query_ball_point(
+        quad.nodes, _filter_radius(solver, N)[1], return_length=True))
+    lo = 0
+    while lo < count:
+        done = pairs[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(pairs, done + _PAIR_BLOCK, "right")),
+                 lo + 1)
         flags[lo:hi], census = regular_filter(solver, quad.nodes[lo:hi], N)
         cards[lo:hi] = census.cards
         signed[lo:hi] = np.bincount(census.owner, census.signs, hi - lo)
+        lo = hi
     accepted = ~flags.any(axis=1)
     # sequential sums, in node order
     rhs = sum((quad.weights * cards)[accepted].tolist(), 0.0)
@@ -281,6 +314,7 @@ def coarea_check(fld, quad, N):
         accepted=accepted,
         signed_sums=signed,
         rejections=dict(zip(FILTER_REASONS, flags.sum(axis=0).tolist())),
+        exact_kernel_sums=solver.kernel_sums,
     )
 
 

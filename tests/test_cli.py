@@ -72,6 +72,8 @@ def test_coarea_reports_rejections(tmp_path):
     rejected = sum(row.endswith(",0") for row in rows)
     assert rejected > 0
     assert max(counts.values()) <= rejected <= sum(counts.values())
+    # at the default N = 64 the bound decides every node's integral
+    assert summary["info"]["exact_kernel_sums"] == 0
 
 
 def test_holography_reports_boundary_elements(tmp_path):

@@ -211,6 +211,18 @@ def test_galerkin_interior_block_is_dirichlet_operator(level):
         n = nc
 
 
+def test_coarsest_solve_is_factored_when_first_needed():
+    # a mesh factors the coarsest block of a boundary condition only
+    # once that condition is solved on it
+    mesh = build_disc_mesh(5)
+    _, coarsest = _multigrid(mesh)
+    assert set(coarsest) == set()
+    solve_poisson_dirichlet(np.ones(mesh.triangle_count), mesh)
+    assert set(coarsest) == {True}
+    solve_gauge_neumann(centroids(mesh), mesh)
+    assert set(coarsest) == {True, False}
+
+
 @settings(max_examples=30, deadline=None)
 @given(level=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_dirichlet_solve_matches_lu(level, seed):

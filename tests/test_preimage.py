@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -64,7 +65,7 @@ def solvers(solver, folded):
 
 def test_south_pole_single_hit(field, solver):
     # n(0, 0) = -k and nothing else maps there
-    census = solver.census([-K])
+    census = solver.census([-K], None)
     assert census.card == 1
     assert np.linalg.norm(census.points[0]) < field.mesh.h_max
     assert census.signs[0] == -1
@@ -72,7 +73,7 @@ def test_south_pole_single_hit(field, solver):
 
 def test_target_outside_image_cap(solver):
     # the image is the cap n3 <= (1 - eps^2)/(1 + eps^2) < 1
-    census = solver.census([K])
+    census = solver.census([K], None)
     assert census.card == 0
     assert census.degenerate.size == 0
 
@@ -80,7 +81,7 @@ def test_target_outside_image_cap(solver):
 def test_generic_interior_target(field, solver):
     closure = enneper_gauss_closure(0.5)
     target = np.asarray(closure(0.3, 0.2), dtype=float)
-    census = solver.census([target])
+    census = solver.census([target], None)
     assert census.card == 1
     assert np.linalg.norm(census.points[0] - [0.3, 0.2]) < field.mesh.h_max
     assert census.signs[0] == -1
@@ -90,7 +91,7 @@ def test_vertex_hit_deduplicated(field, solver):
     # a nodal value is shared by every incident triangle; the census
     # must report the common point once
     node = 200
-    census = solver.census([field.values[node]])
+    census = solver.census([field.values[node]], None)
     d = np.linalg.norm(census.points - field.mesh.nodes[node], axis=1)
     assert (d < 1e-8).sum() == 1
 
@@ -109,11 +110,12 @@ def test_census_pruning_misses_no_hit(solver, v):
     n = np.asarray(v) / np.linalg.norm(v)
     batch = np.array([n, -n])
     nt = solver.fld.mesh.triangle_count
-    pruned = solver.census(batch)
+    pruned = solver.census(batch, None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PreimageSolver, "candidates", lambda self, nprimes:
+        mp.setattr(PreimageSolver, "candidates",
+                   lambda self, nprimes, near:
                    np.arange(len(nprimes) * nt))
-        full = solver.census(batch)
+        full = solver.census(batch, None)
     assert np.array_equal(pruned.owner, full.owner)
     assert np.array_equal(pruned.signs, full.signs)
     assert np.allclose(pruned.points, full.points, rtol=0.0, atol=1e-12)
@@ -150,11 +152,12 @@ def test_census_hits_meet_the_definition(solvers, which, targets):
     mesh = fld.mesh
     nprimes = np.array(targets)
     nprimes /= np.linalg.norm(nprimes, axis=1)[:, None]
-    pruned = solver.census(nprimes)
+    pruned = solver.census(nprimes, None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PreimageSolver, "candidates", lambda self, nprimes:
+        mp.setattr(PreimageSolver, "candidates",
+                   lambda self, nprimes, near:
                    np.arange(len(nprimes) * mesh.triangle_count))
-        full = solver.census(nprimes)
+        full = solver.census(nprimes, None)
     corners = mesh.nodes[mesh.triangles]
     edges = np.stack([corners[:, 1] - corners[:, 0],
                       corners[:, 2] - corners[:, 0]], axis=2)
@@ -235,7 +238,7 @@ def test_signed_census_is_degree(solver):
             checked += 1
     assert checked >= 10
     outside = np.array([0.3, 0.1, 0.95])
-    census = solver.census([outside])
+    census = solver.census([outside], None)
     assert census.signs.sum() == 0
 
 
@@ -269,12 +272,14 @@ def test_coarea_small_n_rejections(field, N, rejections):
 
 
 def test_coarea_is_chunk_invariant(field, monkeypatch):
-    # the census takes the nodes in batches; the batch size must not
-    # change any decision, count or (sequentially summed) side
+    # the filter takes the nodes in blocks of at most _PAIR_BLOCK tree
+    # pairs, or of one node (at N = 8, about 950 pairs per node); the
+    # block size must not change any decision, count or (sequentially
+    # summed) side
     quad = sphere_quadrature(2)
     reports = []
-    for chunk in (1, 7, quad.nodes.shape[0]):
-        monkeypatch.setattr(preimage, "_CENSUS_CHUNK", chunk)
+    for block in (1, 10000, 1 << 40):
+        monkeypatch.setattr(preimage, "_PAIR_BLOCK", block)
         reports.append(coarea_check(field, quad, 8))
     first = reports[0]
     assert not first.accepted.all()
@@ -325,15 +330,88 @@ def test_coarea_lhs_is_the_solid_angle_sum(mesh, field3, eps, level, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(v=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
-           lambda v: np.linalg.norm(v) > 0.1),
+@given(targets=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1), min_size=1, max_size=8),
        N=st.integers(2, 8))
-def test_kernel_bound_decides_exactly(solver, v, N):
+def test_kernel_bound_decides_exactly(solver, targets, N):
     # kernel integrals of this field lie in 2.3-5.1, so both answers
-    # occur for N in 2..8
-    n = np.asarray(v) / np.linalg.norm(v)
-    assert solver.kernel_integral_exceeds(n, N) == (
-        solver.kernel_integral(n) > N)
+    # occur for N in 2..8; the bound of a batch decides each target
+    # as the exact sum does
+    nprimes = np.array(targets)
+    nprimes /= np.linalg.norm(nprimes, axis=1)[:, None]
+    flags, _ = regular_filter(solver, nprimes, N)
+    exact = [solver.kernel_integral(n) > N for n in nprimes]
+    assert flags[:, FILTER_REASONS.index("integral")].tolist() == exact
+
+
+def _one_query_per_target(self, nprimes, near):
+    """Reference census candidates: one sorted query per batch at twice
+    the largest radius, then the radius test per target."""
+    nt = self.fld.mesh.triangle_count
+    lists = self.tree.query_ball_point(
+        nprimes, 2.0 * self.max_radius + 1e-9, return_sorted=True)
+    codes = []
+    for q, elems in enumerate(lists):
+        elems = np.asarray(elems, dtype=np.int64)
+        d = np.linalg.norm(self.fld.nbar[elems] - nprimes[q], axis=1)
+        codes.append(q * nt + elems[d <= 2.0 * self.radius[elems] + 1e-9])
+    return np.concatenate(codes)
+
+
+def _integral_per_target(solver, nprime, N):
+    """Reference kernel-integral test of one target, with its own near
+    query at r and its own bound."""
+    r = 2.0 * solver.area / N
+    if r < 2.0:
+        near = np.asarray(solver.tree.query_ball_point(nprime, r),
+                          dtype=np.int64)
+        d = np.linalg.norm(solver.fld.nbar[near] - nprime, axis=1)
+        a = solver.fld.mesh.areas[near]
+        bound = float((a / np.maximum(d, 1e-300)).sum()) \
+            + (solver.area - float(a.sum())) / r
+        if bound * (1.0 + 1e-12) <= N:
+            return False
+    return solver.kernel_integral(nprime) > N
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 16, 64])
+def test_filter_matches_separate_queries(solver, N):
+    # one tree query serves the census and the integral bound; against
+    # the census of the per-batch candidate query and the per-target
+    # bound, every flag and hit must be the same.  The query's
+    # distances are np.linalg.norm's to the last bit.
+    nodes = sphere_quadrature(2).nodes
+    nprimes = np.vstack([nodes, np.random.default_rng(N).normal(
+        size=(40, 3))])
+    flags, census = regular_filter(solver, nprimes, N)
+    unit = nprimes / np.linalg.norm(nprimes, axis=1)[:, None]
+    some = unit[:8]
+    owner, elems, d = solver.near(some, preimage._filter_radius(solver, N)[1])
+    assert np.array_equal(
+        d, np.linalg.norm(solver.fld.nbar[elems] - some[owner], axis=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PreimageSolver, "candidates", _one_query_per_target)
+        oracle_flags, oracle = regular_filter(solver, nprimes, N)
+    oracle_flags[:, FILTER_REASONS.index("integral")] = [
+        _integral_per_target(solver, n, N) for n in unit]
+    assert np.array_equal(flags, oracle_flags)
+    for name in ("owner", "points", "signs", "degenerate"):
+        assert np.array_equal(getattr(census, name), getattr(oracle, name))
+
+
+def test_coarea_small_n_memory_is_blocked(field):
+    # at N = 4 the integral bound's tree query holds about 3800 of the
+    # 6144 elements per node, 4.9 million pairs over the 1280 nodes;
+    # the pair blocks keep the traced peak near 1.2 MB, where one block
+    # of every node would hold over 100 MB
+    quad = sphere_quadrature(3)
+    tracemalloc.start()
+    try:
+        coarea_check(field, quad, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_filter_decides_integral_from_bound(solver, monkeypatch):
