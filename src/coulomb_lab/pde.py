@@ -2,10 +2,11 @@
 
 Stiffness matrices are assembled once per mesh and cached on it, keyed
 weakly so meshes can be garbage collected, with the solvers built from
-them.  The Dirichlet and the Neumann problem are both solved by
-conjugate gradients preconditioned by one multigrid V-cycle of one
-cached hierarchy: the coarse operators are Galerkin products P^T K P of
-the whole stiffness matrix with the ring `prolongation` of `mesh`, two
+them.  The Dirichlet and the Neumann problem are both solved by the
+package's own conjugate gradients (scipy's `cg` arithmetic, step for
+step) preconditioned by one multigrid V-cycle of one cached hierarchy:
+the coarse operators are Galerkin products P^T K P of the whole
+stiffness matrix with the ring `prolongation` of `mesh`, two
 damped-Jacobi sweeps on either side of the coarse correction keep the
 cycle symmetric, and the coarsest level (16 rings, mesh level 3) is a
 sparse LU, so a mesh at or below level 3 is that direct solve.  Each
@@ -22,7 +23,6 @@ max |b . zeta| / |grad zeta| over one block of smooth test functions.
 
 import weakref
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,26 +94,9 @@ def _spd_lu(A):
                      options={"SymmetricMode": True})
 
 
-class _CoarsestSolves(dict):
-    """The coarsest level's solve of each boundary condition, keyed by
-    `dirichlet`; each is factored the first time it is asked for, since
-    many meshes solve one boundary condition only."""
-
-    def __init__(self, A, n):
-        super().__init__()
-        self.A, self.n = A, n
-
-    def __missing__(self, dirichlet):
-        A, n = self.A, self.n
-        self[dirichlet] = (
-            partial(_coarse_dirichlet, _spd_lu(A[:n, :n]), n) if dirichlet
-            else partial(_coarse_neumann, _spd_lu(A[1:, 1:])))
-        return self[dirichlet]
-
-
 def _multigrid(mesh):
-    """Cached Galerkin hierarchy of the full stiffness matrix, and the
-    coarsest solves of both boundary conditions (`_CoarsestSolves`).
+    """Cached Galerkin hierarchy of the full stiffness matrix: the
+    levels, the coarsest operator and its interior node count.
 
     Each level holds its operator, its Jacobi scaling, the prolongation
     from the next coarser level and its interior node count.  The
@@ -133,34 +116,40 @@ def _multigrid(mesh):
             levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, n))
             A = (P.T @ A @ P).tocsr()
             m, n = m // 2, P.shape[1] - 3 * m  # less 6 (m / 2) boundary
-        entry["mg"] = (levels, _CoarsestSolves(A, n))
+        entry["mg"] = (levels, A, n)
     return entry["mg"]
 
 
-def _coarse_dirichlet(lu, n, r):
-    """The interior block's solve, with the boundary entries 0."""
-    x = np.zeros_like(r)
-    x[:n] = lu.solve(r[:n])
-    return x
+def _coarsest_lu(mesh, dirichlet):
+    """The coarsest level's LU for one boundary condition: its interior
+    block, or for Neumann the system pinned at the centre node.  Each
+    is factored the first time its condition is solved on the mesh,
+    since many meshes solve one boundary condition only."""
+    entry = _mesh_cache(mesh)
+    key = ("lu", dirichlet)
+    if key not in entry:
+        _, A, n = _multigrid(mesh)
+        entry[key] = _spd_lu(A[:n, :n] if dirichlet else A[1:, 1:])
+    return entry[key]
 
 
-def _coarse_neumann(lu, r):
-    """Q Z Q r, with Z the inverse of the system pinned at the centre
-    node and Q the projection out of the constants: the pseudo-inverse
-    of the singular coarse operator, and symmetric."""
-    x = np.zeros_like(r)
-    x[1:] = lu.solve(r[1:] - r.mean())
-    return x - x.mean()
-
-
-def _v_cycle(levels, coarsest, dirichlet, r):
+def _v_cycle(levels, lu, nc, dirichlet, r):
     """One V-cycle on K x = r from x = 0: two damped-Jacobi sweeps, the
     coarse correction, then two more sweeps.  The sweeps after mirror
     those before, so the cycle is a symmetric operator, as CG needs.
     For the Dirichlet problem each sweep keeps the boundary entries of
-    x at 0, so the cycle reads only the interior entries of r."""
+    x at 0, so the cycle reads only the interior entries of r.
+    The coarsest level is solved by `lu`: for Dirichlet on its `nc`
+    interior entries; for Neumann as Q Z Q r, with Z the inverse of the
+    system pinned at the centre node and Q the projection out of the
+    constants, the symmetric pseudo-inverse of the coarse operator."""
     if not levels:
-        return coarsest(r)
+        x = np.zeros_like(r)
+        if dirichlet:
+            x[:nc] = lu.solve(r[:nc])
+            return x
+        x[1:] = lu.solve(r[1:] - r.mean())
+        return x - x.mean()
     A, dinv, P, n = levels[0]
     if not dirichlet:
         n = r.size
@@ -168,39 +157,51 @@ def _v_cycle(levels, coarsest, dirichlet, r):
     x[n:] = 0.0
     x += dinv * (r - A @ x)
     x[n:] = 0.0
-    x += P @ _v_cycle(levels[1:], coarsest, dirichlet, P.T @ (r - A @ x))
+    x += P @ _v_cycle(levels[1:], lu, nc, dirichlet, P.T @ (r - A @ x))
     for _ in range(2):
         x += dinv * (r - A @ x)
         x[n:] = 0.0
     return x
 
 
-def _preconditioner(mesh, dirichlet):
-    """One V-cycle of the shared hierarchy, for either boundary
-    condition."""
-    levels, coarsest = _multigrid(mesh)
-    # a given dtype spares the V-cycle that would infer it
-    return spla.LinearOperator(
-        (mesh.node_count,) * 2, dtype=float,
-        matvec=partial(_v_cycle, levels, coarsest[dirichlet], dirichlet))
-
-
-def _cg(A, b, M):
-    """CG on A x = b to CG_RTOL; returns x and the iterations taken."""
-    steps = []
-    x, info = spla.cg(A, b, rtol=CG_RTOL, atol=0.0, M=M,
-                      callback=steps.append)
-    if info != 0:
-        raise ArithmeticError(f"CG stopped unconverged (info {info})")
-    return x, len(steps)
+def _cg(mesh, b, dirichlet):
+    """CG on K x = b to |b - K x| < CG_RTOL |b|, preconditioned by one
+    V-cycle; returns x and the iterations taken.  For the Dirichlet
+    problem K's boundary rows are zeroed, the operator on vectors that
+    vanish on the boundary.  The arithmetic is scipy's `cg`, step for
+    step (Hestenes & Stiefel, J. Res. NBS 49(6), 1952)."""
+    K = stiffness_matrix(mesh)
+    levels, _, nc = _multigrid(mesh)
+    lu = _coarsest_lu(mesh, dirichlet)
+    n = mesh.interior_nodes.size if dirichlet else b.size
+    bnorm = np.linalg.norm(b)
+    x, r = np.zeros_like(b), b.copy()
+    if bnorm == 0.0:
+        return x, 0
+    for iteration in range(10 * b.size):
+        if np.linalg.norm(r) < CG_RTOL * bnorm:
+            return x, iteration
+        z = _v_cycle(levels, lu, nc, dirichlet, r)
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        q = K @ p
+        q[n:] = 0.0
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise ArithmeticError(f"CG unconverged after {10 * b.size} iterations")
 
 
 def solve_neumann(b, mesh):
     """Nodal u solving K u = b - mean(b), determined up to a constant:
     the natural-boundary-condition problem, for a load b that sums to
     zero up to rounding."""
-    u, _ = _cg(stiffness_matrix(mesh), b - b.mean(),
-               _preconditioner(mesh, dirichlet=False))
+    u, _ = _cg(mesh, b - b.mean(), dirichlet=False)
     return u
 
 
@@ -251,14 +252,6 @@ class PoissonSolution:
     residual: float
 
 
-def _interior_rows(K, n, x):
-    """K x with the boundary rows zeroed: the Dirichlet operator on
-    vectors that vanish on the boundary."""
-    y = K @ x
-    y[n:] = 0.0
-    return y
-
-
 def solve_poisson_dirichlet(rhs, mesh):
     """Weak solution of -Laplace(f) = rhs with f = 0 on the boundary."""
     rhs = np.asarray(rhs, dtype=float)
@@ -268,10 +261,9 @@ def solve_poisson_dirichlet(rhs, mesh):
     n = mesh.interior_nodes.size
     b = element_load(rhs, mesh)
     b[n:] = 0.0
-    A = spla.LinearOperator(K.shape, matvec=partial(_interior_rows, K, n),
-                            dtype=float)
-    f, iterations = _cg(A, b, _preconditioner(mesh, dirichlet=True))
-    r = b - A @ f
+    f, iterations = _cg(mesh, b, dirichlet=True)
+    r = b - K @ f
+    r[n:] = 0.0
     bnorm = float(np.linalg.norm(b))
     # energy: with error e = K^-1 b - f and r = K e, b^T K^-1 b equals
     # f^T (b + r) + e^T K e, so f^T (b + r) is off only to second order

@@ -145,7 +145,9 @@ class PreimageSolver:
         codes = self.candidates(nprimes, near)
         owner, cand = np.divmod(codes, fld.mesh.triangle_count)
         verts = fld.values[fld.mesh.triangles[cand]]  # (m, 3, 3)
-        c = np.cross(verts[:, [1, 2, 0]], verts[:, [2, 0, 1]])
+        v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
+        c = np.stack([np.cross(v1, v2), np.cross(v2, v0),
+                      np.cross(v0, v1)], axis=1)
         tp = (c @ nprimes[owner, :, None])[..., 0]
         S = tp.sum(axis=1)
         solvable = np.abs(S) > 1e-12
