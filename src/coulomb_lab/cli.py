@@ -44,6 +44,8 @@ from .surfaces import (closed_form_table, coincidence_radii,
 
 # Rows per format operation of _write_csv (bounds the working memory).
 _CSV_CHUNK = 1 << 8
+# Rows per block of decompose's kernel-bound samples.
+_SAMPLE_BLOCK = 1 << 13
 
 
 # How each rule decides a check, from the fields summary.json records.
@@ -268,12 +270,15 @@ def cmd_decompose(args, outdir):
     n = unit(100000)
     np_ = unit(100000)
     xi = rng.standard_normal((100000, 3))
-    off_axis = np_[:, 0] ** 2 + np_[:, 1] ** 2
-    sep = np.linalg.norm(n - np_, axis=1)
-    ok = (off_axis > 1e-8) & (sep > 1e-6)
-    g = gamma_many(n[ok], np_[ok], xi[ok])
-    bound = 2.0 * np.linalg.norm(xi[ok], axis=1) / sep[ok]
-    violations = int(np.sum(np.abs(g) > bound + 1e-12))
+    violations = 0
+    # every step is row-wise, so the blocks count what one pass would
+    for b in range(0, 100000, _SAMPLE_BLOCK):
+        nb, pb, xb = (a[b:b + _SAMPLE_BLOCK] for a in (n, np_, xi))
+        sep = np.linalg.norm(nb - pb, axis=1)
+        ok = (pb[:, 0] ** 2 + pb[:, 1] ** 2 > 1e-8) & (sep > 1e-6)
+        g = gamma_many(nb[ok], pb[ok], xb[ok])
+        bound = 2.0 * np.linalg.norm(xb[ok], axis=1) / sep[ok]
+        violations += int(np.sum(np.abs(g) > bound + 1e-12))
     checks.append(Check("gamma_bound_violations", violations, 0, None, "=="))
     # elementwise omega bound at random admissible targets
     targets = report.region.nodes[
@@ -361,6 +366,19 @@ def cmd_coarea(args, outdir):
                     "exact_kernel_sums": rep.exact_kernel_sums}
 
 
+def _holography_level(eps, level, region):
+    """One level of the holography sweep: the identity's report and the
+    Dirichlet solve of -Laplace f = Phi.  The field is dropped before
+    the solve, so its per-element arrays are gone while the multigrid
+    hierarchy is built, and the mesh when this returns, before the next
+    level's mesh is built."""
+    fld = _enneper_field(eps, level)
+    rep = holography_identity(fld, region, zeta_eps(eps, fld.mesh))
+    mesh, rhs = fld.mesh, phi(fld)
+    del fld
+    return rep, solve_poisson_dirichlet(rhs, mesh)
+
+
 def cmd_holography(args, outdir):
     center, rho = _parse_cap(args.cap)
     region = cap(center, rho)
@@ -373,10 +391,8 @@ def cmd_holography(args, outdir):
     raws, resids, duals, refs = [], [], [], []
     poisson, boundary = {}, {}
     for eps, level in zip(args.eps, levels):
-        fld = _enneper_field(eps, level)
-        rep = holography_identity(fld, region, zeta_eps(eps, fld.mesh))
+        rep, sol = _holography_level(eps, level, region)
         boundary[f"{eps:g}"] = rep.boundary_elements
-        sol = solve_poisson_dirichlet(phi(fld), fld.mesh)
         duals.append(sol.gradient_norm)
         poisson[f"{eps:g}"] = _cg_report(sol)
         raws.append(abs(rep.raw_term))

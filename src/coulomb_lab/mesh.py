@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Peak bytes per triangle, over the imports, with 18% to spare over
-# the heaviest subcommand: `decompose`, 858 and 864 at levels 7 and 8
-# (`frame` 843 and 798, `holography` 703 at its defaults).
+# Peak bytes per triangle, over the imports, with 37% to spare over
+# the heaviest subcommand: `frame`, 747 and 709 at levels 7 and 8
+# (`decompose` 546 and 528, `holography` 347 and 333 with its sweep
+# ending at level 7 or 8).
 # `build_disc_mesh` refuses a mesh of 6 m^2 triangles that would need
 # more than the physical memory.
 BYTES_PER_TRIANGLE = 1024
@@ -91,11 +92,18 @@ class DiscMesh:
         return float(self.areas.sum())
 
 
-def _ring_index(rings):
-    """Node count and first node of each ring, from ring 0 (the centre
-    node) to ring `rings`: the node order of the ring mesh."""
+def ring_offsets(rings):
+    """Node and triangle offsets of the mesh of `rings` rings.
+
+    Ring j (ring 0 is the centre node) holds the nodes
+    node[j]:node[j + 1], so node has rings + 2 entries.  Strip j, for
+    1 <= j <= rings, holds the triangles strip[j - 1]:strip[j] =
+    6 (j - 1)^2 : 6 j^2, those between rings j - 1 and j (strip 1 is
+    the fan about the centre node).
+    """
     count = np.maximum(6 * np.arange(rings + 1), 1)
-    return count, np.cumsum(count) - count
+    return (np.concatenate([[0], np.cumsum(count)]),
+            6 * np.arange(rings + 1) ** 2)
 
 
 def physical_memory():
@@ -123,7 +131,8 @@ def build_disc_mesh(refinement_level):
             f"({BYTES_PER_TRIANGLE} bytes per triangle)"
         )
     m = 2 * 2 ** refinement_level
-    count, start = _ring_index(m)
+    node, _ = ring_offsets(m)
+    count, start = np.diff(node), node[:-1]
 
     coords = [np.zeros((1, 2))]
     for j in range(1, m + 1):
@@ -201,7 +210,8 @@ def prolongation(rings):
     # pde loads scipy.sparse; importing it here keeps the import order
     import scipy.sparse as sp
 
-    count, start = _ring_index(rings)
+    node, _ = ring_offsets(rings)
+    count, start = np.diff(node), node[:-1]
     ring = np.repeat(np.arange(rings + 1), count)
     pos = np.arange(ring.size) - start[ring]
     span = np.maximum(ring, 1)

@@ -1,10 +1,12 @@
 """P1 finite-element solvers on the disc.
 
-Stiffness matrices are assembled once per mesh and cached on it, keyed
-weakly so meshes can be garbage collected, with the solvers built from
-them.  The Dirichlet and the Neumann problem are both solved by the
-package's own conjugate gradients (scipy's `cg` arithmetic, step for
-step) preconditioned by one multigrid V-cycle of one cached hierarchy:
+Stiffness matrices are assembled once per mesh, in bands of rings so
+that the assembly holds little more than K itself, and cached on the
+mesh, keyed weakly so meshes can be garbage collected, with the solvers
+built from them.  The Dirichlet and the Neumann problem are both solved
+by the package's own conjugate gradients (scipy's `cg` arithmetic, step
+for step) preconditioned by one multigrid V-cycle of one cached
+hierarchy:
 the coarse operators are Galerkin products P^T K P of the whole
 stiffness matrix with the ring `prolongation` of `mesh`, two
 damped-Jacobi sweeps on either side of the coarse correction keep the
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import element_gradient, integrate, prolongation
+from .mesh import element_gradient, integrate, prolongation, ring_offsets
 
 _cache = weakref.WeakKeyDictionary()
 # Test functions per weak-residual check (see `weak_residual`).
@@ -39,6 +41,9 @@ COARSEST_RINGS = 16
 JACOBI_WEIGHT = 2.0 / 3.0
 # CG stops when |b - K f| <= CG_RTOL |b|.
 CG_RTOL = 1e-10
+# Triangles per band of the stiffness assembly: a mesh up to level 5
+# (24576 triangles) is one band.
+ASSEMBLY_TRIANGLES = 1 << 15
 
 
 def _mesh_cache(mesh):
@@ -52,25 +57,48 @@ def _mesh_cache(mesh):
 def stiffness_matrix(mesh):
     """Assemble the P1 stiffness matrix (CSR).
 
-    The local matrices are summed in place, and the COO indices are
-    int32, the index type of the CSR: `build_disc_mesh` keeps the node
-    count far below 2^31, and scipy would otherwise copy int64 indices
-    down to int32 before the conversion.
+    K is assembled in bands of rings, one CSR block per band, joined by
+    one `sp.vstack`, so that the 9 local entries per triangle are held
+    for at most about ASSEMBLY_TRIANGLES triangles at a time.  The rows
+    of rings r0..r1-1 meet only strips max(r0, 1)..min(r1, m), a
+    contiguous range of triangles (`ring_offsets`).  A band sums all
+    local entries of those triangles, in triangle order, into the rows
+    of rings r0-1..r1, and keeps the rows of its own rings, which meet
+    no other triangle.  So each row sums the entries of the one-shot
+    assembly in the same order, and K is the same to the bit.  The COO
+    indices are int32, the index type of the CSR: `build_disc_mesh`
+    keeps the node count far below 2^31, and scipy would otherwise copy
+    int64 indices down to int32 before the conversion.
     """
     entry = _mesh_cache(mesh)
     if "K" not in entry:
-        gx, gy, a = mesh.grad_x, mesh.grad_y, mesh.areas
-        local = np.einsum("ti,tj->tij", gx, gx)
-        local += np.einsum("ti,tj->tij", gy, gy)
-        local *= a[:, None, None]
-        tri = mesh.triangles.astype(np.int32)
-        rows = np.repeat(tri, 3, axis=1).reshape(-1)
-        cols = np.tile(tri, (1, 3)).reshape(-1)
-        K = sp.coo_matrix(
-            (local.reshape(-1), (rows, cols)),
-            shape=(mesh.node_count, mesh.node_count),
-        ).tocsr()
-        entry["K"] = K
+        m = mesh.rings
+        node, strip = ring_offsets(m)
+        blocks, r0 = [], 0
+        while r0 <= m:
+            first = strip[max(r0, 1) - 1]
+            # the most rings whose strips fit in the band, at least one
+            r1 = int(np.searchsorted(strip, first + ASSEMBLY_TRIANGLES,
+                                     "right")) - 1
+            r1 = m + 1 if r1 >= m else max(r1, r0 + 1)
+            t = slice(first, strip[min(r1, m)])
+            gx, gy = mesh.grad_x[t], mesh.grad_y[t]
+            local = np.einsum("ti,tj->tij", gx, gx)
+            local += np.einsum("ti,tj->tij", gy, gy)
+            local *= mesh.areas[t, None, None]
+            # Python ints, so that tri - lo stays int32
+            lo, hi = int(node[max(r0 - 1, 0)]), int(node[min(r1 + 1, m + 1)])
+            tri = mesh.triangles[t].astype(np.int32)
+            band = sp.coo_matrix(
+                (local.reshape(-1),
+                 (np.repeat(tri - lo, 3, axis=1).reshape(-1),
+                  np.tile(tri, (1, 3)).reshape(-1))),
+                shape=(hi - lo, mesh.node_count),
+            ).tocsr()
+            blocks.append(band[node[r0] - lo:node[r1] - lo])
+            r0 = r1
+        entry["K"] = (blocks[0] if len(blocks) == 1
+                      else sp.vstack(blocks, format="csr"))
     return entry["K"]
 
 
@@ -169,7 +197,9 @@ def _cg(mesh, b, dirichlet):
     V-cycle; returns x and the iterations taken.  For the Dirichlet
     problem K's boundary rows are zeroed, the operator on vectors that
     vanish on the boundary.  The arithmetic is scipy's `cg`, step for
-    step (Hestenes & Stiefel, J. Res. NBS 49(6), 1952)."""
+    step (Hestenes & Stiefel, J. Res. NBS 49(6), 1952).  A non-finite
+    r.z or p.Kp raises ArithmeticError at once: the stopping test
+    never holds for a NaN residual."""
     K = stiffness_matrix(mesh)
     levels, _, nc = _multigrid(mesh)
     lu = _coarsest_lu(mesh, dirichlet)
@@ -190,7 +220,11 @@ def _cg(mesh, b, dirichlet):
             p = z
         q = K @ p
         q[n:] = 0.0
-        alpha = rho / np.dot(p, q)
+        pq = np.dot(p, q)
+        if not (np.isfinite(rho) and np.isfinite(pq)):
+            raise ArithmeticError(f"CG met a non-finite value at iteration "
+                                  f"{iteration}")
+        alpha = rho / pq
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
@@ -201,6 +235,9 @@ def solve_neumann(b, mesh):
     """Nodal u solving K u = b - mean(b), determined up to a constant:
     the natural-boundary-condition problem, for a load b that sums to
     zero up to rounding."""
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("load must be finite")
     u, _ = _cg(mesh, b - b.mean(), dirichlet=False)
     return u
 

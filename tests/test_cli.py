@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from coulomb_lab import cli
 from coulomb_lab.cli import _load_config_file, _parse_cap, main
+from coulomb_lab.fields import sample_field
+from coulomb_lab.mesh import build_disc_mesh
+from coulomb_lab.pde import solve_poisson_dirichlet
 
 # The rules of summary.json, each from the fields it reads: a copy of
 # the definition in the cli module docstring, not an import of it.
@@ -82,6 +86,35 @@ def test_holography_reports_boundary_elements(tmp_path):
     _, _, summary = run(tmp_path, "holography", "--eps", "0.3,0.1",
                         "--levels", "4,5", "--cap=-k,0.7853981633974483")
     assert summary["info"]["boundary_elements"] == {"0.3": 78, "0.1": 42}
+
+
+def test_holography_drops_each_field_before_its_solve(tmp_path,
+                                                      monkeypatch):
+    # no field is alive when its level's Poisson solve starts, and no
+    # mesh of a previous level when the next mesh is built
+    fields, meshes = [], []
+
+    def build(level):
+        assert all(ref() is None for ref in meshes)
+        mesh = build_disc_mesh(level)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+
+    def sample(closure, mesh):
+        fld = sample_field(closure, mesh)
+        fields.append(weakref.ref(fld))
+        return fld
+
+    def solve(rhs, mesh):
+        assert fields and all(ref() is None for ref in fields)
+        return solve_poisson_dirichlet(rhs, mesh)
+
+    monkeypatch.setattr(cli, "build_disc_mesh", build)
+    monkeypatch.setattr(cli, "sample_field", sample)
+    monkeypatch.setattr(cli, "solve_poisson_dirichlet", solve)
+    code, _, _ = run(tmp_path, "holography", "--eps", "0.3,0.1",
+                     "--levels", "3,4", "--sphere-level", "2")
+    assert code in (0, 1) and len(fields) == len(meshes) == 2
 
 
 def test_summary_structure(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 import coulomb_lab.mesh as mesh_module
 from coulomb_lab.mesh import (BYTES_PER_TRIANGLE, MeshResourceError,
                               build_disc_mesh, element_gradient,
-                              export_mesh, integrate, prolongation)
+                              export_mesh, integrate, prolongation,
+                              ring_offsets)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,22 @@ def test_triangle_order_matches_loop(level):
     got = build_disc_mesh(level).triangles
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_ring_offsets_match_mesh(level):
+    # ring j holds nodes node[j]:node[j + 1], at radius j / m; strip j
+    # holds triangles strip[j - 1]:strip[j], with vertices on rings
+    # j - 1 and j only: the ring bands of `stiffness_matrix` rely on it
+    mesh = build_disc_mesh(level)
+    m = mesh.rings
+    node, strip = ring_offsets(m)
+    assert node[-1] == mesh.node_count and strip[-1] == mesh.triangle_count
+    ring = np.repeat(np.arange(m + 1), np.diff(node))
+    assert np.allclose(np.hypot(*mesh.nodes.T), ring / m, atol=1e-15)
+    for j in range(1, m + 1):
+        touched = ring[mesh.triangles[strip[j - 1]:strip[j]]]
+        assert set(np.unique(touched)) == {j - 1, j}
 
 
 def test_level_six_counts():

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulomb_lab import pde
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
 from coulomb_lab.pde import (CG_RTOL, TEST_FUNCTIONS, _cg, _coarsest_lu,
                              _mesh_cache, _multigrid, _v_cycle, element_load,
@@ -35,9 +37,11 @@ def test_stiffness_energy_identity(mesh):
     )
 
 
-@pytest.mark.parametrize("level", range(3, 7))
+@pytest.mark.parametrize("level", range(8))
 def test_stiffness_matrix_matches_int64_assembly(level):
-    # int32 COO indices leave K as the int64 ones built it, to the bit
+    # the ring bands with int32 COO indices leave K as the one-shot
+    # int64 assembly built it, to the bit; levels 0-5 are one band, and
+    # levels 6 and 7 end in a ragged band
     mesh = build_disc_mesh(level)
     K = stiffness_matrix(mesh)
     local = (np.einsum("ti,tj->tij", mesh.grad_x, mesh.grad_x)
@@ -51,6 +55,21 @@ def test_stiffness_matrix_matches_int64_assembly(level):
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(K, name), getattr(ref, name))
         assert getattr(K, name).dtype == getattr(ref, name).dtype
+
+
+def test_stiffness_assembly_memory_is_banded():
+    # the traced rise of the level-6 assembly stays within 4 times K's
+    # own bytes: 3.2 measured, against 7.0 for the one-shot assembly
+    mesh = build_disc_mesh(6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        K = stiffness_matrix(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4 * (K.data.nbytes + K.indices.nbytes
+                               + K.indptr.nbytes)
 
 
 def test_lumped_mass_total(mesh):
@@ -345,6 +364,28 @@ def test_nonfinite_rhs_rejected(mesh):
     rhs[0] = np.inf
     with pytest.raises(ValueError):
         solve_poisson_dirichlet(rhs, mesh)
+
+
+def test_nan_load_stops_cg_at_once(monkeypatch):
+    # a NaN load stops CG at its first V-cycle, not at the cap of 10 n
+    # iterations; level 3 is the coarsest level, so one cycle is one call
+    mesh = build_disc_mesh(3)
+    b = np.ones(mesh.node_count)
+    b[5] = np.nan
+    with pytest.raises(ValueError):
+        solve_neumann(b, mesh)
+    cycles = []
+
+    def counted(*args):
+        cycles.append(1)
+        return _v_cycle(*args)
+
+    monkeypatch.setattr(pde, "_v_cycle", counted)
+    for dirichlet in (True, False):
+        cycles.clear()
+        with pytest.raises(ArithmeticError):
+            _cg(mesh, b, dirichlet)
+        assert len(cycles) == 1
 
 
 def test_galerkin_orthogonality(mesh):
