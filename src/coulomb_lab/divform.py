@@ -12,14 +12,14 @@ n', so Gamma does not depend on the rotation (identity 1):
     Gamma(n, n', xi) = n'.(n x xi) / (1 - n.n') = (n x xi).G,
     G = n' / (1 - n.n'),
 
-which also holds at n' = +-k.  Evaluating Gamma on the element
-derivatives of a field gives per-element potentials (omega_1, omega_2)
-whose curl reproduces the Jacobian density weakly; averaging over an
-admissible sphere region K, a set of quadrature nodes and weights
-(`sphere.SphereRegion`), gives square-integrable potentials with the
-8 pi / meas(K) certificate.  Every potential in the package has the form
-Omega_i = (n x d_i n).G(n) and differs only in the field G: the point
-mass above (`omega`), its quadrature average over K
+which also holds at n' = +-k.  `gamma_many` evaluates it, and
+`omega` is Gamma on (nbar, d_i n): per-element potentials (omega_1,
+omega_2) whose curl reproduces the Jacobian density weakly.  Averaging
+over an admissible sphere region K, a set of quadrature nodes and
+weights (`sphere.SphereRegion`), gives square-integrable potentials
+with the 8 pi / meas(K) certificate.  Every potential in the package
+has the form Omega_i = (n x d_i n).G(n) and differs only in the field
+G: the point mass above, its quadrature average over K
 (`averaged_omega`) or the gradient q'(t) (c - t n) of the logarithmic
 potential of a `sphere.Cap`, t = n.c.  `gradient_pairing` forms it for
 the first two; the holography identity uses (c - t n) x n = c x n
@@ -36,9 +36,7 @@ from .mesh import integrate
 from .pde import element_load, flux_load
 from .sphere import SphereRegion, make_region, sphere_quadrature
 
-# omega raises when a centroid value lies this close to its target.
-SINGULAR_TOL = 1e-9
-# Chord distance an admissible node keeps from the image and the poles.
+# Chord distance an admissible node keeps from the image.
 MARGIN = 0.05
 # Chord distance averaged_omega's region must keep from the image.
 MIN_MARGIN = 0.025
@@ -48,8 +46,8 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 class SingularElementError(ValueError):
-    """Element centroid value coincides with the target n', or an
-    averaging region touches the field image."""
+    """Gamma is undefined (n = n'), or an averaging region touches the
+    field image."""
 
 
 class KernelBoundError(Exception):
@@ -71,40 +69,30 @@ def gradient_pairing(grad, n, *xis):
                  for xi in xis)
 
 
-def gamma_many(n, nprime, xi):
-    """Vectorized Gamma over matching stacks of (n, n', xi).
+def gamma_many(n, nprime, *xis):
+    """Gamma(n, n', xi) for each xi, over matching stacks of (n, n').
 
     Evaluates identity 1, Gamma = n'.(n x xi) / (1 - n.n'), which
-    equals the rotated formula for every rotation U(n').
+    equals the rotated formula for every rotation U(n'), the poles
+    included.  Raises SingularElementError where n = n'.
     """
-    n = np.atleast_2d(np.asarray(n, dtype=float))
-    nprime = np.atleast_2d(np.asarray(nprime, dtype=float))
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    n, nprime = np.atleast_2d(n, nprime)
     denom = 1.0 - (n * nprime).sum(axis=1)
     if np.any(denom < 1e-14):
-        raise ValueError("Gamma undefined at n = n'")
-    return gradient_pairing(nprime / denom[:, None], n, xi)[0]
+        raise SingularElementError("Gamma undefined at n = n'")
+    return gradient_pairing(nprime / denom[:, None], n, *xis)
 
 
 def omega(fld, nprime):
     """Per-element potentials (omega1, omega2), omega_i = Gamma(nbar,
-    n', d_i n).  A centroid value within SINGULAR_TOL of n' raises."""
-    nprime = np.asarray(nprime, dtype=float)
-    dist2 = ((fld.nbar - nprime) ** 2).sum(axis=1)
-    singular = np.flatnonzero(dist2 < SINGULAR_TOL ** 2)
-    if singular.size:
-        raise SingularElementError(
-            f"element {int(singular[0])} has centroid value at n'"
-        )
-    denom = 1.0 - fld.nbar @ nprime
-    return gradient_pairing(nprime / denom[:, None], fld.nbar,
-                            fld.d1, fld.d2)
+    n', d_i n)."""
+    return gamma_many(fld.nbar, nprime, fld.d1, fld.d2)
 
 
 @dataclass(frozen=True)
 class AdmissibleRegionReport:
     region: SphereRegion
-    sigma: float          # achieved minimum distance to image and poles
+    sigma: float          # achieved minimum distance to the image
     delta: float
 
 
@@ -112,19 +100,14 @@ def admissible_region(fld, level):
     """Sphere-quadrature nodes at distance > MARGIN from the image.
 
     The image is approximated by the element-centroid values; nodes
-    within MARGIN (chord distance) of any of them or of +-k are
-    discarded.  Requires a positive area margin delta = 4 pi - area,
-    and reports the achieved sigma.
+    within MARGIN (chord distance) of any of them are discarded.
+    Requires a positive area margin delta = 4 pi - area, and reports
+    the achieved sigma.
     """
     delta = area_margin(fld)
     quad = sphere_quadrature(level)
     tree = cKDTree(fld.nbar)
     dist, _ = tree.query(quad.nodes, k=1)
-    pole = np.minimum(
-        np.linalg.norm(quad.nodes - np.array([0.0, 0.0, 1.0]), axis=1),
-        np.linalg.norm(quad.nodes + np.array([0.0, 0.0, 1.0]), axis=1),
-    )
-    dist = np.minimum(dist, pole)
     mask = dist > MARGIN
     if not np.any(mask):
         raise HypothesisViolationError(

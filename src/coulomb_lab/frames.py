@@ -177,16 +177,14 @@ def coulomb_continuation(fld, seed):
 class FrameReport:
     orth_defect: float
     tangency_defect: float
-    coulomb_residual: float
     weak_poisson_residual: float  # weak form of -Laplace f = {e1, e2}
-    f_max: float
     delta: float                  # 4 pi - area, the paper's margin
 
 
 def frame_residuals(frame):
-    """Pointwise defects and PDE residuals of a frame, against the test
-    functions of its continuation; the Coulomb residual is its last
-    gauge residual."""
+    """Pointwise defects and the Poisson residual of a frame, against
+    the test functions of its continuation.  Its Coulomb residual is
+    its last gauge residual, and max |f| is in its log row."""
     mesh = frame.field_n.mesh
     f1, f2 = frame.fields
     od, td = _orth_defect(frame.e1, frame.e2, frame.field_n.values)
@@ -197,9 +195,7 @@ def frame_residuals(frame):
     return FrameReport(
         orth_defect=od,
         tangency_defect=td,
-        coulomb_residual=frame.gauge_residuals[-1],
         weak_poisson_residual=weak_residual(poisson_load, frame.tests,
                                             boundary_zero=True),
-        f_max=float(np.abs(frame.f).max()),
         delta=area_functional(frame.field_n).delta,
     )

@@ -111,6 +111,19 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def require_memory(request, power, items, unit_bytes, unit):
+    """Raise MeshResourceError, before allocating, when items * 4^power
+    units of unit_bytes bytes exceed the physical memory; the bit length
+    test rejects a huge power before 4^power is formed."""
+    memory = physical_memory()
+    fits = memory // (items * unit_bytes)  # the largest 4^power
+    if power >= fits.bit_length() or 4 ** power > fits:
+        raise MeshResourceError(
+            f"{request} needs more than the {memory / 2 ** 30:.3g} GiB "
+            f"of physical memory ({unit_bytes} bytes per {unit})"
+        )
+
+
 def build_disc_mesh(refinement_level):
     """Build the concentric-ring disc triangulation at a refinement level.
 
@@ -119,17 +132,9 @@ def build_disc_mesh(refinement_level):
     """
     if refinement_level < 0:
         raise ValueError("refinement_level must be nonnegative")
-    # the mesh has 6 m^2 triangles, m = 2^(level + 1); the bit length
-    # test rejects a huge level before its power is formed
-    memory = physical_memory()
-    fits = memory // (6 * BYTES_PER_TRIANGLE)  # the largest m^2
-    if (refinement_level >= fits.bit_length()
-            or 4 ** (refinement_level + 1) > fits):
-        raise MeshResourceError(
-            f"refinement_level {refinement_level} needs more than the "
-            f"{memory / 2 ** 30:.3g} GiB of physical memory "
-            f"({BYTES_PER_TRIANGLE} bytes per triangle)"
-        )
+    # the mesh has 6 m^2 = 6 * 4^(level + 1) triangles
+    require_memory(f"refinement_level {refinement_level}",
+                   refinement_level + 1, 6, BYTES_PER_TRIANGLE, "triangle")
     m = 2 * 2 ** refinement_level
     node, _ = ring_offsets(m)
     count, start = np.diff(node), node[:-1]
@@ -141,13 +146,12 @@ def build_disc_mesh(refinement_level):
         coords.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
     nodes = np.vstack(coords)
 
-    # innermost fan around the center node
-    k = start[1] + np.arange(6)
-    tris = [np.column_stack([k, np.roll(k, -1), np.zeros(6, np.int64)])]
     # strips between ring j-1 and ring j: per sextant s, the j triangles
-    # on an edge of ring j, then the j-1 on an edge of ring j-1
+    # on an edge of ring j, then the j-1 on an edge of ring j-1 (strip 1
+    # is the fan about the centre node)
+    tris = []
     s = np.arange(6)[:, None]
-    for j in range(2, m + 1):
+    for j in range(1, m + 1):
         i = np.arange(j + 1)[None, :]
         outer = start[j] + (s * j + i) % count[j]
         inner = start[j - 1] + (s * (j - 1) + i) % count[j - 1]

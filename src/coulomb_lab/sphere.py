@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .mesh import MeshResourceError, physical_memory
+from .mesh import require_memory
 
 # Peak bytes per face of `sphere_quadrature`, with 19% to spare over
 # the 296 it measured (tracemalloc) at levels 4-8.  A level of 20 4^level
@@ -89,15 +89,8 @@ def sphere_quadrature(level):
     """Centroid nodes and spherical-excess weights at a subdivision level."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    # the bit length test rejects a huge level before its power is formed
-    memory = physical_memory()
-    fits = memory // (20 * BYTES_PER_FACE)  # the largest 4^level
-    if level >= fits.bit_length() or 4 ** level > fits:
-        raise MeshResourceError(
-            f"sphere level {level} needs more than the "
-            f"{memory / 2 ** 30:.3g} GiB of physical memory "
-            f"({BYTES_PER_FACE} bytes per face)"
-        )
+    require_memory(f"sphere level {level}", level, 20, BYTES_PER_FACE,
+                   "face")
     if level in _quadrature_cache:
         return _quadrature_cache[level]
     faces = _icosahedron_faces()

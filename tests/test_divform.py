@@ -13,6 +13,7 @@ from coulomb_lab.fields import (HypothesisViolationError, dirichlet_energy,
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
 from coulomb_lab.pde import (TEST_FUNCTIONS, gradient_l2,
                              smooth_test_functions)
+from coulomb_lab.sphere import sphere_quadrature
 from coulomb_lab.surfaces import enneper_gauss_closure
 
 FOUR_PI = 4.0 * np.pi
@@ -144,14 +145,38 @@ def test_gamma_bound_random():
     npr = rng.standard_normal((k, 3))
     npr /= np.linalg.norm(npr, axis=1, keepdims=True)
     xi = rng.standard_normal((k, 3))
-    keep = (npr[:, 0] ** 2 + npr[:, 1] ** 2 > 1e-8) & (
-        np.linalg.norm(n - npr, axis=1) > 1e-6
-    )
-    g = gamma_many(n[keep], npr[keep], xi[keep])
+    keep = np.linalg.norm(n - npr, axis=1) > 1e-6
+    (g,) = gamma_many(n[keep], npr[keep], xi[keep])
     bound = 2.0 * np.linalg.norm(xi[keep], axis=1) / np.linalg.norm(
         n[keep] - npr[keep], axis=1
     )
     assert np.all(np.abs(g) <= bound + 1e-12)
+
+
+# (z, azimuth) of a unit vector anywhere, poles included
+_ANYWHERE = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * np.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_ANYWHERE, pole=st.sampled_from([1.0, -1.0]),
+       off=st.one_of(st.just(0.0), st.floats(0.0, 1e-4)),
+       azimuth=st.floats(0.0, 2.0 * np.pi),
+       xi=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+@example(n=(0.0, 0.0), pole=1.0, off=0.0, azimuth=0.0, xi=(1.0, 0.0, 0.0))
+def test_gamma_bound_at_the_poles(n, pole, off, azimuth, xi):
+    # identity 1 holds at n' = +-k, where the rotated formula has no
+    # rotation, so the bound 2|xi| / |n - n'| holds there and nearby
+    n, xi = _unit(*n), np.array(xi)
+    nprime = np.array([np.sin(off) * np.cos(azimuth),
+                       np.sin(off) * np.sin(azimuth), pole * np.cos(off)])
+    sep = np.linalg.norm(n - nprime)
+    assume(sep > 1e-6)
+    (g,) = gamma_many(n, nprime, xi)
+    bound = 2.0 * np.linalg.norm(xi) / sep
+    # 1 - n.n' = sep^2 / 2 is formed from unit vectors, so it carries
+    # a relative error of about eps / (1 - n.n')
+    conditioning = 4.0 * np.finfo(float).eps * bound / (sep ** 2 / 2.0)
+    assert abs(g[0]) <= bound + conditioning + 1e-12
 
 
 def test_omega_elementwise_bound(field):
@@ -174,13 +199,16 @@ def test_admissible_region(field):
     assert report.region.measure > 0
     assert report.sigma > 0.05
     assert report.delta > 0
-    # admissible nodes avoid the image and the poles
-    k = np.array([0.0, 0.0, 1.0])
-    pole = np.minimum(
-        np.linalg.norm(report.region.nodes - k, axis=1),
-        np.linalg.norm(report.region.nodes + k, axis=1),
-    )
-    assert pole.min() > 0.05
+
+
+def test_admissible_region_keeps_the_pole(field):
+    # the image (z < 0.6) stays far from k, so the quadrature node
+    # nearest k is admissible: Gamma needs no pole exclusion
+    nodes = sphere_quadrature(4).nodes
+    top = nodes[np.argmax(nodes[:, 2])]
+    assert np.linalg.norm(top - [0.0, 0.0, 1.0]) < 0.05
+    region = admissible_region(field, level=4).region
+    assert np.any(np.all(region.nodes == top, axis=1))
 
 
 def test_admissible_region_needs_margin(mesh):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coulomb_lab import sphere as sphere_module
+from coulomb_lab import mesh as mesh_module
 from coulomb_lab.mesh import MeshResourceError
 from coulomb_lab.sphere import (BYTES_PER_FACE, _icosahedron_faces, cap,
                                 complement_region, full_sphere, make_region,
@@ -55,7 +55,7 @@ def test_quadrature_memory_guard(monkeypatch):
     # refuses level 6, cached or not, and still builds level 5
     sphere_quadrature(6)
     short = BYTES_PER_FACE * 20 * 4 ** 6 - 1
-    monkeypatch.setattr(sphere_module, "physical_memory", lambda: short)
+    monkeypatch.setattr(mesh_module, "physical_memory", lambda: short)
     with pytest.raises(MeshResourceError, match="physical memory"):
         sphere_quadrature(6)
     assert sphere_quadrature(5).weights.shape == (20 * 4 ** 5,)
