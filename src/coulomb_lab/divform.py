@@ -29,12 +29,11 @@ instead.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .fields import FOUR_PI, HypothesisViolationError, area_margin, phi
 from .mesh import integrate
 from .pde import element_load, flux_load
-from .sphere import SphereRegion, make_region, sphere_quadrature
+from .sphere import PointGrid, SphereRegion, make_region, sphere_quadrature
 
 # Chord distance an admissible node keeps from the image.
 MARGIN = 0.05
@@ -102,20 +101,35 @@ def admissible_region(fld, level):
     The image is approximated by the element-centroid values; nodes
     within MARGIN (chord distance) of any of them are discarded.
     Requires a positive area margin delta = 4 pi - area, and reports
-    the achieved sigma.
+    the achieved sigma, the least distance from an admissible node to
+    a centroid value.
+
+    The values lie in a `PointGrid` of cubes of side MARGIN / 2, whose
+    diagonal is below MARGIN: a node in a cube that holds a value (a
+    positive count at radius 0) is discarded with no distance computed,
+    and only the other nodes search for values within MARGIN.  sigma
+    is the least distance of the admissible nodes' pairs within 2
+    MARGIN, the radius doubling, on a grid of its size, until a pair
+    appears.
     """
     delta = area_margin(fld)
     quad = sphere_quadrature(level)
-    tree = cKDTree(fld.nbar)
-    dist, _ = tree.query(quad.nodes, k=1)
-    mask = dist > MARGIN
+    grid = PointGrid(fld.nbar, MARGIN / 2.0)
+    mask = np.zeros(quad.nodes.shape[0], dtype=bool)
+    free = np.flatnonzero(grid.counts(quad.nodes, 0.0) == 0)
+    mask[free] = True
+    mask[free[grid.pairs(quad.nodes[free], MARGIN)[0]]] = False
     if not np.any(mask):
         raise HypothesisViolationError(
             "no admissible sphere region: field image too large"
         )
+    r = 2.0 * MARGIN
+    while not (dist := grid.pairs(quad.nodes[mask], r)[2]).size:
+        r *= 2.0
+        grid = PointGrid(fld.nbar, r)
     return AdmissibleRegionReport(
         region=make_region(quad, mask),
-        sigma=float(dist[mask].min()),
+        sigma=float(dist.min()),
         delta=delta,
     )
 

@@ -6,11 +6,11 @@ c_i = v_j x v_k (i, j, k cyclic) and S = n'.(c_0 + c_1 + c_2), the
 barycentrics are n'.c_i / S and P = (v0.c_0 / S) n' (Cramer's rule, as
 in Moller & Trumbore 1997).  S alone decides solvability and, the
 triangles being positively oriented, the sign of Phi(n_h) at the hit.
-A k-d tree over element centroid values prunes the candidate
-triangles, so a census costs O(hits), not O(elements), per target; one
-tree query serves a batch of targets.  The regular-value filter takes
-its census candidates and its bound on the kernel integral from the
-same query (`regular_filter`).
+A grid of cubes over the element centroid values (`sphere.PointGrid`)
+prunes the candidate triangles, so a census costs O(hits), not
+O(elements), per target; one grid search serves a batch of targets.
+The regular-value filter takes its census candidates and its bound on
+the kernel integral from the same search (`regular_filter`).
 
 The coarea check counts hits at the nodes of a `SphereQuadrature`; the
 holography identity reads only the centre, radius and measure of a `Cap`.
@@ -23,11 +23,10 @@ conic in the element (see `holography_identity`).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .fields import FOUR_PI
 from .mesh import TRI7_BARY, TRI7_WEIGHTS, element_gradient
-from .sphere import spherical_areas
+from .sphere import PointGrid, spherical_areas
 
 BARY_TOL = 1e-9
 # Accuracy that holography_identity promises for caps (the full sphere
@@ -40,10 +39,10 @@ RAY_RULE_POINTS = 12
 # working memory); elements met by the region boundary go _CHUNK >> 6
 # at a time, each with up to 5 x 3 x RAY_RULE_POINTS^2 points.
 _CHUNK = 1 << 12
-# Most (target, element) pairs of regular_filter's tree query per block
-# of coarea_check (bounds the working memory); a block holds at least
-# one target.
-_PAIR_BLOCK = 1 << 13
+# Most (target, element) candidates that regular_filter's grid search
+# examines per block of coarea_check (bounds the working memory); a
+# block holds at least one target.
+_PAIR_BLOCK = 1 << 15
 # The reasons regular_filter gives, in the order it tests them.
 FILTER_REASONS = ("pole", "degenerate", "count", "boundary", "separation",
                   "integral")
@@ -93,7 +92,8 @@ class PreimageCensus:
 
 
 class PreimageSolver:
-    """Reusable census context: centroid tree plus per-element radii."""
+    """Reusable census context: a grid of the centroid values per search
+    radius, plus per-element radii."""
 
     def __init__(self, fld):
         self.fld = fld
@@ -103,23 +103,26 @@ class PreimageSolver:
             np.linalg.norm(fld.values[corner] - fld.nbar, axis=1)
             for corner in fld.mesh.triangles.T], axis=0)
         self.max_radius = float(self.radius.max())
-        self.tree = cKDTree(fld.nbar)
+        self.grids = {}
         self.area = fld.mesh.area
         self.reach = 2.0 * self.max_radius + 1e-9
         # exact kernel integrals summed so far (see kernel_integral)
         self.kernel_sums = 0
 
+    def grid(self, r):
+        """The `PointGrid` of the centroid values with cubes of side r,
+        built on first use."""
+        if r not in self.grids:
+            self.grids[r] = PointGrid(self.fld.nbar, r)
+        return self.grids[r]
+
     def near(self, nprimes, r):
         """The (target, element) pairs whose centroid value lies within
-        r of a row of `nprimes` (T, 3), in no set order: the target
+        r of a row of `nprimes` (T, 3), ordered by target: the target
         index `owner`, the element `elems` and the distance `d`, each
-        (k,).  One traversal of a tree of the targets against the
-        centroid tree finds the pairs and their distances, which it
-        rounds as np.linalg.norm rounds a row of length 3, and lists
-        them as arrays."""
-        pairs = cKDTree(nprimes).sparse_distance_matrix(
-            self.tree, r, output_type="ndarray")
-        return pairs["i"], pairs["j"], pairs["v"]
+        (k,), rounded as np.linalg.norm rounds a row of length 3 (see
+        `PointGrid.pairs`)."""
+        return self.grid(r).pairs(nprimes, r)
 
     def candidates(self, nprimes, near):
         """Codes q * triangle_count + e of the (target, element) pairs
@@ -182,8 +185,8 @@ class PreimageSolver:
 
 def _filter_radius(solver, N):
     """The bound radius r = 2 area / N of `regular_filter`, and the
-    radius of its one tree query: the census reach, widened to r while
-    r < 2."""
+    radius of its one grid search: the census reach, widened to r
+    while r < 2."""
     if N < 2:
         raise ValueError("N must be at least 2")
     r = 2.0 * solver.area / N
@@ -202,7 +205,7 @@ def regular_filter(solver, nprimes, N):
     entry, says which reasons reject each target, so a row of False is
     an accepted target; census is the batch's census.
 
-    One tree query (`PreimageSolver.near`) serves the census and the
+    One grid search (`PreimageSolver.near`) serves the census and the
     integral test.  With r = 2 area / N, the elements with |nbar - n'|
     > r add less than their area over r to the integral, so at most
     N / 2 in all.  The exact sum over the elements within r plus (area
@@ -212,7 +215,7 @@ def regular_filter(solver, nprimes, N):
     pays for the exact sum over every element, and so does every
     target when r >= 2, where every element is within r and the bound
     is the exact sum.  Either way the decision is the exact one.  The
-    query radius (`_filter_radius`) covers both the census candidates
+    search radius (`_filter_radius`) covers both the census candidates
     and, while r < 2, the elements within r.
     """
     r, radius = _filter_radius(solver, N)
@@ -281,9 +284,9 @@ def coarea_check(fld, quad, N):
     weight times the number of hits.  Nodes failing the regular filter
     contribute to the reported excluded measure instead, and their
     reasons to `rejections`.  The filter takes the nodes in blocks of
-    consecutive nodes whose tree query holds at most _PAIR_BLOCK pairs,
-    or of one node; the block sizes come from a query that counts the
-    pairs without listing them.
+    consecutive nodes whose grid search examines at most _PAIR_BLOCK
+    candidates, or of one node; the block sizes come from the grid's
+    count of candidates, which computes no distance.
     """
     lhs = float(spherical_areas(fld.values[fld.mesh.triangles]).sum())
     count = quad.nodes.shape[0]
@@ -291,14 +294,14 @@ def coarea_check(fld, quad, N):
     cards = np.zeros(count, dtype=int)
     signed = np.zeros(count, dtype=int)
     solver = PreimageSolver(fld)
-    # pairs of the nodes up to and including each node
-    pairs = np.cumsum(solver.tree.query_ball_point(
-        quad.nodes, _filter_radius(solver, N)[1], return_length=True))
+    radius = _filter_radius(solver, N)[1]
+    # candidates of the nodes up to and including each node
+    examined = np.cumsum(solver.grid(radius).counts(quad.nodes, radius))
     lo = 0
     while lo < count:
-        done = pairs[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(pairs, done + _PAIR_BLOCK, "right")),
-                 lo + 1)
+        done = examined[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(examined, done + _PAIR_BLOCK,
+                                     "right")), lo + 1)
         flags[lo:hi], census = regular_filter(solver, quad.nodes[lo:hi], N)
         cards[lo:hi] = census.cards
         signed[lo:hi] = np.bincount(census.owner, census.signs, hi - lo)

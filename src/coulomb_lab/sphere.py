@@ -8,13 +8,13 @@ to rounding at every level.
 
 A region is a `Cap`, its centre and radius with closed forms (the full
 sphere is the cap of radius pi), or a `SphereRegion`, a set of
-quadrature nodes with their weights.
+quadrature nodes with their weights.  `PointGrid` finds the points of
+a set within a fixed distance of each of a batch of queries.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .mesh import require_memory
 
@@ -22,6 +22,13 @@ from .mesh import require_memory
 # the 296 it measured (tracemalloc) at levels 4-8.  A level of 20 4^level
 # faces that would need more than the physical memory is refused.
 BYTES_PER_FACE = 352
+# The icosahedron's faces as indices into the vertices that
+# `_icosahedron_faces` lists: Qhull's simplices of their convex hull.
+_ICOSAHEDRON = [[0, 1, 2], [6, 4, 2], [6, 0, 5], [6, 0, 2], [7, 3, 1],
+                [7, 0, 5], [7, 0, 1], [8, 4, 2], [8, 1, 2], [8, 3, 1],
+                [8, 9, 3], [8, 9, 4], [10, 9, 4], [10, 6, 4], [10, 6, 5],
+                [11, 7, 5], [11, 9, 3], [11, 7, 3], [11, 10, 9],
+                [11, 10, 5]]
 
 
 def _normalize_rows(v):
@@ -35,8 +42,7 @@ def _icosahedron_faces():
         for b in (-phi, phi):
             verts.extend([(0.0, a, b), (a, b, 0.0), (b, 0.0, a)])
     verts = _normalize_rows(np.asarray(verts))
-    hull = ConvexHull(verts)
-    faces = verts[hull.simplices]  # (20, 3, 3)
+    faces = verts[_ICOSAHEDRON]  # (20, 3, 3)
     # orient every face outward (counterclockwise seen from outside)
     n = np.cross(faces[:, 1] - faces[:, 0], faces[:, 2] - faces[:, 0])
     inward = np.einsum("fi,fi->f", n, faces.mean(axis=1)) < 0
@@ -203,3 +209,95 @@ def region_from_predicate(predicate, level):
     """The level's quadrature nodes where `predicate` holds."""
     quad = sphere_quadrature(level)
     return make_region(quad, predicate(quad.nodes))
+
+
+class PointGrid:
+    """Fixed-radius neighbour search over the rows of `points` (n, 3)
+    by the cell method (Bentley, Stanat & Williams, Inf. Process. Lett.
+    6(6), 1977).
+
+    The points are sorted, stably, by the int64 key of the cube of side
+    h that holds them, z varying fastest: so the cubes z0..z1 of one
+    column (x, y) hold one run of the sorted points, which two
+    `searchsorted` calls find.  A query q at radius r examines the
+    cubes that meet the box [q - r, q + r]; `counts` counts the points
+    examined, and `pairs` keeps those within r.  The box is widened by
+    r 2^-50 + 2^-500, so that no pair whose distance rounds to r or
+    below lies outside it: a difference that rounds to at most r
+    exceeds r by at most r 2^-53, and one whose square underflows is
+    below 2^-511.  A query examines up to 2 r / h + 2 cubes per axis,
+    so h should be of the order of r; h is widened where needed so that
+    a key fits an int64.
+    """
+
+    def __init__(self, points, h):
+        points = np.asarray(points, dtype=float)
+        if not np.isfinite(points).all():
+            raise ValueError("grid points must be finite")
+        self.h = max(float(h), float(np.ptp(points)) * 2.0 ** -20)
+        # x -> floor(x / h) is monotone: the least and greatest cubes on
+        # each axis hold the least and greatest coordinates
+        self.origin = np.floor(points.min(axis=0) / self.h)
+        self.dims = (np.floor(points.max(axis=0) / self.h)
+                     - self.origin).astype(np.int64) + 1
+        keys = np.zeros(len(points), dtype=np.int64)
+        for axis, column in enumerate(points.T):
+            keys *= self.dims[axis]
+            keys += (np.floor(column / self.h)
+                     - self.origin[axis]).astype(np.int64)
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        # (3, n) contiguous component rows
+        self.rows = np.ascontiguousarray(points.T[:, self.order])
+
+    def _runs(self, queries, r):
+        """Runs [start, stop) of the sorted points, (T, columns), one per
+        column of cubes that meets each query's box; an empty run where
+        a column lies outside the box or the grid."""
+        reach = r + r * 2.0 ** -50 + 2.0 ** -500
+        lo = np.floor((queries - reach) / self.h) - self.origin
+        hi = np.floor((queries + reach) / self.h) - self.origin
+        lo = np.clip(lo, 0, self.dims).astype(np.int64)
+        hi = np.clip(hi, -1, self.dims - 1).astype(np.int64)
+        kx, ky = np.maximum(hi - lo + 1, 0)[:, :2].max(axis=0, initial=0)
+        x = lo[:, 0, None] + np.arange(kx)
+        y = lo[:, 1, None] + np.arange(ky)
+        base = (x[:, :, None] * self.dims[1] + y[:, None]) * self.dims[2]
+        start = np.searchsorted(self.keys, base + lo[:, 2, None, None])
+        stop = np.searchsorted(self.keys, base + hi[:, 2, None, None] + 1)
+        empty = (x > hi[:, 0, None])[:, :, None] \
+            | (y > hi[:, 1, None])[:, None] \
+            | (lo[:, 2] > hi[:, 2])[:, None, None]
+        shape = len(queries), kx * ky
+        return start.reshape(shape), np.where(empty, start, stop).reshape(
+            shape)
+
+    def counts(self, queries, r):
+        """Points examined for each row of `queries` (T, 3) at radius r,
+        (T,): at least the points within r, and no distance computed."""
+        start, stop = self._runs(np.asarray(queries, dtype=float), r)
+        return (stop - start).sum(axis=1)
+
+    def pairs(self, queries, r):
+        """The (query, point) pairs within distance r of the rows of
+        `queries` (T, 3): the query index `owner`, the point index
+        `index` and the distance `d`, each (k,), ordered by query, cube
+        and point.  d = sqrt((dx^2 + dy^2) + dz^2), formed over
+        contiguous rows, is np.linalg.norm of the difference row to
+        the last bit."""
+        queries = np.asarray(queries, dtype=float)
+        start, stop = self._runs(queries, r)
+        length = stop - start
+        owner = np.repeat(np.arange(len(queries)), length.sum(axis=1))
+        length = length.ravel()
+        pos = np.repeat(start.ravel() - np.cumsum(length) + length, length)
+        pos += np.arange(pos.size)
+        d = np.zeros(pos.size)
+        for row, q in zip(self.rows, queries.T.copy()):
+            diff = row[pos]
+            diff -= q[owner]
+            diff *= diff
+            d += diff
+        np.sqrt(d, out=d)
+        keep = d <= r
+        return owner[keep], self.order[pos[keep]], d[keep]

@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +285,19 @@ def test_load_config_file(tmp_path):
     cfg.write_text("broken line\n")
     with pytest.raises(ValueError):
         _load_config_file(cfg)
+
+
+def test_cli_import_loads_no_scipy_spatial():
+    # the package's neighbour search is its own (`sphere.PointGrid`), so
+    # importing the CLI loads neither scipy.spatial nor scipy.special,
+    # which scipy.spatial would pull in; scipy.sparse does neither
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, coulomb_lab.cli\n"
+            "print(*sorted(m for m in sys.modules if m.startswith("
+            "('scipy.spatial', 'scipy.special'))))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from coulomb_lab.divform import (KernelBoundError, SingularElementError,
-                                 admissible_region, averaged_omega,
-                                 gamma_many, omega, weak_identity_load)
+from coulomb_lab.divform import (MARGIN, KernelBoundError,
+                                 SingularElementError, admissible_region,
+                                 averaged_omega, gamma_many, omega,
+                                 weak_identity_load)
 from coulomb_lab.fields import (HypothesisViolationError, dirichlet_energy,
                                 field_from_values, phi, sample_field)
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
@@ -209,6 +211,44 @@ def test_admissible_region_keeps_the_pole(field):
     assert np.linalg.norm(top - [0.0, 0.0, 1.0]) < 0.05
     region = admissible_region(field, level=4).region
     assert np.any(np.all(region.nodes == top, axis=1))
+
+
+@pytest.mark.parametrize("eps, level, sphere_level",
+                         [(0.5, 5, 3), (0.5, 6, 4), (0.3, 5, 4)])
+def test_admissible_region_matches_nearest_neighbour(eps, level,
+                                                      sphere_level):
+    # the grid search gives the k-d tree's nearest-value distances to
+    # the bit: the same mask (distance > MARGIN) and the same sigma
+    fld = sample_field(enneper_gauss_closure(eps), build_disc_mesh(level))
+    report = admissible_region(fld, sphere_level)
+    quad = sphere_quadrature(sphere_level)
+    dist, _ = cKDTree(fld.nbar).query(quad.nodes, k=1)
+    mask = dist > MARGIN
+    assert np.array_equal(report.region.nodes, quad.nodes[mask])
+    assert np.array_equal(report.region.weights, quad.weights[mask])
+    assert report.sigma == float(dist[mask].min())
+
+
+def test_admissible_region_sigma_far_from_the_image(mesh):
+    # a small image (within about 0.01 of -k) leaves every level-0 node
+    # beyond 2 MARGIN, so sigma needs the doubled search radius
+    nodes = mesh.nodes
+    values = np.column_stack([0.01 * nodes, -np.ones(mesh.node_count)])
+    fld = field_from_values(values / np.linalg.norm(values, axis=1)[:, None],
+                            mesh)
+    report = admissible_region(fld, 0)
+    dist, _ = cKDTree(fld.nbar).query(sphere_quadrature(0).nodes, k=1)
+    assert dist.min() > 2.0 * MARGIN
+    assert report.region.nodes.shape[0] == 20
+    assert report.sigma == float(dist.min())
+
+
+def test_admissible_region_rejects_nan_values(mesh):
+    # a NaN field passes the area margin (NaN <= 0 is false), and the
+    # grid refuses its values, as a k-d tree does
+    fld = field_from_values(np.full((mesh.node_count, 3), np.nan), mesh)
+    with pytest.raises(ValueError, match="finite"):
+        admissible_region(fld, 0)
 
 
 def test_admissible_region_needs_margin(mesh):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from coulomb_lab import preimage
 from coulomb_lab.divform import gradient_pairing
@@ -272,10 +273,10 @@ def test_coarea_small_n_rejections(field, N, rejections):
 
 
 def test_coarea_is_chunk_invariant(field, monkeypatch):
-    # the filter takes the nodes in blocks of at most _PAIR_BLOCK tree
-    # pairs, or of one node (at N = 8, about 950 pairs per node); the
-    # block size must not change any decision, count or (sequentially
-    # summed) side
+    # the filter takes the nodes in blocks of at most _PAIR_BLOCK grid
+    # candidates, or of one node (at N = 8, about 950 pairs per node);
+    # the block size must not change any decision, count or
+    # (sequentially summed) side
     quad = sphere_quadrature(2)
     reports = []
     for block in (1, 10000, 1 << 40):
@@ -345,10 +346,10 @@ def test_kernel_bound_decides_exactly(solver, targets, N):
 
 
 def _one_query_per_target(self, nprimes, near):
-    """Reference census candidates: one sorted query per batch at twice
-    the largest radius, then the radius test per target."""
+    """Reference census candidates: one sorted k-d tree query per batch
+    at twice the largest radius, then the radius test per target."""
     nt = self.fld.mesh.triangle_count
-    lists = self.tree.query_ball_point(
+    lists = cKDTree(self.fld.nbar).query_ball_point(
         nprimes, 2.0 * self.max_radius + 1e-9, return_sorted=True)
     codes = []
     for q, elems in enumerate(lists):
@@ -358,13 +359,12 @@ def _one_query_per_target(self, nprimes, near):
     return np.concatenate(codes)
 
 
-def _integral_per_target(solver, nprime, N):
-    """Reference kernel-integral test of one target, with its own near
-    query at r and its own bound."""
+def _integral_per_target(solver, tree, nprime, N):
+    """Reference kernel-integral test of one target, with its own query
+    at r of the k-d `tree` of the centroid values and its own bound."""
     r = 2.0 * solver.area / N
     if r < 2.0:
-        near = np.asarray(solver.tree.query_ball_point(nprime, r),
-                          dtype=np.int64)
+        near = np.asarray(tree.query_ball_point(nprime, r), dtype=np.int64)
         d = np.linalg.norm(solver.fld.nbar[near] - nprime, axis=1)
         a = solver.fld.mesh.areas[near]
         bound = float((a / np.maximum(d, 1e-300)).sum()) \
@@ -376,7 +376,7 @@ def _integral_per_target(solver, nprime, N):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 16, 64])
 def test_filter_matches_separate_queries(solver, N):
-    # one tree query serves the census and the integral bound; against
+    # one grid search serves the census and the integral bound; against
     # the census of the per-batch candidate query and the per-target
     # bound, every flag and hit must be the same.  The query's
     # distances are np.linalg.norm's to the last bit.
@@ -392,8 +392,9 @@ def test_filter_matches_separate_queries(solver, N):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PreimageSolver, "candidates", _one_query_per_target)
         oracle_flags, oracle = regular_filter(solver, nprimes, N)
+    tree = cKDTree(solver.fld.nbar)
     oracle_flags[:, FILTER_REASONS.index("integral")] = [
-        _integral_per_target(solver, n, N) for n in unit]
+        _integral_per_target(solver, tree, n, N) for n in unit]
     assert np.array_equal(flags, oracle_flags)
     for name in ("owner", "points", "signs", "degenerate"):
         assert np.array_equal(getattr(census, name), getattr(oracle, name))

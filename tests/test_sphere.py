@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from coulomb_lab import mesh as mesh_module
 from coulomb_lab.mesh import MeshResourceError
-from coulomb_lab.sphere import (BYTES_PER_FACE, _icosahedron_faces, cap,
-                                complement_region, full_sphere, make_region,
+from coulomb_lab.sphere import (BYTES_PER_FACE, PointGrid,
+                                _icosahedron_faces, cap, complement_region,
+                                full_sphere, make_region,
                                 region_from_predicate, sphere_quadrature,
                                 spherical_areas, subdivide_faces)
 
@@ -217,3 +219,122 @@ def test_complement_is_the_opposite_cap(center, rho):
     assert not inside & outside
     off_plane = np.abs(nodes @ region.center - np.cos(rho)) > 1e-12
     assert {tuple(p) for p in nodes[off_plane]} <= inside | outside
+
+
+def _hull_faces():
+    """Oracle of the icosahedron's faces: the convex hull of its
+    vertices, each face turned outward."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = []
+    for a in (-1.0, 1.0):
+        for b in (-phi, phi):
+            verts.extend([(0.0, a, b), (a, b, 0.0), (b, 0.0, a)])
+    verts = np.asarray(verts)
+    verts /= np.linalg.norm(verts, axis=-1, keepdims=True)
+    faces = verts[ConvexHull(verts).simplices]
+    n = np.cross(faces[:, 1] - faces[:, 0], faces[:, 2] - faces[:, 0])
+    inward = np.einsum("fi,fi->f", n, faces.mean(axis=1)) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    return faces
+
+
+def test_face_table_is_the_hull():
+    # the fixed face table gives the hull's faces in the hull's order,
+    # so every quadrature level is the one the hull gave, to the bit
+    faces = _hull_faces()
+    assert np.array_equal(_icosahedron_faces(), faces)
+    for level in range(6):
+        quad = sphere_quadrature(level)
+        nodes = faces.mean(axis=1)
+        assert np.array_equal(
+            quad.nodes, nodes / np.linalg.norm(nodes, axis=-1,
+                                               keepdims=True))
+        assert np.array_equal(quad.weights, spherical_areas(faces))
+        d = np.linalg.norm(faces - faces[:, [1, 2, 0]], axis=2)
+        assert quad.face_diameter == float(d.max())
+        faces = subdivide_faces(faces)
+
+
+def _grid_pairs_oracle(points, queries, r):
+    """Every (query, point) pair within r, by brute force, as a dict of
+    np.linalg.norm distances."""
+    d = np.linalg.norm(points[None] - queries[:, None], axis=2)
+    owner, index = np.nonzero(d <= r)
+    return {(q, j): d[q, j] for q, j in zip(owner.tolist(), index.tolist())}
+
+
+_COORD = st.floats(-1.5, 1.5, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1,
+                       max_size=60),
+       queries=st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 3), min_size=0,
+                        max_size=12),
+       h=st.floats(0.01, 2.0),
+       ratio=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 5.0)),
+       copies=st.integers(0, 3))
+# dz^2 underflows to 0, so the pair is at distance 0 across a cube face
+@example(points=[(0.0, 0.0, 0.0)], queries=[(0.0, 0.0, -1e-300)], h=1.0,
+         ratio=0.0, copies=0)
+def test_point_grid_matches_brute_force(points, queries, h, ratio, copies):
+    # queries may lie outside the points' bounding box, r = ratio * h
+    # differs from the side h or is 0, and some queries repeat points,
+    # so r = 0 finds pairs
+    r = ratio * h
+    points = np.array(points)
+    queries = np.vstack([np.array(queries).reshape(-1, 3),
+                         points[:copies]])
+    grid = PointGrid(points, h)
+    owner, index, d = grid.pairs(queries, r)
+    assert np.all(np.diff(owner) >= 0)
+    found = dict(zip(zip(owner.tolist(), index.tolist()), d.tolist()))
+    assert len(found) == owner.size
+    assert found == _grid_pairs_oracle(points, queries, r)
+    # bitwise: == on floats, and the pair sets agree
+    assert np.array_equal(
+        d, np.linalg.norm(points[index] - queries[owner], axis=1))
+    counts = grid.counts(queries, r)
+    assert counts.shape == (queries.shape[0],)
+    assert np.all(counts >= np.bincount(owner, minlength=queries.shape[0]))
+
+
+@pytest.mark.parametrize("h, r", [(0.25, 0.5), (0.5, 0.5), (0.375, 0.375),
+                                  (0.125, 0.3125)])
+def test_point_grid_finds_pairs_at_distance_r(h, r):
+    # a pair exactly r apart along each axis, with both points on cube
+    # faces wherever h divides them (dyadic values, so every sum is
+    # exact), is within r
+    q = np.array([[h, 2.0 * h, -h]])
+    for axis in range(3):
+        p = q + r * np.eye(3)[axis]
+        assert np.linalg.norm(p - q) == r
+        owner, index, d = PointGrid(np.vstack([p, -p]), h).pairs(q, r)
+        assert owner.tolist() == [0] and index.tolist() == [0]
+        assert d.tolist() == [r]
+
+
+def test_point_grid_keeps_pairs_whose_rounding_reaches_r():
+    # p - q = 1 + 2^-53 rounds to r = h = 1, so the pair counts; but
+    # q + r = 1 - 2^-53 lies in the cube below p's, so only the widened
+    # box reaches p
+    q = np.array([[-2.0 ** -53, 0.0, 0.0]])
+    p = np.array([[1.0, 0.0, 0.0]])
+    assert np.linalg.norm(p - q) == 1.0
+    assert np.floor(q[0, 0] + 1.0) == 0.0
+    owner, index, d = PointGrid(p, 1.0).pairs(q, 1.0)
+    assert index.tolist() == [0] and d.tolist() == [1.0]
+
+
+def test_point_grid_side_keeps_keys_in_range():
+    # a side far below the points' spread is widened so that the cube
+    # keys fit an int64; the search is still exact
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(200, 3))
+    grid = PointGrid(points, 1e-12)
+    assert grid.h >= np.ptp(points) * 2.0 ** -20
+    r = 3.0 * grid.h
+    owner, index, d = grid.pairs(points[:10], r)
+    oracle = _grid_pairs_oracle(points, points[:10], r)
+    assert dict(zip(zip(owner.tolist(), index.tolist()), d.tolist())) \
+        == oracle
