@@ -6,13 +6,12 @@ from .mesh import (DiscMesh, build_disc_mesh, element_gradient,
 from .sphere import (Cap, SphereQuadrature, SphereRegion, cap,
                      complement_region, full_sphere,
                      region_from_predicate, sphere_quadrature)
-from .fields import (AreaResult, SphereField, area_functional,
-                     dirichlet_energy, field_from_values, phi,
-                     sample_field)
+from .fields import (SphereField, area_margin, dirichlet_energy,
+                     field_from_values, phi, sample_field)
 from .pde import (PoissonSolution, solve_gauge_neumann,
                   solve_poisson_dirichlet)
 from .divform import (DivergenceForm, admissible_region, averaged_omega,
-                      omega)
+                      gamma_many)
 from .frames import (Frame, coulomb_continuation, frame_residuals,
                      gauge_rotate, recover_f)
 from .preimage import (PreimageCensus, PreimageSolver, coarea_check,

@@ -12,9 +12,9 @@ n', so Gamma does not depend on the rotation (identity 1):
     Gamma(n, n', xi) = n'.(n x xi) / (1 - n.n') = (n x xi).G,
     G = n' / (1 - n.n'),
 
-which also holds at n' = +-k.  `gamma_many` evaluates it, and
-`omega` is Gamma on (nbar, d_i n): per-element potentials (omega_1,
-omega_2) whose curl reproduces the Jacobian density weakly.  Averaging
+which also holds at n' = +-k.  `gamma_many` evaluates it; on (nbar,
+d_i n) it gives per-element potentials (omega_1, omega_2) whose curl
+reproduces the Jacobian density weakly.  Averaging
 over an admissible sphere region K, a set of quadrature nodes and
 weights (`sphere.SphereRegion`), gives square-integrable potentials
 with the 8 pi / meas(K) certificate.  Every potential in the package
@@ -80,12 +80,6 @@ def gamma_many(n, nprime, *xis):
     if np.any(denom < 1e-14):
         raise SingularElementError("Gamma undefined at n = n'")
     return gradient_pairing(nprime / denom[:, None], n, *xis)
-
-
-def omega(fld, nprime):
-    """Per-element potentials (omega1, omega2), omega_i = Gamma(nbar,
-    n', d_i n)."""
-    return gamma_many(fld.nbar, nprime, fld.d1, fld.d2)
 
 
 @dataclass(frozen=True)

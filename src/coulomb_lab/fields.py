@@ -3,7 +3,6 @@ and the area margin that the paper's hypothesis needs."""
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,24 +111,14 @@ class HypothesisViolationError(Exception):
     below 4 pi, or no admissible sphere region."""
 
 
-class AreaResult(NamedTuple):
-    value: float
-    delta: float  # 4*pi - value; may be negative
-
-
-def area_functional(fld):
-    """Integral of |d1 n x d2 n|, with the implied margin below 4*pi."""
-    dens = np.linalg.norm(fld.cross, axis=1)
-    value = integrate(dens, fld.mesh)
-    return AreaResult(value=value, delta=FOUR_PI - value)
-
-
 def area_margin(fld):
-    """The margin delta = 4 pi - area that the paper's hypothesis needs;
-    raises HypothesisViolationError unless it is positive."""
-    area = area_functional(fld)
-    if area.delta <= 0:
+    """The margin delta = 4 pi - area, with area the integral of
+    |d1 n x d2 n|, that the paper's hypothesis needs; raises
+    HypothesisViolationError unless it is positive."""
+    area = integrate(np.linalg.norm(fld.cross, axis=1), fld.mesh)
+    delta = FOUR_PI - area
+    if delta <= 0:
         raise HypothesisViolationError(
-            f"area functional {area.value:.6f} leaves no margin below 4 pi"
+            f"area functional {area:.6f} leaves no margin below 4 pi"
         )
-    return area.delta
+    return delta

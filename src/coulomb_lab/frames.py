@@ -11,17 +11,15 @@ rotate it by the angle that kills the divergence of e1 . de2, and the
 log-conformal factor f is recovered once from the rotated connection
 form.  A census of k under
 n_h certifies that k lies outside every geodesic triangle of n_h.  The
-frame vectors are read as unit fields (`frame_fields`), so their
-element derivatives and centroid directions come from
-`fields.SphereField`.
+frame vectors are read as unit fields (`fields.SphereField`), whose
+element derivatives and centroid directions are derived on first read.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (HypothesisViolationError, SphereField, area_functional,
-                     area_margin)
+from .fields import HypothesisViolationError, SphereField, area_margin
 from .pde import (SmoothTestFunctions, curl_load, element_load, flux_load,
                   gradient_l2, smooth_test_functions, solve_gauge_neumann,
                   solve_neumann, stiffness_matrix, weak_residual)
@@ -37,12 +35,10 @@ GAUGE_SOLVES = 2
 @dataclass(frozen=True, eq=False)
 class Frame:
     """A Coulomb frame of `field_n` and its recovered f.  `fields` are
-    (e1, e2) as `frame_fields` and `tests` the smooth test functions
-    that the residuals were taken against.  `gauge_residuals` holds the
+    (e1, e2) as unit fields and `tests` the smooth test functions that
+    the residuals were taken against.  `gauge_residuals` holds the
     Coulomb weak residual before the first gauge solve and after each
     one; `log` is the one row of frame_log.csv."""
-    e1: np.ndarray = field(repr=False)
-    e2: np.ndarray = field(repr=False)
     fields: tuple = field(repr=False)
     tests: SmoothTestFunctions = field(repr=False)
     field_n: SphereField
@@ -77,24 +73,12 @@ def gauge_rotate(e1, e2, theta):
     return c * e1 - s * e2, s * e1 + c * e2
 
 
-def frame_fields(e1, e2, mesh):
-    """The frame vectors as unit fields, whose element derivatives and
-    centroid directions are derived on first read."""
-    return tuple(SphereField(mesh=mesh, values=e)
-                 for e in (e1, e2))
-
-
 def frame_h(f1, f2):
     """Connection form h = (e1 . d1 e2, e1 . d2 e2) per element, with e1
-    at the normalized centroid, from the `frame_fields` f1, f2."""
+    at the normalized centroid, from the frame vectors as unit fields
+    f1, f2."""
     return np.stack([np.einsum("ti,ti->t", f1.nbar, f2.d1),
                      np.einsum("ti,ti->t", f1.nbar, f2.d2)], axis=1)
-
-
-@dataclass(frozen=True)
-class RecoveredF:
-    f: np.ndarray
-    boundary_std: float
 
 
 def recover_f(h, mesh):
@@ -102,22 +86,13 @@ def recover_f(h, mesh):
 
     Solves the weak curl equation with natural boundary conditions
     (`solve_neumann`, up to a constant), then shifts so the boundary
-    mean is zero; the standard deviation of the boundary values
-    measures how far h is from an exact rotated gradient.
+    mean is zero.  Returns (f, boundary_std): the standard deviation of
+    the boundary values measures how far h is from an exact rotated
+    gradient.
     """
     f = solve_neumann(curl_load(h, mesh), mesh)
     bvals = f[mesh.boundary_mask]
-    f = f - bvals.mean()
-    return RecoveredF(f=f, boundary_std=float(bvals.std()))
-
-
-def coulomb_weak_residual(h, mesh, tests):
-    """max over test functions of |integral h . grad zeta| / |grad zeta|.
-
-    Half of the test functions take non-vanishing boundary values, so
-    this probes the natural boundary condition too.
-    """
-    return weak_residual(flux_load(h, mesh), tests, boundary_zero=False)
+    return f - bvals.mean(), float(bvals.std())
 
 
 def _orth_defect(e1, e2, n_values):
@@ -149,27 +124,30 @@ def coulomb_continuation(fld, seed):
     mesh = fld.mesh
     tests = smooth_test_functions(mesh, seed)
     e1, e2 = stereographic_frame(fld.values)
-    fields = frame_fields(e1, e2, mesh)
-    h = frame_h(*fields)
-    residuals = [coulomb_weak_residual(h, mesh, tests)]
-    for _ in range(GAUGE_SOLVES):
-        e1, e2 = gauge_rotate(e1, e2, solve_gauge_neumann(h, mesh))
-        fields = frame_fields(e1, e2, mesh)
+    residuals = []
+    for i in range(GAUGE_SOLVES + 1):
+        if i:
+            e1, e2 = gauge_rotate(e1, e2, solve_gauge_neumann(h, mesh))
+        fields = tuple(SphereField(mesh=mesh, values=e) for e in (e1, e2))
         h = frame_h(*fields)
-        residuals.append(coulomb_weak_residual(h, mesh, tests))
-    rec = recover_f(h, mesh)
-    for arr in (e1, e2, rec.f):
+        # the Coulomb weak residual, max |int h . grad zeta| / |grad
+        # zeta|: half of the test functions take non-vanishing boundary
+        # values, so it probes the natural boundary condition too
+        residuals.append(weak_residual(flux_load(h, mesh), tests,
+                                       boundary_zero=False))
+    f, boundary_std = recover_f(h, mesh)
+    for arr in (e1, e2, f):
         arr.setflags(write=False)
     row = {
         "lambda": 1.0,
         "step": 1.0,
         "orth_defect": _orth_defect(e1, e2, fld.values)[0],
         "coulomb_residual": residuals[-1],
-        "f_max": float(np.abs(rec.f).max()),
-        "grad_f_norm": gradient_l2(rec.f, mesh),
+        "f_max": float(np.abs(f).max()),
+        "grad_f_norm": gradient_l2(f, mesh),
     }
-    return Frame(e1=e1, e2=e2, fields=fields, tests=tests, field_n=fld,
-                 f=rec.f, boundary_std=rec.boundary_std,
+    return Frame(fields=fields, tests=tests, field_n=fld, f=f,
+                 boundary_std=boundary_std,
                  gauge_residuals=tuple(residuals), log=(row,))
 
 
@@ -187,7 +165,7 @@ def frame_residuals(frame):
     its last gauge residual, and max |f| is in its log row."""
     mesh = frame.field_n.mesh
     f1, f2 = frame.fields
-    od, td = _orth_defect(frame.e1, frame.e2, frame.field_n.values)
+    od, td = _orth_defect(f1.values, f2.values, frame.field_n.values)
     rhs = (np.einsum("ti,ti->t", f1.d1, f2.d2)
            - np.einsum("ti,ti->t", f1.d2, f2.d1))
     poisson_load = (stiffness_matrix(mesh) @ frame.f
@@ -197,5 +175,5 @@ def frame_residuals(frame):
         tangency_defect=td,
         weak_poisson_residual=weak_residual(poisson_load, frame.tests,
                                             boundary_zero=True),
-        delta=area_functional(frame.field_n).delta,
+        delta=area_margin(frame.field_n),
     )

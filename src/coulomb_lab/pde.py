@@ -46,14 +46,6 @@ CG_RTOL = 1e-10
 ASSEMBLY_TRIANGLES = 1 << 15
 
 
-def _mesh_cache(mesh):
-    entry = _cache.get(mesh)
-    if entry is None:
-        entry = {}
-        _cache[mesh] = entry
-    return entry
-
-
 def stiffness_matrix(mesh):
     """Assemble the P1 stiffness matrix (CSR).
 
@@ -70,7 +62,7 @@ def stiffness_matrix(mesh):
     keeps the node count far below 2^31, and scipy would otherwise copy
     int64 indices down to int32 before the conversion.
     """
-    entry = _mesh_cache(mesh)
+    entry = _cache.setdefault(mesh, {})
     if "K" not in entry:
         m = mesh.rings
         node, strip = ring_offsets(m)
@@ -104,7 +96,7 @@ def stiffness_matrix(mesh):
 
 def lumped_mass(mesh):
     """Nodal weights w_i with sum w = polygonal area (lumped mass)."""
-    entry = _mesh_cache(mesh)
+    entry = _cache.setdefault(mesh, {})
     if "M" not in entry:
         entry["M"] = element_load(np.ones(mesh.triangle_count), mesh)
     return entry["M"]
@@ -133,7 +125,7 @@ def _multigrid(mesh):
     row, so the leading interior block of each coarse operator is the
     Galerkin operator of the Dirichlet restriction.
     """
-    entry = _mesh_cache(mesh)
+    entry = _cache.setdefault(mesh, {})
     if "mg" not in entry:
         m = mesh.rings
         n = mesh.interior_nodes.size
@@ -153,7 +145,7 @@ def _coarsest_lu(mesh, dirichlet):
     block, or for Neumann the system pinned at the centre node.  Each
     is factored the first time its condition is solved on the mesh,
     since many meshes solve one boundary condition only."""
-    entry = _mesh_cache(mesh)
+    entry = _cache.setdefault(mesh, {})
     key = ("lu", dirichlet)
     if key not in entry:
         _, A, n = _multigrid(mesh)

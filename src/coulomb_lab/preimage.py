@@ -8,7 +8,8 @@ in Moller & Trumbore 1997).  S alone decides solvability and, the
 triangles being positively oriented, the sign of Phi(n_h) at the hit.
 A grid of cubes over the element centroid values (`sphere.PointGrid`)
 prunes the candidate triangles, so a census costs O(hits), not
-O(elements), per target; one grid search serves a batch of targets.
+O(elements), per target; one grid search (`PreimageSolver.grid`)
+serves a batch of targets.
 The regular-value filter takes its census candidates and its bound on
 the kernel integral from the same search (`regular_filter`).
 
@@ -102,10 +103,8 @@ class PreimageSolver:
         self.radius = np.max([
             np.linalg.norm(fld.values[corner] - fld.nbar, axis=1)
             for corner in fld.mesh.triangles.T], axis=0)
-        self.max_radius = float(self.radius.max())
         self.grids = {}
-        self.area = fld.mesh.area
-        self.reach = 2.0 * self.max_radius + 1e-9
+        self.reach = 2.0 * float(self.radius.max()) + 1e-9
         # exact kernel integrals summed so far (see kernel_integral)
         self.kernel_sums = 0
 
@@ -116,23 +115,15 @@ class PreimageSolver:
             self.grids[r] = PointGrid(self.fld.nbar, r)
         return self.grids[r]
 
-    def near(self, nprimes, r):
-        """The (target, element) pairs whose centroid value lies within
-        r of a row of `nprimes` (T, 3), ordered by target: the target
-        index `owner`, the element `elems` and the distance `d`, each
-        (k,), rounded as np.linalg.norm rounds a row of length 3 (see
-        `PointGrid.pairs`)."""
-        return self.grid(r).pairs(nprimes, r)
-
     def candidates(self, nprimes, near):
         """Codes q * triangle_count + e of the (target, element) pairs
         to solve: element e lies within twice its radius of target q
         of `nprimes` (T, 3).  The codes are sorted, so the pairs come
-        by target and then element.  `near` is the caller's `near`
-        query of these targets at a radius of at least `reach`, or
-        None to make that query at `reach`."""
+        by target and then element.  `near` is the caller's search
+        `grid(r).pairs(nprimes, r)` for the (target, element) pairs at
+        a radius r of at least `reach`, or None to search at `reach`."""
         if near is None:
-            near = self.near(nprimes, self.reach)
+            near = self.grid(self.reach).pairs(nprimes, self.reach)
         owner, elems, d = near
         keep = d <= 2.0 * self.radius[elems] + 1e-9
         return np.sort(owner[keep] * self.fld.mesh.triangle_count
@@ -189,7 +180,7 @@ def _filter_radius(solver, N):
     while r < 2."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    r = 2.0 * solver.area / N
+    r = 2.0 * solver.fld.mesh.area / N
     return r, max(solver.reach, r) if r < 2.0 else solver.reach
 
 
@@ -205,7 +196,7 @@ def regular_filter(solver, nprimes, N):
     entry, says which reasons reject each target, so a row of False is
     an accepted target; census is the batch's census.
 
-    One grid search (`PreimageSolver.near`) serves the census and the
+    One grid search (`PreimageSolver.grid`) serves the census and the
     integral test.  With r = 2 area / N, the elements with |nbar - n'|
     > r add less than their area over r to the integral, so at most
     N / 2 in all.  The exact sum over the elements within r plus (area
@@ -221,7 +212,7 @@ def regular_filter(solver, nprimes, N):
     r, radius = _filter_radius(solver, N)
     nprimes = np.asarray(nprimes, dtype=float)
     nprimes = nprimes / _norms(nprimes)[:, None]
-    owner, elems, d = near = solver.near(nprimes, radius)
+    owner, elems, d = near = solver.grid(radius).pairs(nprimes, radius)
     census = solver.census(nprimes, near)
     mesh = solver.fld.mesh
     count = nprimes.shape[0]
@@ -230,7 +221,7 @@ def regular_filter(solver, nprimes, N):
         close = d <= r
         at, a = owner[close], mesh.areas[elems[close]]
         bound = np.bincount(at, a / np.maximum(d[close], 1e-300), count) \
-            + (solver.area - np.bincount(at, a, count)) / r
+            + (mesh.area - np.bincount(at, a, count)) / r
         undecided = np.flatnonzero(bound * (1.0 + 1e-12) > N)
     integral = np.zeros(count, dtype=bool)
     integral[undecided] = [solver.kernel_integral(nprimes[q]) > N
@@ -259,7 +250,6 @@ def regular_filter(solver, nprimes, N):
 class CoareaReport:
     lhs: float
     rhs: float
-    gap: float
     excluded_measure: float
     cards: np.ndarray = field(repr=False)
     accepted: np.ndarray = field(repr=False)
@@ -313,7 +303,6 @@ def coarea_check(fld, quad, N):
     return CoareaReport(
         lhs=lhs,
         rhs=rhs,
-        gap=lhs - rhs,
         excluded_measure=excluded,
         cards=cards,
         accepted=accepted,

@@ -54,7 +54,6 @@ def enneper_gauss_closure(eps):
 
 @dataclass(frozen=True)
 class ClosedFormTable:
-    eps: float
     int_abs_phi: float     # integral of |Phi| over the disc
     int_grad_n2: float     # Dirichlet energy of the Gauss map
     grad_f2: float         # squared L2 norm of grad f
@@ -69,7 +68,6 @@ def closed_form_table(eps):
     e2 = eps ** 2
     grad_f2 = 4.0 * np.pi * (np.log(1.0 / e2 + 1.0) - 1.0 / (1.0 + e2))
     return ClosedFormTable(
-        eps=eps,
         int_abs_phi=4.0 * np.pi / (1.0 + e2),
         int_grad_n2=8.0 * np.pi / (1.0 + e2),
         grad_f2=grad_f2,
@@ -132,27 +130,26 @@ def self_intersections(eps):
         ),
     ]
     r = 0.5 * (r0 + 1.0)
-    s2 = 0.75 * (1.0 + eps ** 2 / r ** 2)
-    if s2 <= 1.0 + 1e-12:
-        s = np.sqrt(min(s2, 1.0))
-        ph = np.arcsin(s)
-        pairs.append(
-            IntersectionPair(
-                family="reflection_sin",
-                x_hat=r * np.array([np.cos(ph), np.sin(ph)]),
-                x_tilde=r * np.array([np.cos(ph), -np.sin(ph)]),
-                radius=r,
-            )
+    # r >= sqrt(3) eps, so s^2 = (3/4)(1 + eps^2/r^2) <= 1 up to rounding
+    s = np.sqrt(min(0.75 * (1.0 + eps ** 2 / r ** 2), 1.0))
+    ph = np.arcsin(s)
+    pairs.append(
+        IntersectionPair(
+            family="reflection_sin",
+            x_hat=r * np.array([np.cos(ph), np.sin(ph)]),
+            x_tilde=r * np.array([np.cos(ph), -np.sin(ph)]),
+            radius=r,
         )
-        phc = np.arccos(s)
-        pairs.append(
-            IntersectionPair(
-                family="reflection_cos",
-                x_hat=r * np.array([np.cos(phc), np.sin(phc)]),
-                x_tilde=r * np.array([-np.cos(phc), np.sin(phc)]),
-                radius=r,
-            )
+    )
+    phc = np.arccos(s)
+    pairs.append(
+        IntersectionPair(
+            family="reflection_cos",
+            x_hat=r * np.array([np.cos(phc), np.sin(phc)]),
+            x_tilde=r * np.array([-np.cos(phc), np.sin(phc)]),
+            radius=r,
         )
+    )
     return tuple(pairs)
 
 

@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from coulomb_lab.divform import (MARGIN, KernelBoundError,
                                  SingularElementError, admissible_region,
-                                 averaged_omega, gamma_many, omega,
+                                 averaged_omega, gamma_many,
                                  weak_identity_load)
 from coulomb_lab.fields import (HypothesisViolationError, dirichlet_energy,
                                 field_from_values, phi, sample_field)
@@ -183,7 +183,7 @@ def test_gamma_bound_at_the_poles(n, pole, off, azimuth, xi):
 
 def test_omega_elementwise_bound(field):
     npr = np.array([0.0, 0.8, -0.6])
-    w1, w2 = omega(field, npr)
+    w1, w2 = gamma_many(field.nbar, npr, field.d1, field.d2)
     dist = np.linalg.norm(field.nbar - npr, axis=1)
     b1 = 2.0 * np.linalg.norm(field.d1, axis=1) / dist
     b2 = 2.0 * np.linalg.norm(field.d2, axis=1) / dist
@@ -193,7 +193,7 @@ def test_omega_elementwise_bound(field):
 
 def test_omega_strict_on_image(field):
     with pytest.raises(SingularElementError):
-        omega(field, field.nbar[10])
+        gamma_many(field.nbar, field.nbar[10], field.d1, field.d2)
 
 
 def test_admissible_region(field):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from coulomb_lab import pde
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
 from coulomb_lab.pde import (CG_RTOL, TEST_FUNCTIONS, _cg, _coarsest_lu,
-                             _mesh_cache, _multigrid, _v_cycle, element_load,
+                             _cache, _multigrid, _v_cycle, element_load,
                              flux_load, gradient_l2, lumped_mass,
                              smooth_test_functions, solve_gauge_neumann,
                              solve_neumann, solve_poisson_dirichlet,
@@ -303,7 +303,7 @@ def test_coarsest_solve_is_factored_when_first_needed():
     _multigrid(mesh)
 
     def factored():
-        return {key[1] for key in _mesh_cache(mesh) if key[0] == "lu"}
+        return {key[1] for key in _cache.get(mesh, {}) if key[0] == "lu"}
 
     assert factored() == set()
     solve_poisson_dirichlet(np.ones(mesh.triangle_count), mesh)

@@ -142,8 +142,25 @@ def test_self_intersection_pairs():
         assert gap < 1e-10
 
 
+def test_four_pairs_up_to_the_disc_radius():
+    # the representative radius r = (sqrt(3) eps + 1) / 2 is at least
+    # sqrt(3) eps, so both reflection families exist at every eps up to
+    # 1 / sqrt(3), the endpoint included
+    top = 1.0 / np.sqrt(3.0)
+    grid = np.linspace(0.0, top, 2001)[1:]
+    assert grid[-1] == top
+    for eps in grid:
+        pairs = self_intersections(eps)
+        assert len(pairs) == 4
+        psi = enneper_psi_closure(eps)
+        for p in pairs:
+            assert np.linalg.norm(psi(*p.x_hat) - psi(*p.x_tilde)) < 1e-10
+
+
 def test_self_intersections_outside_domain():
-    assert self_intersections(0.7) == ()
+    # sqrt(3) eps exceeds 1 from the first double above 1 / sqrt(3)
+    for eps in (np.nextafter(1.0 / np.sqrt(3.0), 1.0), 0.7):
+        assert self_intersections(eps) == ()
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.4, float("nan")])
