@@ -7,13 +7,14 @@ built from them.  The Dirichlet and the Neumann problem are both solved
 by the package's own conjugate gradients (scipy's `cg` arithmetic, step
 for step) preconditioned by one multigrid V-cycle of one cached
 hierarchy:
-the coarse operators are Galerkin products P^T K P of the whole
-stiffness matrix with the ring `prolongation` of `mesh`, two
-damped-Jacobi sweeps on either side of the coarse correction keep the
-cycle symmetric, and the coarsest level (16 rings, mesh level 3) is a
-sparse LU, so a mesh at or below level 3 is that direct solve.  Each
-boundary condition's coarsest LU is factored when that condition is
-first solved on the mesh.
+the coarse operators are Galerkin products R K P of the whole
+stiffness matrix with the ring `prolongation` P of `mesh` and its
+restriction R = P^T, two damped-Jacobi sweeps on either side of the
+coarse correction keep the cycle symmetric, and the coarsest level
+(8 rings, mesh level 2) is solved by a dense inverse, so a mesh at or
+below level 2 is that direct solve.  Each boundary condition's
+coarsest inverse is formed when that condition is first solved on the
+mesh.
 The Dirichlet cycle keeps the boundary entries at 0, so it reads the
 leading interior blocks of the operators.  The Neumann cycle reads the
 whole operators, and its coarsest solve pins the centre node and
@@ -28,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import element_gradient, integrate, prolongation, ring_offsets
 
 _cache = weakref.WeakKeyDictionary()
 # Test functions per weak-residual check (see `weak_residual`).
 TEST_FUNCTIONS = 10
-# Ring count of the coarsest multigrid level, solved by LU (level 3).
-COARSEST_RINGS = 16
+# Ring count of the coarsest multigrid level (level 2), solved by a
+# dense inverse: 169 interior nodes, or 216 pinned at the centre.
+COARSEST_RINGS = 8
 # Damped-Jacobi weight of the V-cycle's smoother.
 JACOBI_WEIGHT = 2.0 / 3.0
 # CG stops when |b - K f| <= CG_RTOL |b|.
@@ -102,28 +103,18 @@ def lumped_mass(mesh):
     return entry["M"]
 
 
-def _spd_lu(A):
-    """LU of a symmetric positive definite matrix.
-
-    SuperLU orders it by minimum degree on A^T + A, pivots on the
-    diagonal and runs in symmetric mode (Li, ACM TOMS 31(3), 2005):
-    about 0.6 times the fill of its default column ordering.
-    """
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
-
-
 def _multigrid(mesh):
     """Cached Galerkin hierarchy of the full stiffness matrix: the
     levels, the coarsest operator and its interior node count.
 
     Each level holds its operator, its Jacobi scaling, the prolongation
-    from the next coarser level and its interior node count.  The
-    interior nodes of a ring mesh are a prefix of its nodes, and no
-    interior coarse column of `prolongation` reaches a boundary fine
-    row, so the leading interior block of each coarse operator is the
-    Galerkin operator of the Dirichlet restriction.
+    P from the next coarser level, the restriction R = P^T (one CSC
+    view of P's arrays, kept so that no cycle builds it again) and its
+    interior node count.  The interior nodes of a ring mesh are a
+    prefix of its nodes, and no interior coarse column of
+    `prolongation` reaches a boundary fine row, so the leading interior
+    block of each coarse operator is the Galerkin operator of the
+    Dirichlet restriction.
     """
     entry = _cache.setdefault(mesh, {})
     if "mg" not in entry:
@@ -133,51 +124,56 @@ def _multigrid(mesh):
         levels = []
         while m > COARSEST_RINGS:
             P = prolongation(m)
-            levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, n))
-            A = (P.T @ A @ P).tocsr()
+            R = P.T
+            levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, R, n))
+            A = (R @ A @ P).tocsr()
             m, n = m // 2, P.shape[1] - 3 * m  # less 6 (m / 2) boundary
         entry["mg"] = (levels, A, n)
     return entry["mg"]
 
 
-def _coarsest_lu(mesh, dirichlet):
-    """The coarsest level's LU for one boundary condition: its interior
-    block, or for Neumann the system pinned at the centre node.  Each
-    is factored the first time its condition is solved on the mesh,
+def _coarsest_inverse(mesh, dirichlet):
+    """The dense inverse Z of the coarsest level's system for one
+    boundary condition: its interior block, or for Neumann the system
+    pinned at the centre node.  Z is symmetrised as (Z + Z^T) / 2, so
+    that it is exactly symmetric and the V-cycle a symmetric operator.
+    Each is formed the first time its condition is solved on the mesh,
     since many meshes solve one boundary condition only."""
     entry = _cache.setdefault(mesh, {})
-    key = ("lu", dirichlet)
+    key = ("inverse", dirichlet)
     if key not in entry:
         _, A, n = _multigrid(mesh)
-        entry[key] = _spd_lu(A[:n, :n] if dirichlet else A[1:, 1:])
+        Z = np.linalg.inv((A[:n, :n] if dirichlet else A[1:, 1:]).toarray())
+        entry[key] = 0.5 * (Z + Z.T)
     return entry[key]
 
 
-def _v_cycle(levels, lu, nc, dirichlet, r):
+def _v_cycle(levels, Z, nc, dirichlet, r):
     """One V-cycle on K x = r from x = 0: two damped-Jacobi sweeps, the
     coarse correction, then two more sweeps.  The sweeps after mirror
     those before, so the cycle is a symmetric operator, as CG needs.
     For the Dirichlet problem each sweep keeps the boundary entries of
     x at 0, so the cycle reads only the interior entries of r.
-    The coarsest level is solved by `lu`: for Dirichlet on its `nc`
-    interior entries; for Neumann as Q Z Q r, with Z the inverse of the
-    system pinned at the centre node and Q the projection out of the
-    constants, the symmetric pseudo-inverse of the coarse operator."""
+    The coarsest level is solved by its inverse `Z`: for Dirichlet on
+    its `nc` interior entries; for Neumann as Q Z Q r, with Z the
+    inverse of the system pinned at the centre node and Q the
+    projection out of the constants, the symmetric pseudo-inverse of
+    the coarse operator."""
     if not levels:
         x = np.zeros_like(r)
         if dirichlet:
-            x[:nc] = lu.solve(r[:nc])
+            x[:nc] = Z @ r[:nc]
             return x
-        x[1:] = lu.solve(r[1:] - r.mean())
+        x[1:] = Z @ (r[1:] - r.mean())
         return x - x.mean()
-    A, dinv, P, n = levels[0]
+    A, dinv, P, R, n = levels[0]
     if not dirichlet:
         n = r.size
     x = dinv * r
     x[n:] = 0.0
     x += dinv * (r - A @ x)
     x[n:] = 0.0
-    x += P @ _v_cycle(levels[1:], lu, nc, dirichlet, P.T @ (r - A @ x))
+    x += P @ _v_cycle(levels[1:], Z, nc, dirichlet, R @ (r - A @ x))
     for _ in range(2):
         x += dinv * (r - A @ x)
         x[n:] = 0.0
@@ -194,7 +190,7 @@ def _cg(mesh, b, dirichlet):
     never holds for a NaN residual."""
     K = stiffness_matrix(mesh)
     levels, _, nc = _multigrid(mesh)
-    lu = _coarsest_lu(mesh, dirichlet)
+    Z = _coarsest_inverse(mesh, dirichlet)
     n = mesh.interior_nodes.size if dirichlet else b.size
     bnorm = np.linalg.norm(b)
     x, r = np.zeros_like(b), b.copy()
@@ -203,7 +199,7 @@ def _cg(mesh, b, dirichlet):
     for iteration in range(10 * b.size):
         if np.linalg.norm(r) < CG_RTOL * bnorm:
             return x, iteration
-        z = _v_cycle(levels, lu, nc, dirichlet, r)
+        z = _v_cycle(levels, Z, nc, dirichlet, r)
         rho = np.dot(r, z)
         if iteration:
             p *= rho / rho_prev

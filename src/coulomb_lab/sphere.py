@@ -227,7 +227,8 @@ class PointGrid:
     exceeds r by at most r 2^-53, and one whose square underflows is
     below 2^-511.  A query examines up to 2 r / h + 2 cubes per axis,
     so h should be of the order of r; h is widened where needed so that
-    a key fits an int64.
+    a key fits an int64, and a batch whose (T, columns) runs would not
+    fit the physical memory is refused with MeshResourceError.
     """
 
     def __init__(self, points, h):
@@ -260,6 +261,12 @@ class PointGrid:
         lo = np.clip(lo, 0, self.dims).astype(np.int64)
         hi = np.clip(hi, -1, self.dims - 1).astype(np.int64)
         kx, ky = np.maximum(hi - lo + 1, 0)[:, :2].max(axis=0, initial=0)
+        # refuse the (T, kx, ky) int64 run bounds before allocating them;
+        # require_memory divides by the count, so it is at least 1
+        require_memory(f"a query at radius {r:.3g} on a grid of side "
+                       f"{self.h:.3g}", 0,
+                       max(len(queries) * int(kx) * int(ky), 1), 8,
+                       "int64 run bound")
         x = lo[:, 0, None] + np.arange(kx)
         y = lo[:, 1, None] + np.arange(ky)
         base = (x[:, :, None] * self.dims[1] + y[:, None]) * self.dims[2]

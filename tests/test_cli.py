@@ -301,3 +301,20 @@ def test_cli_import_loads_no_scipy_spatial():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+def test_cli_import_loads_no_scipy_solvers():
+    # the multigrid bottom is a dense numpy inverse (`pde`), so
+    # importing the CLI loads neither scipy.sparse.linalg nor
+    # scipy.linalg, and `self-intersect` imports scipy.optimize only
+    # when it runs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, coulomb_lab.cli\n"
+            "print(*sorted(m for m in sys.modules if m.startswith("
+            "('scipy.sparse.linalg', 'scipy.linalg', 'scipy.optimize'))))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

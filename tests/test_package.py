@@ -1,9 +1,9 @@
 """Static checks of the package source: no dead definitions, no private
-imports across modules, no parameter or dataclass field defaults
-(settings come from the CLI), no dataclass field that nothing reads and
-no line over 79 characters.  They parse src/coulomb_lab/*.py, and
-perfbench/spans.py for the allowances it justifies, and import
-nothing."""
+imports across modules, no import of scipy's solver modules, no
+parameter or dataclass field defaults (settings come from the CLI), no
+dataclass field that nothing reads and no line over 79 characters.
+They parse src/coulomb_lab/*.py, and perfbench/spans.py for the
+allowances it justifies, and import nothing."""
 
 import ast
 from collections import Counter
@@ -123,6 +123,29 @@ def test_no_private_imports_across_modules():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _imported_modules(tree):
+    """Each module an import in `tree` names: `import a.b` names a.b,
+    and `from a import b` names a and a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}"
+                        for alias in node.names)
+
+
+def test_no_scipy_solver_imports():
+    # scipy.sparse holds the matrices; the solves are the package's own
+    # (`pde`), so no module imports scipy.sparse.linalg or scipy.linalg
+    banned = ("scipy.sparse.linalg", "scipy.linalg")
+    found = [f"{module}: {name}"
+             for module, tree in _modules().items()
+             for name in _imported_modules(tree)
+             if name.startswith(banned)]
+    assert found == []
 
 
 def _defaults(module, scope, node):

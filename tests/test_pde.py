@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from coulomb_lab import pde
 from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
-from coulomb_lab.pde import (CG_RTOL, TEST_FUNCTIONS, _cg, _coarsest_lu,
-                             _cache, _multigrid, _v_cycle, element_load,
-                             flux_load, gradient_l2, lumped_mass,
-                             smooth_test_functions, solve_gauge_neumann,
-                             solve_neumann, solve_poisson_dirichlet,
-                             stiffness_matrix, weak_residual)
+from coulomb_lab.pde import (CG_RTOL, TEST_FUNCTIONS, _cache, _cg,
+                             _coarsest_inverse, _multigrid, _v_cycle,
+                             element_load, flux_load, gradient_l2,
+                             lumped_mass, smooth_test_functions,
+                             solve_gauge_neumann, solve_neumann,
+                             solve_poisson_dirichlet, stiffness_matrix,
+                             weak_residual)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +132,8 @@ def test_dual_norm_matches_dense_solve():
 @pytest.mark.parametrize("level", [4, 5, 6, 7])
 def test_cg_iterations_stay_flat(level):
     # the V-cycle makes CG's iteration count independent of the level
-    # (8 measured at levels 4-8 with the symmetric cycle)
+    # (8 measured at levels 3-7 with the symmetric cycle and an 8-ring
+    # coarsest level, 9 at level 8)
     mesh = build_disc_mesh(level)
     cx, cy = centroids(mesh).T
     sol = solve_poisson_dirichlet(1.0 + np.cos(3.0 * cx) * cy, mesh)
@@ -147,8 +149,9 @@ def mesh_at(level):
 def v_cycle(mesh, dirichlet):
     """The preconditioner of `_cg`, r -> one V-cycle on r."""
     levels, _, nc = _multigrid(mesh)
-    return functools.partial(_v_cycle, levels, _coarsest_lu(mesh, dirichlet),
-                             nc, dirichlet)
+    return functools.partial(_v_cycle, levels,
+                             _coarsest_inverse(mesh, dirichlet), nc,
+                             dirichlet)
 
 
 @pytest.mark.parametrize("level", [5, 6])
@@ -180,7 +183,7 @@ def test_neumann_v_cycle_is_symmetric(level):
 def test_v_cycle_is_symmetric_on_random_draws(level, dirichlet, seed):
     # CG's theory needs a symmetric preconditioner M.  The gap is
     # bounded relative to |x| |My|, which a draw with x^T M y near 0
-    # cannot fail; at levels 0-3 the cycle is the coarsest solve alone.
+    # cannot fail; at levels 0-2 the cycle is the coarsest solve alone.
     # Measured at most 1.6e-16 over 30 draws per level 0-5 and
     # condition, 10 at level 6; one sweep before the coarse correction
     # and two after gave 1.7e-5 and 2.4e-3 relative to x^T M y at
@@ -246,7 +249,7 @@ def gauge_load(mesh, seed):
 @given(level=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_neumann_solve_matches_pinned_lu(level, seed):
     # up to a constant, against the sparse LU of K without the centre
-    # node; at levels 0-3 the hierarchy has no smoothing level and the
+    # node; at levels 0-2 the hierarchy has no smoothing level and the
     # cycle is the coarsest solve itself.  Over 100 draws each at
     # levels 4 and 5 the gap was at most 4.9e-12 max |u|.
     mesh = mesh_at(level)
@@ -276,19 +279,21 @@ def test_neumann_cg_iterations_stay_flat(level):
 def test_galerkin_interior_block_is_dirichlet_operator(level):
     # the hierarchy of the whole K holds, in the leading interior block
     # of each coarse operator, the Galerkin operator P_I^T A P_I of the
-    # Dirichlet restriction; checked down to the coarsest level, with
-    # the interior node counts of the coarser meshes (measured equal to
-    # the last bit at levels 4-7)
+    # Dirichlet restriction; checked down to the coarsest level (8
+    # rings, level 2), with the interior node counts of the coarser
+    # meshes (measured equal to the last bit at levels 4-7); each
+    # level's kept restriction is its prolongation's transpose
     mesh = mesh_at(level)
     levels, _, _ = _multigrid(mesh)
-    assert len(levels) == level - 3
+    assert len(levels) == level - 2
     assert levels[0][0] is stiffness_matrix(mesh)
-    A, _, P, _ = levels[-1]
+    A, _, P, _, _ = levels[-1]
     coarse = [lvl[0] for lvl in levels[1:]] + [P.T @ A @ P]
     n = mesh.interior_nodes.size
     dirichlet = stiffness_matrix(mesh)[:n, :n]
-    for depth, ((_, _, P, nf), Ac) in enumerate(zip(levels, coarse)):
+    for depth, ((_, _, P, R, nf), Ac) in enumerate(zip(levels, coarse)):
         assert nf == n
+        assert (R != P.T).nnz == 0
         nc = mesh_at(level - 1 - depth).interior_nodes.size
         dirichlet = P[:n, :nc].T @ dirichlet @ P[:n, :nc]
         gap = abs(Ac[:nc, :nc] - dirichlet).max()
@@ -297,19 +302,36 @@ def test_galerkin_interior_block_is_dirichlet_operator(level):
 
 
 def test_coarsest_solve_is_factored_when_first_needed():
-    # a mesh factors the coarsest block of a boundary condition only
+    # a mesh inverts the coarsest block of a boundary condition only
     # once that condition is solved on it
     mesh = build_disc_mesh(5)
     _multigrid(mesh)
 
     def factored():
-        return {key[1] for key in _cache.get(mesh, {}) if key[0] == "lu"}
+        return {key[1] for key in _cache.get(mesh, {})
+                if key[0] == "inverse"}
 
     assert factored() == set()
     solve_poisson_dirichlet(np.ones(mesh.triangle_count), mesh)
     assert factored() == {True}
     solve_gauge_neumann(centroids(mesh), mesh)
     assert factored() == {True, False}
+
+
+@pytest.mark.parametrize("dirichlet", [True, False])
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_coarsest_inverse_is_symmetric_inverse(level, dirichlet):
+    # the coarsest system B (8 rings: 169 interior nodes, or 216 pinned
+    # at the centre) has an exactly symmetric inverse Z, so that the
+    # V-cycle is a symmetric operator, with |Z B - I| <= 1e-12 in the
+    # max-row-sum norm (measured at most 7.8e-15 for Dirichlet and
+    # 6.3e-14 for Neumann)
+    _, A, n = _multigrid(mesh_at(level))
+    B = (A[:n, :n] if dirichlet else A[1:, 1:]).toarray()
+    assert B.shape == ((169, 169) if dirichlet else (216, 216))
+    Z = _coarsest_inverse(mesh_at(level), dirichlet)
+    assert np.array_equal(Z, Z.T)
+    assert np.abs(Z @ B - np.eye(len(B))).sum(axis=1).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -368,8 +390,8 @@ def test_nonfinite_rhs_rejected(mesh):
 
 def test_nan_load_stops_cg_at_once(monkeypatch):
     # a NaN load stops CG at its first V-cycle, not at the cap of 10 n
-    # iterations; level 3 is the coarsest level, so one cycle is one call
-    mesh = build_disc_mesh(3)
+    # iterations; level 2 is the coarsest level, so one cycle is one call
+    mesh = build_disc_mesh(2)
     b = np.ones(mesh.node_count)
     b[5] = np.nan
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -338,3 +340,23 @@ def test_point_grid_side_keeps_keys_in_range():
     oracle = _grid_pairs_oracle(points, points[:10], r)
     assert dict(zip(zip(owner.tolist(), index.tolist()), d.tolist())) \
         == oracle
+
+
+def test_point_grid_refuses_runs_beyond_memory():
+    # a side widened to 2^-20 of the spread, queried at r = 0.5, would
+    # need about (2 r / h)^2 int64 run bounds per query, 2.18 TiB for
+    # ten queries.  The batch is refused before any of them is
+    # allocated, by `pairs` and by `counts`
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(200, 3))
+    grid = PointGrid(points, 1e-12)
+    assert grid.h == np.ptp(points) * 2.0 ** -20
+    tracemalloc.start()
+    try:
+        for search in (grid.pairs, grid.counts):
+            with pytest.raises(MeshResourceError, match="physical memory"):
+                search(points[:10], 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
