@@ -362,15 +362,15 @@ def cmd_coarea(args, outdir):
 
 def _holography_level(eps, level, region):
     """One level of the holography sweep: the identity's report and the
-    Dirichlet solve of -Laplace f = Phi.  The field is dropped before
-    the solve, so its per-element arrays are gone while the multigrid
-    hierarchy is built, and the mesh when this returns, before the next
-    level's mesh is built."""
+    Dirichlet solve of -Laplace f = Phi, with Phi the report's `phi`,
+    so the field never forms its whole-mesh per-element arrays.  The
+    field is dropped before the solve, and the mesh when this returns,
+    before the next level's mesh is built."""
     fld = _enneper_field(eps, level)
     rep = holography_identity(fld, region, zeta_eps(eps, fld.mesh))
-    mesh, rhs = fld.mesh, phi(fld)
+    mesh = fld.mesh
     del fld
-    return rep, solve_poisson_dirichlet(rhs, mesh)
+    return rep, solve_poisson_dirichlet(rep.phi, mesh)
 
 
 def cmd_holography(args, outdir):

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Peak bytes per triangle, over the imports, with 37% to spare over
-# the heaviest subcommand: `frame`, 747 and 709 at levels 7 and 8
-# (`decompose` 546 and 528, `holography` 347 and 333 with its sweep
+# Peak bytes per triangle, over the imports, with 44% to spare over
+# the heaviest subcommand: `frame`, 689 and 710 at levels 7 and 8
+# (`decompose` 553 and 489, `holography` 331 and 296 with its sweep
 # ending at level 7 or 8).
 # `build_disc_mesh` refuses a mesh of 6 m^2 triangles that would need
 # more than the physical memory.
@@ -57,9 +57,10 @@ class DiscMesh:
         triangle t (similarly grad_y).
     h_max          : the longest edge
 
-    `build_disc_mesh` forms the per-element data from the vertex
-    coordinates gathered by corner, one contiguous row (nt,) per
-    coordinate and corner.
+    `build_disc_mesh` forms the per-element data from six edge-difference
+    rows (nt,), one per coordinate and corner, which are the gradients'
+    numerators; grad_x and grad_y are C-contiguous, so a slice of
+    elements reads contiguous memory.
     """
 
     nodes: np.ndarray
@@ -128,7 +129,11 @@ def build_disc_mesh(refinement_level):
     """Build the concentric-ring disc triangulation at a refinement level.
 
     The ring count is 2 * 2**level, so the longest edge is about
-    1.05 * 2**-(level+1).  Construction is fully deterministic.
+    1.05 * 2**-(level+1).  Construction is fully deterministic.  The
+    nodes are placed in one pass over all rings, and the triangles one
+    strip of rings at a time (a loop-free version was slower at levels
+    6-8).  The areas, the gradients and h_max come from the six
+    per-corner edge differences alone.
     """
     if refinement_level < 0:
         raise ValueError("refinement_level must be nonnegative")
@@ -139,12 +144,15 @@ def build_disc_mesh(refinement_level):
     node, _ = ring_offsets(m)
     count, start = np.diff(node), node[:-1]
 
-    coords = [np.zeros((1, 2))]
-    for j in range(1, m + 1):
-        ang = 2.0 * np.pi * np.arange(count[j]) / count[j]
-        r = j / m
-        coords.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
-    nodes = np.vstack(coords)
+    # node k of ring j at angle 2 pi k / (6 j) and radius j / m, one
+    # pass over every ring
+    ring = np.repeat(np.arange(m + 1), count)
+    ang = 2.0 * np.pi * (np.arange(node[-1]) - start[ring]) / count[ring]
+    r = ring / m
+    nodes = np.empty((node[-1], 2))
+    nodes[:, 0] = r * np.cos(ang)
+    nodes[:, 1] = r * np.sin(ang)
+    del ring, ang, r
 
     # strips between ring j-1 and ring j: per sextant s, the j triangles
     # on an edge of ring j, then the j-1 on an edge of ring j-1 (strip 1
@@ -162,30 +170,36 @@ def build_disc_mesh(refinement_level):
         ], axis=1)
         tris.append(strip.reshape(-1, 3))
     triangles = np.concatenate(tris, dtype=np.int64)
+    del tris
 
-    # vertex coordinates as contiguous rows (3, nt), one per corner
+    # per corner i, with j, k the next two: y_j - y_k and x_k - x_j,
+    # the numerators of grad_x[:, i] and grad_y[:, i]; up to sign they
+    # are the edge opposite corner i, and twice the area,
+    # (x_1 - x_0)(y_2 - y_0) - (y_1 - y_0)(x_2 - x_0), is
+    # ex[2] ey[1] - ey[2] ex[1] to the bit
     x, y = nodes[:, 0][triangles.T], nodes[:, 1][triangles.T]
-    areas = 0.5 * ((x[1] - x[0]) * (y[2] - y[0])
-                   - (y[1] - y[0]) * (x[2] - x[0]))
+    ex = [x[2] - x[1], x[0] - x[2], x[1] - x[0]]
+    ey = [y[1] - y[2], y[2] - y[0], y[0] - y[1]]
+    del x, y
+    areas = 0.5 * (ex[2] * ey[1] - ey[2] * ex[1])
     if np.any(areas <= 0):
         raise RuntimeError("degenerate or inverted triangle in disc mesh "
                            "construction")
 
     inv2a = 1.0 / (2.0 * areas)
-    grad_x = np.stack(
-        [y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1
-    ) * inv2a[:, None]
-    grad_y = np.stack(
-        [x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1
-    ) * inv2a[:, None]
+    grad_x = np.empty((triangles.shape[0], 3))
+    grad_y = np.empty((triangles.shape[0], 3))
+    for i in range(3):
+        np.multiply(ey[i], inv2a, out=grad_x[:, i])
+        np.multiply(ex[i], inv2a, out=grad_y[:, i])
 
     boundary_mask = np.zeros(nodes.shape[0], dtype=bool)
     boundary_mask[start[m]:] = True
 
-    # edges V1 - V0, V2 - V1, V0 - V2; sqrt is monotone and correctly
-    # rounded, so the root of the largest square is the largest norm
-    dx, dy = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y
-    h_max = float(np.sqrt((dx * dx + dy * dy).max()))
+    # sqrt is monotone and correctly rounded, so the root of the
+    # largest square is the largest norm
+    h_max = float(np.sqrt(max((u * u + v * v).max()
+                              for u, v in zip(ex, ey))))
 
     for arr in (nodes, triangles, boundary_mask, areas, grad_x, grad_y):
         arr.setflags(write=False)

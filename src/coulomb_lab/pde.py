@@ -47,51 +47,80 @@ CG_RTOL = 1e-10
 ASSEMBLY_TRIANGLES = 1 << 15
 
 
+def _band(mesh, t, lo, hi):
+    """The CSR block of rows lo..hi-1 that the triangles of the slice
+    `t` assemble: their local matrices summed in triangle order, with
+    int32 COO indices."""
+    gx, gy = mesh.grad_x[t], mesh.grad_y[t]
+    local = np.einsum("ti,tj->tij", gx, gx)
+    local += np.einsum("ti,tj->tij", gy, gy)
+    local *= mesh.areas[t, None, None]
+    tri = mesh.triangles[t].astype(np.int32)
+    return sp.coo_matrix(
+        (local.reshape(-1),
+         (np.repeat(tri - lo, 3, axis=1).reshape(-1),
+          np.tile(tri, (1, 3)).reshape(-1))),
+        shape=(hi - lo, mesh.node_count),
+    ).tocsr()
+
+
 def stiffness_matrix(mesh):
     """Assemble the P1 stiffness matrix (CSR).
 
-    K is assembled in bands of rings, one CSR block per band, joined by
-    one `sp.vstack`, so that the 9 local entries per triangle are held
-    for at most about ASSEMBLY_TRIANGLES triangles at a time.  The rows
-    of rings r0..r1-1 meet only strips max(r0, 1)..min(r1, m), a
+    K is assembled in bands of rings (`_band`), each copied into one
+    preallocated CSR and dropped before the next is built, so that the
+    9 local entries per triangle are held for at most about
+    ASSEMBLY_TRIANGLES triangles at a time, beside K.  The rows of
+    rings r0..r1-1 meet only strips max(r0, 1)..min(r1, m), a
     contiguous range of triangles (`ring_offsets`).  A band sums all
     local entries of those triangles, in triangle order, into the rows
     of rings r0-1..r1, and keeps the rows of its own rings, which meet
     no other triangle.  So each row sums the entries of the one-shot
-    assembly in the same order, and K is the same to the bit.  The COO
-    indices are int32, the index type of the CSR: `build_disc_mesh`
-    keeps the node count far below 2^31, and scipy would otherwise copy
-    int64 indices down to int32 before the conversion.
+    assembly in the same order, and K is the same to the bit.  Row i
+    holds node i and its neighbours, so K's size is known before the
+    first band from the sum of the node valences.  The indices are
+    int32, the index type of the CSR: `build_disc_mesh` keeps the node
+    count far below 2^31, and scipy would otherwise copy int64 indices
+    down to int32 before the conversion.
     """
     entry = _cache.setdefault(mesh, {})
     if "K" not in entry:
         m = mesh.rings
         node, strip = ring_offsets(m)
-        blocks, r0 = [], 0
+        # the valences sum to twice the edges, 3 nt + 6 m: an interior
+        # edge lies in two triangles, each of the 6 m boundary edges in
+        # one
+        nnz = mesh.node_count + 3 * mesh.triangle_count + 6 * m
+        indptr = np.zeros(mesh.node_count + 1, dtype=np.int32)
+        r0 = 0
         while r0 <= m:
             first = strip[max(r0, 1) - 1]
             # the most rings whose strips fit in the band, at least one
             r1 = int(np.searchsorted(strip, first + ASSEMBLY_TRIANGLES,
                                      "right")) - 1
             r1 = m + 1 if r1 >= m else max(r1, r0 + 1)
-            t = slice(first, strip[min(r1, m)])
-            gx, gy = mesh.grad_x[t], mesh.grad_y[t]
-            local = np.einsum("ti,tj->tij", gx, gx)
-            local += np.einsum("ti,tj->tij", gy, gy)
-            local *= mesh.areas[t, None, None]
             # Python ints, so that tri - lo stays int32
             lo, hi = int(node[max(r0 - 1, 0)]), int(node[min(r1 + 1, m + 1)])
-            tri = mesh.triangles[t].astype(np.int32)
-            band = sp.coo_matrix(
-                (local.reshape(-1),
-                 (np.repeat(tri - lo, 3, axis=1).reshape(-1),
-                  np.tile(tri, (1, 3)).reshape(-1))),
-                shape=(hi - lo, mesh.node_count),
-            ).tocsr()
-            blocks.append(band[node[r0] - lo:node[r1] - lo])
+            band = _band(mesh, slice(first, strip[min(r1, m)]), lo, hi)
+            if not r0:
+                # after the first band, so that they can take the memory
+                # its temporaries left
+                data = np.empty(nnz)
+                indices = np.empty(nnz, dtype=np.int32)
+            # the band's rows of rings r0..r1-1 fill those rows of K
+            ptr = band.indptr[node[r0] - lo:node[r1] - lo + 1]
+            start = indptr[node[r0]]
+            rows = slice(start, start + ptr[-1] - ptr[0])
+            data[rows] = band.data[ptr[0]:ptr[-1]]
+            indices[rows] = band.indices[ptr[0]:ptr[-1]]
+            indptr[node[r0] + 1:node[r1] + 1] = ptr[1:] - ptr[0] + start
+            del band
             r0 = r1
-        entry["K"] = (blocks[0] if len(blocks) == 1
-                      else sp.vstack(blocks, format="csr"))
+        if indptr[-1] != nnz:
+            raise RuntimeError("stiffness matrix rows do not match the "
+                               "ring mesh's valences")
+        entry["K"] = sp.csr_matrix((data, indices, indptr),
+                                   shape=(mesh.node_count, mesh.node_count))
     return entry["K"]
 
 

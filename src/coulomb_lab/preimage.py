@@ -321,6 +321,9 @@ class HolographyReport:
     mu: float
     omega_l2: float
     boundary_elements: int
+    # The Jacobian density nbar.(d1 x d2) per element, equal to
+    # `fields.phi` of the field to the bit.
+    phi: np.ndarray = field(repr=False)
 
 
 def _straddles(region, images):
@@ -342,43 +345,70 @@ def _straddles(region, images):
 
 
 def _vertex_values(fld, region, zeta, gz, elems):
-    """Vertex values on `elems` (m,) as channels (9, 3, m), one
-    contiguous row (m,) per channel and vertex: P, P.c, P.(d1 x d2),
-    the pairing P.(d1 zeta (d2 x c) - d2 zeta (d1 x c)), zeta, and for
-    |Omega|^2 P.(d1 x c) and P.(d2 x c); the ray rule reads the first
-    7.  `gz` (nt, 2) is grad zeta."""
-    tri = fld.mesh.triangles[elems].T
+    """Vertex values on the elements `elems` (m,), an index array or a
+    slice, as channels (9, 3, m), one contiguous row (m,) per channel
+    and vertex: P, P.c, P.(d1 x d2), the pairing P.(d1 zeta (d2 x c) -
+    d2 zeta (d1 x c)), zeta, and for |Omega|^2 P.(d1 x c) and
+    P.(d2 x c), of which the ray rule reads the first 7; and d1 x d2
+    (m, 3).  `gz` (nt, 2) is grad zeta.
+
+    d1 and d2 come from the rows of P and `mesh.grad_x`/`grad_y`,
+    summed in vertex order as `element_gradient` sums them, so they
+    and d1 x d2 equal the field's whole-mesh arrays to the bit, and
+    nothing is formed for the whole mesh."""
+    mesh = fld.mesh
+    tri = mesh.triangles[elems].T
+    m = tri.shape[1]
+    channels = np.empty((9, 3, m))
+    channels[:3] = fld.values.T[:, tri]
+    P = channels[:3]
+    d1, d2 = d = np.empty((2, m, 3))
+    for g, di in zip((mesh.grad_x[elems], mesh.grad_y[elems]), d):
+        for k in range(3):
+            di[:, k] = g[:, 0] * P[k, 0] + g[:, 1] * P[k, 1] \
+                + g[:, 2] * P[k, 2]
+    cross = np.cross(d1, d2)
     cx = np.cross(np.eye(3), region.center)  # d @ cx = d x c
-    d1c, d2c = (fld.d1[elems] @ cx).T, (fld.d2[elems] @ cx).T
+    d1c, d2c = (d1 @ cx).T, (d2 @ cx).T
     pair = gz[elems, 0] * d2c - gz[elems, 1] * d1c
     # (3, 5, 1, m): per component, the rows of c, d1 x d2, the pairing
     # vector, d1 x c and d2 x c
     w = np.stack([np.broadcast_to(region.center[:, None], d1c.shape),
-                  fld.cross[elems].T, pair, d1c, d2c], axis=1)[:, :, None]
-    channels = np.empty((9, 3, elems.size))
-    channels[:3] = fld.values.T[:, tri]
-    P = channels[:3]
+                  cross.T, pair, d1c, d2c], axis=1)[:, :, None]
     channels[[3, 4, 5, 7, 8]] = P[0] * w[0] + P[1] * w[1] + P[2] * w[2]
     channels[6] = zeta[tri]
-    return channels
+    return channels, cross
 
 
 def _element_sums(fld, region, zeta, gz, elems):
     """Element-rule averages on `elems` (m,) of 1_K Phi zeta, the
-    pairing, Phi zeta and |Omega|^2, and whether each element's image
-    may meet the region boundary (`_straddles`).  `TRI7_BARY @
+    pairing, Phi zeta and |Omega|^2, whether each element's image may
+    meet the region boundary (`_straddles`), and the Jacobian density
+    nbar.(d1 x d2) (m,), as `fields.phi` forms it.  `TRI7_BARY @
     _vertex_values(...)` gives every channel at the rule points as
     contiguous rows (9, 7, m)."""
-    channels = _vertex_values(fld, region, zeta, gz, elems)
+    channels, cross = _vertex_values(fld, region, zeta, gz, elems)
     s = TRI7_BARY @ channels
+    straddles = _straddles(region, channels[:3])
+    # SphereField.nbar's arithmetic, and einsum on (m, 3) rows as
+    # fields.phi takes it: on transposed views einsum rounds otherwise
+    mean = [(u[0] + u[1] + u[2]) / 3 for u in channels[:3]]
+    nbar = np.stack(mean, axis=1)
+    nbar /= np.sqrt(mean[0] * mean[0] + mean[1] * mean[1]
+                    + mean[2] * mean[2])[:, None]
+    phi = np.einsum("ti,ti->t", nbar, cross)
+    # Dropped before the rule's temporaries are formed: kept alive, it
+    # made each chunk's working set big enough to be faulted in afresh
+    # at every chunk (in a fresh `holography` sweep, 6.3k against 0.9k
+    # minor page faults at level 5).
+    del channels
     r = np.sqrt(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
     inside, slope = region.potential_slope(s[3] / r)
     scale = slope / r ** 2
     pz = s[4] / r ** 3 * s[6]
     terms = [np.where(inside, pz, 0.0), scale * s[5], pz,
              scale ** 2 * (s[7] ** 2 + s[8] ** 2)]
-    return ([TRI7_WEIGHTS @ v for v in terms],
-            _straddles(region, channels[:3]))
+    return [TRI7_WEIGHTS @ v for v in terms], straddles, phi
 
 
 def _smoothstep_rule(points):
@@ -448,7 +478,7 @@ def _boundary_sums(fld, region, zeta, gz, elems, rule):
     x, w = rule
     c, a = region.center, np.cos(region.rho)
     m = elems.size
-    values = _vertex_values(fld, region, zeta, gz, elems)[:7].T
+    values = _vertex_values(fld, region, zeta, gz, elems)[0][:7].T
     # sweep from the vertex farthest from the boundary (the vertex
     # values are unit vectors), the others in cyclic order
     far = np.argmax(np.abs(values[..., 3] - a), axis=1)
@@ -501,13 +531,16 @@ def holography_identity(fld, region, zeta):
     |Omega|^2 take every element whole, and the other two terms every
     element whose image stays on one side of the boundary, by the
     7-point degree-5 element rule: each element's rule average times
-    its area.  Elements go _CHUNK at a time.
+    its area.  Elements go _CHUNK at a time, as slices.
 
     Each integrand comes from scalars affine on each element, known at
     the rule points from their vertex values (`_vertex_values`).  These
     are laid out by component: one contiguous row of _CHUNK elements
     per channel and vertex, so every product, the rule points
-    (`_element_sums`) and the straddle test run on whole rows.  With d_i
+    (`_element_sums`) and the straddle test run on whole rows.
+    `_vertex_values` forms d1, d2 and d1 x d2 of each chunk from the
+    nodal values, so the field's whole-mesh arrays (`SphereField.d1`,
+    `d2`, `cross`, `nbar`) are never formed.  With d_i
     the derivatives of P, Phi(n_h) = P.(d1 x d2) / |P|^3; t = P.c / |P|
     gives 1_K(n_h) and q'(t), with grad Q = q'(t) (c - t n_h).  As
     n_h x d_i n_h = n_h x d_i / |P| and (c - t n_h) x n_h = c x n_h,
@@ -537,7 +570,9 @@ def holography_identity(fld, region, zeta):
     The region is a `sphere.Cap`, whose potential and boundary have
     closed forms; the full sphere is the cap of radius pi.  Then
     |residual| <= HOLOGRAPHY_TOL.  `boundary_elements` counts the
-    elements that took the ray rule.
+    elements that took the ray rule, and `phi` is nbar.(d1 x d2) per
+    element, `fields.phi` of the field to the bit, formed chunk by
+    chunk for the caller's Poisson solve.
     """
     mu = region.measure
     mesh = fld.mesh
@@ -545,14 +580,16 @@ def holography_identity(fld, region, zeta):
     gz = element_gradient(zeta, mesh)
     whole = kept = 0.0
     straddling = []
+    phi = np.empty(mesh.triangle_count)
     for lo in range(0, mesh.triangle_count, _CHUNK):
-        elems = np.arange(lo, min(lo + _CHUNK, mesh.triangle_count))
-        terms, straddles = _element_sums(fld, region, zeta, gz, elems)
+        elems = slice(lo, min(lo + _CHUNK, mesh.triangle_count))
+        terms, straddles, phi[elems] = _element_sums(fld, region, zeta, gz,
+                                                     elems)
         a = mesh.areas[elems]
         whole += np.array([a @ v for v in terms[2:]])
         kept += np.array([a[~straddles] @ v[~straddles]
                           for v in terms[:2]])
-        straddling.append(elems[straddles])
+        straddling.append(lo + np.flatnonzero(straddles))
     straddling = np.concatenate(straddling)
     rule = _smoothstep_rule(RAY_RULE_POINTS)
     step = max(_CHUNK >> 6, 1)
@@ -570,4 +607,5 @@ def holography_identity(fld, region, zeta):
         mu=mu,
         omega_l2=float(np.sqrt(omega_sq)),
         boundary_elements=int(straddling.size),
+        phi=phi,
     )

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coulomb_lab import preimage
-from coulomb_lab.fields import sample_field
+from coulomb_lab import cli, preimage
+from coulomb_lab.fields import phi, sample_field
 from coulomb_lab.mesh import (TRI7_BARY, TRI7_WEIGHTS, build_disc_mesh,
                               element_gradient)
+from coulomb_lab.pde import solve_poisson_dirichlet
 from coulomb_lab.preimage import holography_identity
 from coulomb_lab.sphere import cap, spherical_areas
 from coulomb_lab.surfaces import enneper_gauss_closure, zeta_eps
@@ -300,3 +301,42 @@ def test_channel_kernel_matches_element_major_pass(eps, level):
         got = getattr(rep, name)
         assert abs(got - value) <= 4 * np.finfo(float).eps * abs(value), \
             name
+
+
+# The field's lazily formed whole-mesh arrays (`SphereField`).
+_LAZY = ("_gradient", "d1", "d2", "cross", "nbar")
+
+
+@pytest.mark.parametrize("level", range(8))
+@pytest.mark.parametrize("region", [cap(*SWEEP_CAP),
+                                    cap(SWEEP_CAP[0], np.pi)],
+                         ids=["sweep-cap", "full-sphere"])
+def test_report_phi_is_the_field_phi(level, region):
+    # Phi formed chunk by chunk from the nodal values is fields.phi to
+    # the byte, on the sweep's fields, and the identity forms none of
+    # the field's whole-mesh arrays
+    eps = (0.3, 0.1, 0.03)[level % 3]
+    fld = sample_field(enneper_gauss_closure(eps), build_disc_mesh(level))
+    rep = holography_identity(fld, region, zeta_eps(eps, fld.mesh))
+    assert not set(_LAZY) & set(vars(fld))
+    want = phi(fld)
+    assert rep.phi.dtype == want.dtype and rep.phi.shape == want.shape
+    assert rep.phi.tobytes() == want.tobytes()
+
+
+def test_holography_level_forms_no_whole_mesh_arrays(monkeypatch):
+    # one level of the CLI's sweep solves for the report's Phi and
+    # leaves the field without its lazy arrays
+    fields = []
+
+    def recorded(eps, level):
+        fields.append(enneper_field(eps, level))
+        return fields[-1]
+
+    enneper_field = cli._enneper_field
+    monkeypatch.setattr(cli, "_enneper_field", recorded)
+    _, sol = cli._holography_level(0.1, 4, cap(*SWEEP_CAP))
+    assert len(fields) == 1
+    assert not set(_LAZY) & set(vars(fields[0]))
+    want = solve_poisson_dirichlet(phi(fields[0]), fields[0].mesh)
+    assert sol.f.tobytes() == want.f.tobytes()

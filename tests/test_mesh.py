@@ -48,6 +48,28 @@ def _loop_triangles(level):
     return np.asarray(tris, dtype=np.int64)
 
 
+def _loop_nodes(level):
+    """The ring nodes placed one ring at a time: the centre, then the
+    6 j nodes of ring j at angles 2 pi k / (6 j) and radius j / m."""
+    m = 2 * 2 ** level
+    coords = [np.zeros((1, 2))]
+    for j in range(1, m + 1):
+        ang = 2.0 * np.pi * np.arange(6 * j) / (6 * j)
+        r = j / m
+        coords.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+    return np.vstack(coords)
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_nodes_match_ring_loop(level):
+    # the one-pass placement keeps the per-ring loop's coordinates, to
+    # the bit, and its node order
+    expected = _loop_nodes(level)
+    got = build_disc_mesh(level).nodes
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("level", range(6))
 def test_triangle_order_matches_loop(level):
     # artifacts index elements, so the vectorized build must keep the
@@ -107,10 +129,11 @@ def test_h_max_halves_per_level():
     assert h[2] == pytest.approx(h[1] / 2, rel=0.05)
 
 
-@pytest.mark.parametrize("level", range(7))
+@pytest.mark.parametrize("level", range(8))
 def test_geometry_matches_gathered_formulas(level):
-    # the geometry is formed on per-corner rows (3, nt); the same
-    # formulas on the (nt, 3, 2) vertex gather give the same bits
+    # the geometry is formed from per-corner edge-difference rows (nt,);
+    # the same formulas on the (nt, 3, 2) vertex gather give the same
+    # bits, and the gradients are C-contiguous
     mesh = build_disc_mesh(level)
     p = mesh.nodes[mesh.triangles]
     u = p[:, 1] - p[:, 0]
@@ -131,6 +154,7 @@ def test_geometry_matches_gathered_formulas(level):
                       (mesh.grad_y, grad_y)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    assert mesh.grad_x.flags.c_contiguous and mesh.grad_y.flags.c_contiguous
     assert mesh.h_max == h_max
 
 

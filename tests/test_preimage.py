@@ -508,7 +508,7 @@ def test_holography_kernel_matches_point_oracle(field3, center, rho):
     gz = element_gradient(zeta, mesh)
     elems = np.arange(mesh.triangle_count)
     verts = fld.values[mesh.triangles]
-    (f, pairing, pz, omega_sq), _ = preimage._element_sums(
+    (f, pairing, pz, omega_sq), _, _ = preimage._element_sums(
         fld, region, zeta, gz, elems)
     want = np.zeros((4, mesh.triangle_count))
     slack = np.zeros((4, mesh.triangle_count))
