@@ -12,13 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Peak bytes per triangle, over the imports, with 44% to spare over
-# the heaviest subcommand: `frame`, 689 and 710 at levels 7 and 8
-# (`decompose` 553 and 489, `holography` 331 and 296 with its sweep
-# ending at level 7 or 8).
+# Peak bytes per triangle, over the imports, with 43% to spare over
+# the heaviest subcommand: `frame`, 678-699 and 662-715 at levels 7 and
+# 8 over two or three runs (`decompose` 520 and 489, `holography` 254
+# and 245 with its sweep ending at level 7 or 8).
 # `build_disc_mesh` refuses a mesh of 6 m^2 triangles that would need
 # more than the physical memory.
 BYTES_PER_TRIANGLE = 1024
+# Fine rows per band of `prolongation`: a mesh up to level 5 (12481
+# nodes) is one band.
+PROLONGATION_ROWS = 1 << 14
 
 
 def _radon_rule():
@@ -214,9 +217,37 @@ def build_disc_mesh(refinement_level):
     )
 
 
+def _prolongation_band(rings, r0, r1):
+    """The CSR rows of `prolongation(rings)` of fine rings r0..r1-1:
+    the COO sum of the two pairs of each row, zeros eliminated."""
+    # pde loads scipy.sparse; importing it here keeps the import order
+    import scipy.sparse as sp
+
+    node, _ = ring_offsets(rings)
+    count, start = np.diff(node), node[:-1]
+    lo, hi = node[r0], node[r1]
+    ring = np.repeat(np.arange(r0, r1), count[r0:r1])
+    pos = np.arange(lo, hi) - start[ring]
+    span = np.maximum(ring, 1)
+    col, val = [], []
+    for c in (ring // 2, (ring + 1) // 2):
+        # angle pos / (6 ring) is position pos c / ring on coarse ring c
+        left, rem = np.divmod(pos * c, span)
+        for j, w in ((left, 1.0 - rem / span), (left + 1, rem / span)):
+            col.append(start[c] + j % count[c])
+            val.append(0.5 * w)
+    band = sp.coo_matrix(
+        (np.concatenate(val),
+         (np.tile(np.arange(hi - lo), 4), np.concatenate(col))),
+        shape=(hi - lo, start[rings // 2 + 1]),
+    ).tocsr()
+    band.eliminate_zeros()
+    return band
+
+
 def prolongation(rings):
     """Nodal interpolation from the mesh of rings // 2 rings to the mesh
-    of `rings` rings, as a sparse (fine nodes, coarse nodes) matrix.
+    of `rings` rings, as a sparse (fine nodes, coarse nodes) CSR matrix.
 
     Coarse ring c sits at the radius of fine ring 2c and holds its even
     nodes.  A fine node on ring i takes half of the angular linear
@@ -224,29 +255,49 @@ def prolongation(rings):
     (i + 1) // 2, the same ring when i is even; ring 0 is the centre.
     Every row sums to 1, and the interior nodes of either mesh are a
     prefix of its node order.
+
+    P is built in bands of whole fine rings of at most about
+    PROLONGATION_ROWS rows (`_prolongation_band`), each copied into one
+    preallocated CSR and dropped before the next is built.  A row's
+    entries meet in the same order as in one COO of all rows, so P is
+    the same to the bit, and the temporaries of that COO, about 7 times
+    P's bytes, are held for one band at a time.  P's size is known
+    before the first band: fine ring i >= 1 takes 12 i - 6 gcd(c, i)
+    entries from each coarse ring c it reads, two per node less one
+    for each of its nodes that sits on a node of ring c, where the
+    second weight is 0.
     """
     # pde loads scipy.sparse; importing it here keeps the import order
     import scipy.sparse as sp
 
     node, _ = ring_offsets(rings)
-    count, start = np.diff(node), node[:-1]
-    ring = np.repeat(np.arange(rings + 1), count)
-    pos = np.arange(ring.size) - start[ring]
-    span = np.maximum(ring, 1)
-    cols, vals = [], []
-    for c in (ring // 2, (ring + 1) // 2):
-        # angle pos / (6 ring) is position pos c / ring on coarse ring c
-        lo, rem = np.divmod(pos * c, span)
-        for col, w in ((lo, 1.0 - rem / span), (lo + 1, rem / span)):
-            cols.append(start[c] + col % count[c])
-            vals.append(0.5 * w)
-    P = sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.tile(np.arange(ring.size), 4), np.concatenate(cols))),
-        shape=(ring.size, start[rings // 2 + 1]),
-    ).tocsr()
-    P.eliminate_zeros()
-    return P
+    i = np.arange(1, rings + 1)
+    nnz = 1 + int(np.sum(12 * i - 6 * np.gcd(i // 2, i)
+                         + i % 2 * (12 * i - 6 * np.gcd((i + 1) // 2, i))))
+    indptr = np.zeros(node[-1] + 1, dtype=np.int32)
+    r0 = 0
+    while r0 <= rings:
+        # the most whole rings within the band's rows, at least one
+        r1 = int(np.searchsorted(node, node[r0] + PROLONGATION_ROWS,
+                                 "right")) - 1
+        r1 = min(max(r1, r0 + 1), rings + 1)
+        band = _prolongation_band(rings, r0, r1)
+        if not r0:
+            # after the first band, so that they can take the memory
+            # its temporaries left
+            data = np.empty(nnz)
+            indices = np.empty(nnz, dtype=np.int32)
+        first = indptr[node[r0]]
+        data[first:first + band.nnz] = band.data
+        indices[first:first + band.nnz] = band.indices
+        indptr[node[r0] + 1:node[r1] + 1] = band.indptr[1:] + first
+        del band
+        r0 = r1
+    if indptr[-1] != nnz:
+        raise RuntimeError("prolongation entries do not match the ring "
+                           "count")
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(node[-1], node[rings // 2 + 1]))
 
 
 def element_gradient(values, mesh):

@@ -9,7 +9,9 @@ for step) preconditioned by one multigrid V-cycle of one cached
 hierarchy:
 the coarse operators are Galerkin products R K P of the whole
 stiffness matrix with the ring `prolongation` P of `mesh` and its
-restriction R = P^T, two damped-Jacobi sweeps on either side of the
+restriction R = P^T, formed in bands of coarse rows as P is in bands
+of fine rings, so that the hierarchy's build too holds little more
+than what it keeps; two damped-Jacobi sweeps on either side of the
 coarse correction keep the cycle symmetric, and the coarsest level
 (8 rings, mesh level 2) is solved by a dense inverse, so a mesh at or
 below level 2 is that direct solve.  Each boundary condition's
@@ -45,6 +47,9 @@ CG_RTOL = 1e-10
 # Triangles per band of the stiffness assembly: a mesh up to level 5
 # (24576 triangles) is one band.
 ASSEMBLY_TRIANGLES = 1 << 15
+# Coarse rows per band of the Galerkin products: a mesh up to level 5
+# (3169 coarse rows in its first product) forms each in one band.
+GALERKIN_ROWS = 1 << 13
 
 
 def _band(mesh, t, lo, hi):
@@ -132,6 +137,41 @@ def lumped_mass(mesh):
     return entry["M"]
 
 
+def _galerkin(A, P):
+    """The Galerkin product P^T A P (CSR), in bands of at most
+    GALERKIN_ROWS coarse rows.
+
+    A band of R = P^T is a slice of P's CSC columns, read as CSR rows.
+    Each band's R A is sorted before it is multiplied by P, and the
+    product sorted, so that every entry sums its terms in the order of
+    the one-shot (P.T @ A @ P).tocsr(), which multiplies in CSC: the
+    operator is the same to the bit.  The bands' arrays are joined once
+    all are built, so the product holds the operator twice at most,
+    besides one band's temporaries, and never the one-shot's CSC copies
+    of A and P or its whole R A.
+    """
+    Pc = P.tocsc()
+    fine, coarse = P.shape
+    indptr = np.zeros(coarse + 1, dtype=np.int32)
+    indices, data = [], []
+    for c0 in range(0, coarse, GALERKIN_ROWS):
+        c1 = min(c0 + GALERKIN_ROWS, coarse)
+        lo, hi = Pc.indptr[c0], Pc.indptr[c1]
+        R = sp.csr_matrix((Pc.data[lo:hi], Pc.indices[lo:hi],
+                           Pc.indptr[c0:c1 + 1] - lo), shape=(c1 - c0, fine))
+        RA = R @ A
+        RA.sort_indices()
+        band = RA @ P
+        del RA
+        band.sort_indices()
+        indptr[c0 + 1:c1 + 1] = band.indptr[1:] + indptr[c0]
+        indices.append(band.indices)
+        data.append(band.data)
+    del Pc  # before the join
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                          indptr), shape=(coarse, coarse))
+
+
 def _multigrid(mesh):
     """Cached Galerkin hierarchy of the full stiffness matrix: the
     levels, the coarsest operator and its interior node count.
@@ -139,11 +179,14 @@ def _multigrid(mesh):
     Each level holds its operator, its Jacobi scaling, the prolongation
     P from the next coarser level, the restriction R = P^T (one CSC
     view of P's arrays, kept so that no cycle builds it again) and its
-    interior node count.  The interior nodes of a ring mesh are a
-    prefix of its nodes, and no interior coarse column of
-    `prolongation` reaches a boundary fine row, so the leading interior
-    block of each coarse operator is the Galerkin operator of the
-    Dirichlet restriction.
+    interior node count.  P is built in bands of fine rings
+    (`prolongation`) and each coarse operator in bands of coarse rows
+    (`_galerkin`), both the same to the bit as their one-shot forms, so
+    the hierarchy's build holds little more than the arrays it keeps.
+    The interior nodes of a ring mesh are a prefix of its nodes, and no
+    interior coarse column of `prolongation` reaches a boundary fine
+    row, so the leading interior block of each coarse operator is the
+    Galerkin operator of the Dirichlet restriction.
     """
     entry = _cache.setdefault(mesh, {})
     if "mg" not in entry:
@@ -153,9 +196,8 @@ def _multigrid(mesh):
         levels = []
         while m > COARSEST_RINGS:
             P = prolongation(m)
-            R = P.T
-            levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, R, n))
-            A = (R @ A @ P).tocsr()
+            levels.append((A, JACOBI_WEIGHT / A.diagonal(), P, P.T, n))
+            A = _galerkin(A, P)
             m, n = m // 2, P.shape[1] - 3 * m  # less 6 (m / 2) boundary
         entry["mg"] = (levels, A, n)
     return entry["mg"]

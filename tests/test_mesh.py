@@ -1,7 +1,9 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import coulomb_lab.mesh as mesh_module
 from coulomb_lab.mesh import (BYTES_PER_TRIANGLE, MeshResourceError,
@@ -222,6 +224,55 @@ def test_prolongation(level):
     # ones, so the Dirichlet restriction drops the boundary columns
     nf, nc = fine.interior_nodes.size, coarse.interior_nodes.size
     assert P[nf:, :nc].count_nonzero() == 0
+
+
+def _one_shot_prolongation(rings):
+    """`prolongation` as one COO of all rows: the oracle of its bands."""
+    node, _ = ring_offsets(rings)
+    count, start = np.diff(node), node[:-1]
+    ring = np.repeat(np.arange(rings + 1), count)
+    pos = np.arange(ring.size) - start[ring]
+    span = np.maximum(ring, 1)
+    cols, vals = [], []
+    for c in (ring // 2, (ring + 1) // 2):
+        lo, rem = np.divmod(pos * c, span)
+        for col, w in ((lo, 1.0 - rem / span), (lo + 1, rem / span)):
+            cols.append(start[c] + col % count[c])
+            vals.append(0.5 * w)
+    P = sp.coo_matrix(
+        (np.concatenate(vals),
+         (np.tile(np.arange(ring.size), 4), np.concatenate(cols))),
+        shape=(ring.size, start[rings // 2 + 1]),
+    ).tocsr()
+    P.eliminate_zeros()
+    return P
+
+
+@pytest.mark.parametrize("rings", [2 ** k for k in range(1, 9)])
+def test_prolongation_matches_one_shot_coo(rings):
+    # the bands of whole fine rings leave P as one COO of all rows built
+    # it, to the bit; up to 64 rings (12481 rows) P is one band, and
+    # 128 and 256 rings end in a ragged band
+    P, ref = prolongation(rings), _one_shot_prolongation(rings)
+    assert P.format == "csr" and P.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(P, name), getattr(ref, name))
+        assert getattr(P, name).dtype == getattr(ref, name).dtype
+
+
+def test_prolongation_memory_is_banded():
+    # each band is copied into P's preallocated arrays and dropped, so
+    # the traced rise of P(256) stays near P's own 7.3 MB: 1.58 times
+    # measured, against 6.95 (50.5 MB) for one COO of all rows
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        P = prolongation(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2 * (P.data.nbytes + P.indices.nbytes
+                               + P.indptr.nbytes)
 
 
 def test_export_mesh_format():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulomb_lab import pde
-from coulomb_lab.mesh import build_disc_mesh, element_gradient, integrate
+from coulomb_lab.mesh import (build_disc_mesh, element_gradient, integrate,
+                              prolongation)
 from coulomb_lab.pde import (CG_RTOL, TEST_FUNCTIONS, _cache, _cg,
                              _coarsest_inverse, _multigrid, _v_cycle,
                              element_load, flux_load, gradient_l2,
@@ -315,6 +316,82 @@ def test_galerkin_interior_block_is_dirichlet_operator(level):
         gap = abs(Ac[:nc, :nc] - dirichlet).max()
         assert gap <= 1e-14 * abs(dirichlet).max()
         n = nc
+
+
+def _one_shot_multigrid(mesh):
+    """`_multigrid`'s hierarchy with each coarse operator formed as one
+    (P.T @ A @ P).tocsr(): the oracle of its bands."""
+    m, n = mesh.rings, mesh.interior_nodes.size
+    A = stiffness_matrix(mesh)
+    levels = []
+    while m > pde.COARSEST_RINGS:
+        P = prolongation(m)
+        levels.append((A, pde.JACOBI_WEIGHT / A.diagonal(), P, P.T, n))
+        A = (P.T @ A @ P).tocsr()
+        m, n = m // 2, P.shape[1] - 3 * m
+    return levels, A, n
+
+
+def assert_same_matrix(X, Y):
+    assert X.format == Y.format and X.shape == Y.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(X, name), getattr(Y, name))
+        assert getattr(X, name).dtype == getattr(Y, name).dtype
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_multigrid_matches_one_shot_galerkin(level):
+    # the coarse-row bands of the Galerkin products leave every level
+    # as the one-shot products built it, to the bit: the operators,
+    # Jacobi scalings, prolongations, restrictions and the coarsest
+    # operator; level 2 is the coarsest level itself, levels 3-5 form
+    # each product in one band, and levels 6 and 7 their first in two
+    # and seven
+    levels, A, n = _multigrid(mesh_at(level))
+    ref_levels, ref_A, ref_n = _one_shot_multigrid(mesh_at(level))
+    assert len(levels) == len(ref_levels) == max(level - 2, 0)
+    for (Al, dinv, P, R, nf), (rA, rdinv, rP, rR, rn) in zip(levels,
+                                                            ref_levels):
+        assert_same_matrix(Al, rA)
+        assert np.array_equal(dinv, rdinv)
+        assert_same_matrix(P, rP)
+        assert_same_matrix(R, rR)
+        assert nf == rn
+    assert_same_matrix(A, ref_A)
+    assert n == ref_n
+
+
+def multigrid_rise(level):
+    """The traced rise of a fresh `_multigrid` at a level (K built
+    before) over the bytes of the hierarchy it keeps: the coarse
+    operators, the Jacobi scalings and the prolongations, whose arrays
+    the restrictions share."""
+    mesh = build_disc_mesh(level)
+    stiffness_matrix(mesh)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        levels, A, _ = _multigrid(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = [A] + [lvl[0] for lvl in levels[1:]] + [lvl[2] for lvl in levels]
+    return (peak - base) / (
+        sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes for X in kept)
+        + sum(lvl[1].nbytes for lvl in levels))
+
+
+def test_multigrid_memory_is_banded():
+    # level 6 keeps 5.7 MB of hierarchy: the traced rise is 1.39 times
+    # that measured, against 2.22 with one-shot prolongations and
+    # Galerkin products
+    assert multigrid_rise(6) <= 1.6
+
+
+def test_multigrid_memory_at_level_seven():
+    # level 7 keeps 23 MB: 1.18 times measured, against 2.20 one-shot,
+    # whose peak was the 50.5 MB of the one COO of P(256)
+    assert multigrid_rise(7) <= 1.4
 
 
 def test_coarsest_solve_is_factored_when_first_needed():

@@ -8,11 +8,14 @@ about -k of radius pi/4 (the CLI's default cap): the mesh build, the
 field sample, the holography identity (with its test function), the
 stiffness matrix, the multigrid hierarchy and the Dirichlet solve of
 -Laplace f = Phi.  The field is dropped after the identity, as the CLI
-drops it.  For each phase it prints the wall time, the tracemalloc peak
-and the traced live memory before and after, in MB.  tracemalloc runs
-throughout, so the wall times include its overhead.
+drops it.  For each phase it prints the wall time, the tracemalloc peak,
+the traced live memory before and after, in MB, and the process's peak
+RSS so far (`ru_maxrss`, in MB of 2^20 bytes as `perfbench` reports
+it), which includes the imports and what tracemalloc does not see.
+tracemalloc runs throughout, so the wall times include its overhead.
 """
 
+import resource
 import sys
 import time
 import tracemalloc
@@ -43,7 +46,8 @@ def main(argv):
         result = run()
         seconds = time.perf_counter() - start
         after, peak = tracemalloc.get_traced_memory()
-        rows.append((name, seconds, peak / MB, live / MB, after / MB))
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        rows.append((name, seconds, peak / MB, live / MB, after / MB, rss))
         return result
 
     tracemalloc.start()
@@ -60,11 +64,12 @@ def main(argv):
 
     print(f"level {level}, eps {eps:g}: {mesh.triangle_count} triangles, "
           f"{sol.iterations} CG iterations")
-    print("| phase | wall s | traced peak MB | live before → after MB |")
-    print("| --- | --- | --- | --- |")
-    for name, seconds, peak, before, after in rows:
+    print("| phase | wall s | traced peak MB | live before → after MB "
+          "| peak RSS MB |")
+    print("| --- | --- | --- | --- | --- |")
+    for name, seconds, peak, before, after, rss in rows:
         print(f"| {name} | {seconds:.2f} | {peak:.0f} | "
-              f"{before:.0f} → {after:.0f} |")
+              f"{before:.0f} → {after:.0f} | {rss:.0f} |")
 
 
 if __name__ == "__main__":
